@@ -6,14 +6,22 @@ so row/column indices cross-reference cleanly everywhere else.
 
 Tables are cached on disk as JSON, one file per n, under the directory
 named by the KRONLAB_CACHE environment variable (default
-``./.kronlab-cache``).  Cached files are re-validated by the
-orthogonality relations on load and silently recomputed if corrupt.
+``./.kronlab-cache``).  A ``cache_settings`` scope overrides the
+directory and can turn the cache off for every call inside it; the CLI
+opens one per command for ``--cache-dir`` and ``--no-cache``.  A file
+is checked by the orthogonality relations whenever its bytes are new to
+the process, and recomputed and overwritten if corrupt; a file whose
+bytes equal those last checked or written for that path is answered
+from memory.  Files are written to a temporary name and renamed into
+place, so a reader never sees a partial file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -145,7 +153,29 @@ def _compute_table(n: int) -> CharacterTable:
     return table
 
 
+# (cache_dir, use_cache) for character_table calls that leave them unset
+_settings: ContextVar[tuple[str | os.PathLike | None, bool]] = ContextVar(
+    "kronlab_cache_settings", default=(None, True)
+)
+
+# resolved cache-file path -> (bytes last validated or written there, table)
+_validated: dict[Path, tuple[bytes, CharacterTable]] = {}
+
+
+@contextmanager
+def cache_settings(cache_dir: str | os.PathLike | None = None, use_cache: bool = True):
+    """Within the block, character_table calls that do not pass cache_dir
+    or use_cache use these values; cache_dir None keeps KRONLAB_CACHE."""
+    token = _settings.set((cache_dir, use_cache))
+    try:
+        yield
+    finally:
+        _settings.reset(token)
+
+
 def cache_dir(override: str | os.PathLike | None = None) -> Path:
+    if override is None:
+        override = _settings.get()[0]
     if override is not None:
         return Path(override)
     return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR))
@@ -155,35 +185,72 @@ def _cache_path(n: int, override=None) -> Path:
     return cache_dir(override) / f"chartable-n{n}.json"
 
 
+def _load_checked(data: bytes, n: int) -> CharacterTable | None:
+    """The table in a cache file's bytes, or None if it fails to parse,
+    holds another degree or fails orthogonality."""
+    try:
+        table = CharacterTable.from_json(json.loads(data))
+        if table.n != n:
+            raise ConsistencyError("cache file holds the wrong degree")
+        table.check_orthogonality()
+    except (ValueError, KeyError, TypeError, ConsistencyError):
+        return None
+    return table
+
+
+def _write_atomic(path: Path, data: bytes) -> bool:
+    """Write data to path through a temporary file in the same directory
+    and os.replace, so path is either untouched or complete.  Returns
+    False, leaving no temporary file, if any step fails.  No fsync: a file
+    torn by a crash fails validation and is recomputed."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        return False
+    return True
+
+
 def character_table(
     n: int,
     *,
     cache_dir: str | os.PathLike | None = None,
-    use_cache: bool = True,
+    use_cache: bool | None = None,
 ) -> CharacterTable:
     """Complete character table of S_n (practical bound n <= 12).
 
     With use_cache, tries the JSON disk cache first; a file that fails to
-    parse or fails orthogonality is recomputed and overwritten.
+    parse or fails orthogonality is recomputed and overwritten.  A file is
+    re-checked only when its bytes differ from those this process last
+    checked or wrote at that path.  cache_dir and use_cache left as None
+    come from the enclosing cache_settings scope.
     """
     if n < 1:
         raise InputError("character table needs n >= 1")
+    if use_cache is None:
+        use_cache = _settings.get()[1]
     if not use_cache:
         return _compute_table(n)
-    path = _cache_path(n, cache_dir)
-    if path.exists():
-        try:
-            table = CharacterTable.from_json(json.loads(path.read_text()))
-            if table.n != n:
-                raise ConsistencyError("cache file holds the wrong degree")
-            table.check_orthogonality()
-            return table
-        except (ValueError, KeyError, TypeError, ConsistencyError):
-            pass  # recompute below and overwrite
-    table = _compute_table(n)
+    path = _cache_path(n, cache_dir).resolve()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(table.to_json()))
+        data = path.read_bytes()
     except OSError:
-        pass  # cache is best-effort
+        data = None  # missing or unreadable: recompute below
+    if data is not None:
+        held = _validated.get(path)
+        if held is not None and held[0] == data:
+            return held[1]
+        table = _load_checked(data, n)
+        if table is not None:
+            _validated[path] = (data, table)
+            return table
+    table = _compute_table(n)
+    data = json.dumps(table.to_json()).encode()
+    if _write_atomic(path, data):  # the cache is best-effort
+        _validated[path] = (data, table)
     return table

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import characters
@@ -30,6 +29,7 @@ from .partitions import (
 )
 from .permutations import check_perm, encode_permutation
 from .projectors import (
+    DENSE_DIM_LIMIT,
     check_projector_algebra,
     kron_pipeline,
     pipeline_trace_collapsed,
@@ -205,7 +205,7 @@ def cmd_verify(args, out) -> int:
     if sub == "kron-all":
         n = args.n
         parts = enumerate_partitions(n)
-        use_dense = math.factorial(n) ** 3 <= 24**3
+        use_dense = math.factorial(n) ** 3 <= DENSE_DIM_LIMIT
         for lam in parts:
             for mu in parts:
                 for nu in parts:
@@ -306,9 +306,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_chartable(args, out) -> int:
-    table = characters.character_table(
-        args.n, cache_dir=args.cache_dir, use_cache=not args.no_cache
-    )
+    table = characters.character_table(args.n)
     payload = table.to_json()
     rows = []
     for lam in table.partitions:
@@ -460,10 +458,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.cache_dir:
-        os.environ[characters.CACHE_ENV_VAR] = args.cache_dir
     try:
-        return args.func(args, sys.stdout)
+        with characters.cache_settings(args.cache_dir or None, use_cache=not args.no_cache):
+            return args.func(args, sys.stdout)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

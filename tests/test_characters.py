@@ -184,6 +184,62 @@ class TestDiskCache:
         character_table(3)
         assert (tmp_path / "envcache" / "chartable-n3.json").exists()
 
+    def test_write_leaves_only_the_table(self, tmp_path):
+        character_table(4, cache_dir=tmp_path)
+        assert [f.name for f in tmp_path.iterdir()] == ["chartable-n4.json"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("kronlab.characters.os.replace", refuse)
+        character_table(4, cache_dir=tmp_path).check_orthogonality()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMemo:
+    """A cache file is parsed and checked only when its bytes are new to
+    the process; unchanged bytes are answered from memory."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        calls = []
+        original = CharacterTable.from_json
+
+        def counting(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(CharacterTable, "from_json", staticmethod(counting))
+        return calls
+
+    def test_unchanged_file_loaded_at_most_once(self, tmp_path, loads):
+        tables = [character_table(5, cache_dir=tmp_path) for _ in range(10)]
+        assert len(loads) <= 1
+        assert all(t.values == tables[0].values for t in tables)
+
+    def test_same_length_tamper_rechecked_and_healed(self, tmp_path, loads):
+        table = character_table(4, cache_dir=tmp_path)
+        path = tmp_path / "chartable-n4.json"
+        good = path.read_bytes()
+        # the first row is the trivial character, all ones
+        bad = good.replace(b'"values": [1', b'"values": [2', 1)
+        assert bad != good and len(bad) == len(good)
+        path.write_bytes(bad)
+        healed = character_table(4, cache_dir=tmp_path)
+        assert len(loads) == 1
+        healed.check_orthogonality()
+        assert healed.values == table.values
+        assert path.read_bytes() == good
+
+    def test_deleted_file_written_again(self, tmp_path, loads):
+        character_table(4, cache_dir=tmp_path)
+        path = tmp_path / "chartable-n4.json"
+        path.unlink()
+        character_table(4, cache_dir=tmp_path).check_orthogonality()
+        assert path.exists()
+        assert CharacterTable.from_json(json.loads(path.read_text())).n == 4
+
 
 class TestCentralizerConsistency:
     def test_sum_of_squares_column(self):

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -205,6 +206,23 @@ class TestOutputContracts:
         )
         assert code == EXIT_OK
         assert (tmp_path / "chartable-n4.json").exists()
+
+    def test_no_cache_flag_reaches_every_command(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KRONLAB_CACHE", str(tmp_path))
+        code, _ = run_cli(["kron", "2,1", "2,1", "2,1", "--no-cache", "--format", "json"])
+        assert code == EXIT_OK
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_flag_is_scoped_to_the_command(self, tmp_path, monkeypatch):
+        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.setenv("KRONLAB_CACHE", str(env_dir))
+        code, _ = run_cli(
+            ["kron", "2,1", "2,1", "2,1", "--cache-dir", str(flag_dir), "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert os.environ["KRONLAB_CACHE"] == str(env_dir)
+        assert (flag_dir / "chartable-n3.json").exists()
+        assert not env_dir.exists()
 
     def test_parser_builds(self):
         parser = build_parser()
