@@ -16,10 +16,12 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import character_table
-from .errors import ConsistencyError, InputError
+from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, check_partition, hook_dimension
 from .permutations import cycle_type_census, full_group, wreath_product
 from .specht import build_seminormal, invariant_dim
+
+WREATH_ORDER_LIMIT = factorial(9)  # 362880 elements, enumerated in a few seconds
 
 
 @dataclass
@@ -75,13 +77,19 @@ def scaled_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
     """Plethysm coefficient a_lam(d, m) as the average of chi_lam over the
-    wreath product S_m wr S_d, enumerated explicitly inside S_{md}."""
+    wreath product S_m wr S_d, enumerated explicitly inside S_{md}.
+    Refused before anything is built when |S_m wr S_d| = m!^d d! exceeds
+    WREATH_ORDER_LIMIT."""
     start = time.perf_counter()
     lam = check_partition(lam)
     if d < 1 or m < 1:
         raise InputError("d and m must be positive")
     if sum(lam) != m * d:
         raise InputError(f"|lam| = {sum(lam)} but md = {m * d}")
+    if factorial(m) ** d * factorial(d) > WREATH_ORDER_LIMIT:
+        raise BoundExceededError(
+            f"S_{m} wr S_{d} has more than {WREATH_ORDER_LIMIT} elements to enumerate"
+        )
     table = character_table(m * d)
     census = cycle_type_census(wreath_product(m, d))
     order = wreath_product(m, d).order()

@@ -2,17 +2,17 @@
 algebra of S_n, composed into the pipelines whose image dimensions are
 the Kronecker and plethysm coefficients.
 
-Two evaluation paths exist and are cross-checked against each other:
-
-* a sparse path on exact-rational state vectors (`StateVector`,
-  `apply_*`), used by the verifier protocol and for small exhaustive
-  checks;
-* an integer batch path (`pipeline_trace_dense`,
-  `check_projector_algebra`) that pushes many basis vectors through the
-  stage sequence at once.  Amplitudes stay integer numerators over a
-  running denominator; they are carried in float64 arrays purely for
-  speed, with an l1-norm bound asserted below 2^53 before every stage so
-  every intermediate is exactly representable.
+Every stage has one implementation, an integer kernel (`_stage_kernel`)
+applied by `BatchEvaluator` to batches of vectors.  Amplitudes stay
+integer numerators over a running denominator; they are carried in
+float64 arrays purely for speed, with an l1-norm bound asserted below
+2^53 before every stage so every intermediate is exactly representable.
+The dense trace and the projector-algebra checks push basis vectors
+through it; exact-rational state vectors (`StateVector`, `apply_*`, used
+by the verifier protocol) go through it as integer numerators over the
+lcm of their denominators, split into base-2^b limbs (one batch row
+each) when they are too large for the bound, and are recombined in
+Python integers, so any rational amplitude stays exact.
 
 `pipeline_trace_collapsed` is the independent closed-form route: it
 expands every stage into its group sum and contracts with the per-factor
@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -245,49 +245,15 @@ def apply_isotypic(state: StateVector, factor: int, lam: Partition) -> StateVect
     """Weak-Fourier-sampling projector on one factor:
     (d(lam)/n!) sum_g chi_lam(g) L_g."""
     lam = check_partition(lam)
-    n = state.n
-    if sum(lam) != n:
-        raise InputError(f"|lam| = {sum(lam)} but degree is {n}")
-    table = character_table(n)
-    d = hook_dimension(lam)
-    n_fact = factorial(n)
-    out: dict[tuple[Perm, ...], Fraction] = {}
-    for g in all_perms(n):
-        chi = table.chi(lam, cycle_type(g))
-        if not chi:
-            continue
-        coeff = Fraction(d * chi, n_fact)
-        for key, amp in state.amps.items():
-            comps = list(key)
-            comps[factor] = compose(g, comps[factor])
-            new_key = tuple(comps)
-            s = out.get(new_key, Fraction(0)) + coeff * amp
-            if s:
-                out[new_key] = s
-            else:
-                out.pop(new_key, None)
-    return StateVector(n, state.k, out)
+    if sum(lam) != state.n:
+        raise InputError(f"|lam| = {sum(lam)} but degree is {state.n}")
+    return _apply_stages(state, (Isotypic(factor, lam),), f"isotypic({factor})")
 
 
 def apply_invariant_average(state: StateVector, stage: InvariantAverage) -> StateVector:
     """(1/|G|) sum over the subgroup of the product of the stage's
     one-sided actions."""
-    elements = enumerate_subgroup(stage.group)
-    out: dict[tuple[Perm, ...], Fraction] = {}
-    for g in elements:
-        ginv = inverse(g)
-        for key, amp in state.amps.items():
-            comps = list(key)
-            for f, side in stage.actions:
-                comps[f] = compose(g, comps[f]) if side == "L" else compose(comps[f], ginv)
-            new_key = tuple(comps)
-            s = out.get(new_key, Fraction(0)) + amp
-            if s:
-                out[new_key] = s
-            else:
-                out.pop(new_key, None)
-    inv_order = Fraction(1, len(elements))
-    return StateVector(state.n, state.k, {k: a * inv_order for k, a in out.items()})
+    return _apply_stages(state, (stage,), "invariant_average")
 
 
 def apply_stage(state: StateVector, stage: Stage) -> StateVector:
@@ -297,9 +263,37 @@ def apply_stage(state: StateVector, stage: Stage) -> StateVector:
 
 
 def apply_pipeline(p: Pipeline, state: StateVector) -> StateVector:
-    for stage in p.stages:
-        state = apply_stage(state, stage)
-    return state
+    if (p.n, p.k) != (state.n, state.k):
+        raise InputError(f"{p.label} acts on (n, k) = {(p.n, p.k)}, not {(state.n, state.k)}")
+    return _apply_stages(state, p.stages, p.label)
+
+
+def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> StateVector:
+    """Push a state through the stage kernels as one batch.  Amplitudes
+    become integer numerators over the lcm of their denominators; a
+    numerator too large for the 2^53 guard is split into base-2^b limbs,
+    one batch row per limb, and the rows are recombined in Python ints."""
+    ev = BatchEvaluator(Pipeline(state.n, state.k, stages, label))
+    if state.is_zero():
+        return StateVector.zero(state.n, state.k)
+    space, k = ev.space, state.k
+    den = lcm(*(a.denominator for a in state.amps.values()))
+    cols = [space.flat(key) for key in state.amps]
+    nums = [a.numerator * (den // a.denominator) for a in state.amps.values()]
+    headroom = (FLOAT_EXACT_LIMIT - 1) // prod(kern.l1 for kern in ev.kernels)
+    b = max(1, (headroom + 1).bit_length() - 1)  # limbs below 2^b pass the guard
+    mask = (1 << b) - 1
+    limbs = max(1, -(-max(abs(v) for v in nums).bit_length() // b))
+    x = np.zeros((limbs, ev.pipeline.dim), dtype=np.float64)
+    for j in range(limbs):
+        x[j, cols] = [(abs(v) >> (b * j) & mask) * (1 if v > 0 else -1) for v in nums]
+    rows = _exact_int_array(ev.apply(x, start_max_abs=mask)).tolist()
+    out = rows[-1]
+    for row in reversed(rows[:-1]):
+        out = [(hi << b) + lo for hi, lo in zip(out, row)]
+    den *= ev.denominator
+    amps = {space.key(f, k): Fraction(v, den) for f, v in enumerate(out) if v}
+    return StateVector(state.n, k, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +305,8 @@ class PermIndex:
     first) plus the multiplication and inverse index tables."""
 
     def __init__(self, n: int):
+        if factorial(n) > DENSE_FACTOR_LIMIT:
+            raise BoundExceededError(f"S_{n} has more than {DENSE_FACTOR_LIMIT} elements to index")
         self.n = n
         self.perms = all_perms(n)
         self.nf = len(self.perms)
@@ -328,6 +324,22 @@ class PermIndex:
         self.type_index = np.array(
             [class_index[cycle_type(p)] for p in self.perms], dtype=np.int64
         )
+
+    def flat(self, key: TensorBasisState) -> int:
+        """Flat tensor-basis index of a k-tuple of permutations (factor 0
+        is the most significant digit)."""
+        flat = 0
+        for perm in key:
+            flat = flat * self.nf + self.index[perm]
+        return flat
+
+    def key(self, flat: int, k: int) -> TensorBasisState:
+        """The k-tuple of permutations at a flat tensor-basis index."""
+        digits = []
+        for _ in range(k):
+            flat, d = divmod(flat, self.nf)
+            digits.append(self.perms[d])
+        return tuple(reversed(digits))
 
 
 @lru_cache(maxsize=None)
@@ -407,39 +419,26 @@ def _stage_kernel(space: PermIndex, stage: Stage, k: int):
             st = space.mult[space.inv, :]  # st[s, t] = s^-1 o t
             kernel = member[st].T  # kernel[t, s] = [s^-1 o t in G]
         return _FactorKernel(f, kernel, stage.group.order())
-    # simultaneous action on several factors: one sparse matrix
+    # simultaneous action on several factors: one sparse matrix whose row
+    # r holds a 1 at g.r for every g (the same set as g^-1.r); the action
+    # is free, so each row has |G| distinct columns
     dim = nf**k
-    sides = {f: side for f, side in stage.actions}
-    cols = np.arange(dim, dtype=np.int64)
-    digits = []
-    rem = cols
-    for _ in range(k):
-        digits.append(rem % nf)
-        rem = rem // nf
-    digits = digits[::-1]  # digits[f] is the factor-f index of each column
-    row_blocks = []
-    col_blocks = []
+    sides = dict(stage.actions)
+    digits = np.unravel_index(np.arange(dim, dtype=np.int64), (nf,) * k)
     elements = enumerate_subgroup(stage.group)
-    for g in elements:
-        gi = space.index[g]
-        gii = space.index[inverse(g)]
-        new_digits = []
-        for f in range(k):
-            if f in sides:
-                if sides[f] == "L":
-                    new_digits.append(space.mult[gi][digits[f]])
-                else:
-                    new_digits.append(space.mult[digits[f], gii])
-            else:
-                new_digits.append(digits[f])
-        rows = new_digits[0]
-        for f in range(1, k):
-            rows = rows * nf + new_digits[f]
-        row_blocks.append(rows)
-        col_blocks.append(cols)
-    data = np.ones(len(elements) * dim, dtype=np.float64)
+    cols = np.empty((dim, len(elements)), dtype=np.int64)
+    for e, g in enumerate(elements):
+        gi, gii = space.index[g], space.index[inverse(g)]
+        moved = [
+            space.mult[gi][dig] if sides.get(f) == "L"
+            else space.mult[dig, gii] if sides.get(f) == "R"
+            else dig
+            for f, dig in enumerate(digits)
+        ]
+        cols[:, e] = np.ravel_multi_index(moved, (nf,) * k)
+    cols.sort(axis=1)
     matrix = _sparse.csr_matrix(
-        (data, (np.concatenate(row_blocks), np.concatenate(col_blocks))),
+        (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, len(elements))),
         shape=(dim, dim),
     )
     return _SparseKernel(matrix, len(elements), len(elements))
@@ -452,11 +451,11 @@ class BatchEvaluator:
 
     def __init__(self, p: Pipeline):
         self.pipeline = p
-        self.space = perm_index(p.n)
-        if self.space.nf > DENSE_FACTOR_LIMIT or p.dim > DENSE_DIM_LIMIT:
+        if p.dim > DENSE_DIM_LIMIT:
             raise BoundExceededError(
                 f"dense evaluation bound exceeded for {p.label}: dim {p.dim}"
             )
+        self.space = perm_index(p.n)  # refuses n! > DENSE_FACTOR_LIMIT
         self.kernels = [_stage_kernel_cached(p.n, s, p.k) for s in p.stages]
         self.denominator = 1
         for kern in self.kernels:

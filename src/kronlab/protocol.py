@@ -30,8 +30,8 @@ from .projectors import (
     apply_invariant_average,
     apply_isotypic,
     apply_pipeline,
-    perm_index,
 )
+from .ratlinalg import rref, rref_kernel
 
 WITNESS_SPACE_DIM_LIMIT = 4096
 _SEED_STRIDE = 1_000_003  # per-shot seed = seed * stride + shot index
@@ -266,23 +266,15 @@ def _monte_carlo(
     return MonteCarloRun(shots, accepts, seed, p_accept)
 
 
-def _flat_to_key(space, flat: int, k: int) -> tuple:
-    digits = []
-    for _ in range(k):
-        digits.append(flat % space.nf)
-        flat //= space.nf
-    return tuple(space.perms[i] for i in reversed(digits))
-
-
 def witness_spaces(p: Pipeline, *, dim_limit: int = WITNESS_SPACE_DIM_LIMIT) -> WitnessSpaces:
     """Exact bases for the accepting subspace A = im(E) and the rejecting
     subspace R = ker(E) = im(I - E).
 
     Materializes the composed operator column by column (the batch
-    evaluator applied to the identity), then a single partial row
-    reduction yields both bases: the nonzero reduced rows span the image
-    (the operator is symmetric), the free columns give the kernel.
-    Bounded by dim_limit because the reduction is dense."""
+    evaluator applied to the identity), then one row reduction yields
+    both bases: the nonzero reduced rows span the image (the operator is
+    symmetric), the free columns give the kernel.  Bounded by dim_limit
+    because the reduction is dense."""
     dim = p.dim
     if dim > dim_limit:
         raise BoundExceededError(
@@ -297,48 +289,19 @@ def witness_spaces(p: Pipeline, *, dim_limit: int = WITNESS_SPACE_DIM_LIMIT) -> 
     if trace % den:
         raise ConsistencyError("trace of composed operator is not integral")
     expected_rank = trace // den
+    # the common factor den leaves the reduced row-echelon form unchanged
+    rows, pivots = rref(columns.tolist())
+    if len(pivots) != expected_rank:
+        raise ConsistencyError(f"rank {len(pivots)} != trace {expected_rank}")
 
-    # partial RREF over exact rationals; only expected_rank pivot rows appear
-    rows = [[Fraction(int(v), den) for v in columns[i]] for i in range(dim)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, dim) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == expected_rank:
-            # remaining rows must now be zero; verify rather than assume
-            if any(any(rows[i][j] for j in range(dim)) for i in range(r, dim)):
-                raise ConsistencyError("operator rank exceeds its trace")
-            break
-    if r != expected_rank:
-        raise ConsistencyError(f"rank {r} != trace {expected_rank}")
+    space = ev.space
 
-    space = perm_index(p.n)
     def to_state(vec) -> StateVector:
-        amps = {
-            _flat_to_key(space, j, p.k): Fraction(x) for j, x in enumerate(vec) if x
-        }
+        amps = {space.key(j, p.k): Fraction(x) for j, x in enumerate(vec) if x}
         return StateVector(p.n, p.k, amps)
 
     accepting = [to_state(rows[i]) for i in range(expected_rank)]
-    free = [c for c in range(dim) if c not in set(pivots)]
-    rejecting = []
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        rejecting.append(to_state(vec))
+    rejecting = [to_state(vec) for vec in rref_kernel(rows, pivots, dim)]
     return WitnessSpaces(p, accepting, rejecting)
 
 
@@ -374,34 +337,31 @@ def sample_accepting_witness(p: Pipeline, seed: int, support: int = 3) -> StateV
     """Accepting witness for pipelines too large for full witness_spaces:
     E applied to a random sparse integer vector (retrying until the image
     is nonzero).  The result lies in im(E) exactly."""
-    space = perm_index(p.n)
-    dim = p.dim
-    for attempt in range(64):
-        rng = random.Random(seed * _SEED_STRIDE + attempt)
-        amps = {}
-        for _ in range(support):
-            flat = rng.randrange(dim)
-            amps[_flat_to_key(space, flat, p.k)] = Fraction(rng.choice([x for x in range(-9, 10) if x]))
-        probe = StateVector(p.n, p.k, amps)
-        out = apply_pipeline(p, probe)
-        if not out.is_zero():
-            return out
-    raise ConsistencyError("no accepting witness found; is the trace zero?")
+    return _probe_witness(
+        p, seed, support, lambda v: apply_pipeline(p, v),
+        "no accepting witness found; is the trace zero?",
+    )
 
 
 def sample_rejecting_witness(p: Pipeline, seed: int, support: int = 3) -> StateVector:
     """Rejecting witness: v - E v for a random sparse integer v, which
     lies in ker(E) exactly (E is idempotent)."""
-    space = perm_index(p.n)
-    dim = p.dim
+    return _probe_witness(
+        p, seed, support, lambda v: v.minus(apply_pipeline(p, v)),
+        "no rejecting witness found; is the operator the identity?",
+    )
+
+
+def _probe_witness(p: Pipeline, seed: int, support: int, project, failure: str) -> StateVector:
+    """First nonzero project(v) over seeded random sparse integer probes v."""
+    space = BatchEvaluator(p).space  # checks the dense bound first
     for attempt in range(64):
         rng = random.Random(seed * _SEED_STRIDE + attempt)
         amps = {}
         for _ in range(support):
-            flat = rng.randrange(dim)
-            amps[_flat_to_key(space, flat, p.k)] = Fraction(rng.choice([x for x in range(-9, 10) if x]))
-        probe = StateVector(p.n, p.k, amps)
-        out = probe.minus(apply_pipeline(p, probe))
+            flat = rng.randrange(p.dim)
+            amps[space.key(flat, p.k)] = Fraction(rng.choice([x for x in range(-9, 10) if x]))
+        out = project(StateVector(p.n, p.k, amps))
         if not out.is_zero():
             return out
-    raise ConsistencyError("no rejecting witness found; is the operator the identity?")
+    raise ConsistencyError(failure)

@@ -38,10 +38,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, c) -> Matrix:
     return [[x * c for x in row] for row in a]
 
@@ -128,8 +124,11 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def kernel_basis(a: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel, one vector per free column of the RREF."""
-    reduced, pivots = rref(a)
-    cols = len(a[0]) if a else 0
+    return rref_kernel(*rref(a), len(a[0]) if a else 0)
+
+
+def rref_kernel(reduced: Matrix, pivots: list[int], cols: int) -> list[list[Fraction]]:
+    """Right-kernel basis read off an RREF and its pivot columns."""
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:

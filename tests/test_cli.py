@@ -97,6 +97,10 @@ class TestPlethCommand:
         code, _ = run_cli(["pleth", "2", "2", "5", "--format", "json"])
         assert code == EXIT_USAGE
 
+    def test_wreath_bound_exceeded(self):
+        code, _ = run_cli(["pleth", "1", "12", "12", "--format", "json"])
+        assert code == EXIT_BOUND
+
 
 class TestScaledKron:
     def test_gap_visible(self):

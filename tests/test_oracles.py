@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from kronlab.errors import InputError
+from kronlab.errors import BoundExceededError, InputError
 from kronlab.oracles import (
     CoefficientResult,
     kron_char,
@@ -120,6 +120,15 @@ class TestPlethysmOracle:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             pleth_wreath(2, 2, (3, 2))
+
+    def test_bound_before_enumeration(self):
+        # 12! elements would be enumerated; refused at once instead
+        import time
+
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError):
+            pleth_wreath(1, 12, (12,))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestInvariantDefinition:

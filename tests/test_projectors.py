@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from groupsum_reference import reference_pipeline
 
 from kronlab.errors import BoundExceededError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
@@ -283,8 +285,8 @@ class TestDenseTrace:
             ev.apply(_basis_batch(p.dim, np.arange(4)), start_max_abs=1 << 53)
 
     def test_matches_sparse_application(self):
-        # the float64 batch path and the exact-rational sparse path are the
-        # same operator
+        # the float64 batch path and the definitional group sums on
+        # exact-rational states are the same operator
         p = kron_pipeline((2,), (1, 1), (1, 1))
         ev = BatchEvaluator(p)
         out = ev.apply(_basis_batch(p.dim, np.arange(p.dim)))
@@ -301,7 +303,7 @@ class TestDenseTrace:
             return tuple(space.perms[i] for i in reversed(digits))
 
         for col in range(p.dim):
-            sparse_out = apply_pipeline(p, StateVector.basis_state(2, key_of(col)))
+            sparse_out = reference_pipeline(p, StateVector.basis_state(2, key_of(col)))
             for col2 in range(p.dim):
                 expected = sparse_out.amps.get(key_of(col2), Fraction(0))
                 assert Fraction(int(ints[col, col2]), ev.denominator) == expected
@@ -475,6 +477,51 @@ class TestSparseVsOtherBackends:
             for i2 in range(space.nf):
                 for i3 in range(space.nf):
                     key = (space.perms[i1], space.perms[i2], space.perms[i3])
-                    out = apply_pipeline(p, StateVector.basis_state(n, key))
+                    out = reference_pipeline(p, StateVector.basis_state(n, key))
                     total += out.amps.get(key, Fraction(0))
         assert total == pipeline_trace_dense(p, strategy="full")
+
+
+class TestStateVectorEngine:
+    def test_large_numerators_and_denominators_exact(self):
+        # numerators near 2^80 over a 2^61 - 1 denominator need several
+        # limbs per amplitude; the result must still be the exact one
+        rng = random.Random(80)
+        for n, shapes in ((2, ((2,), (1, 1), (1, 1))), (3, ((2, 1), (2, 1), (3,)))):
+            p = kron_pipeline(*shapes)
+            perms = all_perms(n)
+            amps = {}
+            for _ in range(8):
+                key = tuple(rng.choice(perms) for _ in range(3))
+                amps[key] = Fraction(rng.choice([-1, 1]) * rng.randint(1 << 79, 1 << 80), (1 << 61) - 1)
+            state = StateVector(n, 3, amps)
+            assert apply_pipeline(p, state).amps == reference_pipeline(p, state).amps
+
+    def test_bound_checked_before_allocation(self):
+        # (5!)^3 = 1.7M basis states: refused before any kernel, index
+        # table or batch row is built
+        p = kron_pipeline((3, 1, 1), (3, 1, 1), (3, 1, 1))
+        state = StateVector.basis_state(5, (identity(5),) * 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError):
+                apply_pipeline(p, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_factor_bound_checked_before_index_tables(self):
+        # S_8 would need a 40320 x 40320 multiplication table
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError):
+                pipeline_trace_dense(pleth_pipeline(2, 4, (8,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_pipeline_and_state_degree_must_match(self):
+        with pytest.raises(InputError):
+            apply_pipeline(kron_pipeline((2, 1), (2, 1), (2, 1)), StateVector.basis_state(2, (identity(2),) * 3))
