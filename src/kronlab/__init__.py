@@ -36,7 +36,7 @@ from .permutations import (
     young_subgroup,
 )
 from .characters import CharacterTable, character_table, mn_character
-from .specht import SpechtRep, build_seminormal, invariant_dim, rep_matrix
+from .specht import SpechtRep, build_seminormal, invariant_dim
 from .oracles import (
     CoefficientResult,
     kron_char,

@@ -19,7 +19,7 @@ from .characters import character_table
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, check_partition, hook_dimension
 from .permutations import cycle_type_census, full_group, wreath_product
-from .specht import build_seminormal, invariant_dim
+from .specht import DEFAULT_DIM_BOUND, build_seminormal, invariant_dim
 
 WREATH_ORDER_LIMIT = factorial(9)  # 362880 elements, enumerated in a few seconds
 
@@ -91,10 +91,10 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
             f"S_{m} wr S_{d} has more than {WREATH_ORDER_LIMIT} elements to enumerate"
         )
     table = character_table(m * d)
-    census = cycle_type_census(wreath_product(m, d))
-    order = wreath_product(m, d).order()
+    group = wreath_product(m, d)
+    census = cycle_type_census(group)
     total = sum(count * table.chi(lam, rho) for rho, count in census.items())
-    value = _exact_int(Fraction(total, order), "wreath average")
+    value = _exact_int(Fraction(total, group.order()), "wreath average")
     if value < 0:
         raise ConsistencyError(f"negative multiplicity {value}")
     return CoefficientResult(
@@ -106,12 +106,12 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
 
 
 def kron_invariant_def(
-    lam: Partition, mu: Partition, nu: Partition, *, dim_bound: int = 5000
+    lam: Partition, mu: Partition, nu: Partition, *, dim_bound: int = DEFAULT_DIM_BOUND
 ) -> CoefficientResult:
     """Kronecker coefficient straight from its definition: the dimension of
     the invariant subspace of [lam] x [mu] x [nu] under the diagonal
-    S_n action, computed as the exact rank of the averaged projector on
-    explicit Specht matrices."""
+    S_n action, computed as the common fixed space of the adjacent
+    transpositions on explicit Specht matrices."""
     start = time.perf_counter()
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     n = sum(lam)

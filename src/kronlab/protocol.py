@@ -31,7 +31,7 @@ from .projectors import (
     apply_isotypic,
     apply_pipeline,
 )
-from .ratlinalg import rref, rref_kernel
+from .ratlinalg import echelon, rref_kernel
 
 WITNESS_SPACE_DIM_LIMIT = 4096
 _SEED_STRIDE = 1_000_003  # per-shot seed = seed * stride + shot index
@@ -290,17 +290,19 @@ def witness_spaces(p: Pipeline, *, dim_limit: int = WITNESS_SPACE_DIM_LIMIT) -> 
         raise ConsistencyError("trace of composed operator is not integral")
     expected_rank = trace // den
     # the common factor den leaves the reduced row-echelon form unchanged
-    rows, pivots = rref(columns.tolist())
+    rows = columns.tolist()
+    pivots = echelon(rows)
     if len(pivots) != expected_rank:
         raise ConsistencyError(f"rank {len(pivots)} != trace {expected_rank}")
 
     space = ev.space
 
-    def to_state(vec) -> StateVector:
-        amps = {space.key(j, p.k): Fraction(x) for j, x in enumerate(vec) if x}
+    def to_state(vec, scale=1) -> StateVector:
+        amps = {space.key(j, p.k): Fraction(x, scale) for j, x in enumerate(vec) if x}
         return StateVector(p.n, p.k, amps)
 
-    accepting = [to_state(rows[i]) for i in range(expected_rank)]
+    # row i over its pivot entry is row i of the reduced row-echelon form
+    accepting = [to_state(rows[i], rows[i][pc]) for i, pc in enumerate(pivots)]
     rejecting = [to_state(vec) for vec in rref_kernel(rows, pivots, dim)]
     return WitnessSpaces(p, accepting, rejecting)
 

@@ -1,15 +1,15 @@
 """Small exact rational matrix toolkit.
 
 Matrices are lists of lists of Fractions (or ints, which mix freely).
-Everything here is exact; nothing ever rounds.  Rank uses fraction-free
-(Bareiss) elimination after clearing denominators, which keeps integer
-entries of controlled size.
+Everything here is exact; nothing ever rounds.  The one elimination,
+echelon, works on integer rows (clear denominators first) and keeps each
+row primitive, which keeps the entries of controlled size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 
@@ -38,10 +38,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(ra == rb for ra, rb in zip(a, b))
 
@@ -53,7 +49,7 @@ def mat_trace(a: Matrix) -> Fraction:
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = len(a), len(a[0])
     rb, cb = len(b), len(b[0])
-    out = zero_matrix(ra * rb, ca * cb)
+    out = [[0] * (ca * cb) for _ in range(ra * rb)]
     for i in range(ra):
         for j in range(ca):
             x = a[i][j]
@@ -68,73 +64,60 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def clear_denominators(a: Matrix) -> list[list[int]]:
+def clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
+    """Integer matrix den * a and the least common denominator den."""
     den = 1
     for row in a:
         for x in row:
             den = lcm(den, Fraction(x).denominator)
-    return [[int(Fraction(x) * den) for x in row] for row in a]
+    return [[int(Fraction(x) * den) for x in row] for row in a], den
 
 
-def rank(a: Matrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination."""
-    m = clear_denominators(a)
-    rows, cols = len(m), len(m[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+def echelon(rows: list[list[int]]) -> list[int]:
+    """In-place integer Gauss-Jordan elimination; returns the pivot columns.
 
-
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and the list of pivot columns."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0]) if m else 0
+    Afterwards rows[i], for i < len(pivots), is nonzero at pivots[i] and
+    zero at every other pivot column, and all later rows are zero.  Every
+    row is kept primitive (divided by the gcd of its entries), so rows[i]
+    divided by rows[i][pivots[i]] is row i of the reduced row-echelon
+    form.  A row with a zero in the pivot column is never touched.
+    """
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+    for c in range(width):
+        r = len(pivots)
+        if r == height:
             break
-    return m, pivots
+        p = next((i for i in range(r, height) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        for i in range(height):
+            b = rows[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                fa, fb = a // g, b // g
+                row = [fa * x - fb * y for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return pivots
 
 
-def kernel_basis(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column of the RREF."""
-    return rref_kernel(*rref(a), len(a[0]) if a else 0)
-
-
-def rref_kernel(reduced: Matrix, pivots: list[int], cols: int) -> list[list[Fraction]]:
-    """Right-kernel basis read off an RREF and its pivot columns."""
-    free = [c for c in range(cols) if c not in pivots]
+def rref_kernel(rows: list[list[int]], pivots: list[int], cols: int) -> list[list[Fraction]]:
+    """Right-kernel basis read off echelon's rows and pivots, one vector per
+    free column, each row scaled by its own pivot entry."""
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, check_partition, enumerate_syt
@@ -27,18 +28,19 @@ from .permutations import (
     Perm,
     SubgroupDescriptor,
     check_perm,
+    cycle_type,
     enumerate_subgroup,
     identity,
 )
 from .ratlinalg import (
     Matrix,
+    clear_denominators,
+    echelon,
     identity_matrix,
     mat_eq,
     mat_kron,
     mat_mul,
-    mat_scale,
     mat_trace,
-    rank,
     zero_matrix,
 )
 
@@ -99,27 +101,6 @@ class SpechtRep:
         self._matrix_cache[pi] = mat
         return mat
 
-    def populate_group_cache(self) -> None:
-        """Fill the matrix cache for all of S_n by walking the Cayley graph
-        (one generator multiplication per element instead of a full
-        factorization per query)."""
-        n = self.n
-        ident = identity(n)
-        self._matrix_cache[ident] = identity_matrix(self.dim)
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                mg = self._matrix_cache[g]
-                for k in range(n - 1):
-                    h = list(g)
-                    h[k], h[k + 1] = h[k + 1], h[k]  # h = g * s_{k+1}
-                    h = tuple(h)
-                    if h not in self._matrix_cache:
-                        self._matrix_cache[h] = mat_mul(mg, self.generators[k])
-                        nxt.append(h)
-            frontier = nxt
-
 
 def build_seminormal(lam: Partition) -> SpechtRep:
     lam = check_partition(lam) if lam else ()
@@ -159,10 +140,6 @@ def build_seminormal(lam: Partition) -> SpechtRep:
     return SpechtRep(lam, basis, generators)
 
 
-def rep_matrix(rep: SpechtRep, pi: Perm) -> Matrix:
-    return rep.matrix(pi)
-
-
 def check_coxeter(rep: SpechtRep) -> None:
     """Exact generator relations; raises on any failure."""
     gens = rep.generators
@@ -195,8 +172,13 @@ def invariant_dim(
     """Dimension of the subgroup-invariant subspace of the tensor product
     of the given representations under the diagonal action.
 
-    Averages the tensor action over the subgroup into an exact projector
-    P, verifies P^2 = P and rank(P) = trace(P), and returns the rank.
+    The subgroup must be generated by the adjacent transpositions s_k it
+    contains (all of S_n, or a Young subgroup).  The invariant subspace is
+    their common fixed space, the kernel of the integer rows of
+    L (A_k x B_k x ... - I), reduced one generator at a time.  Two checks
+    share no code with that elimination: the Coxeter relations on every
+    factor, and the trace average (1/|G|) sum_g prod_r tr rho_r(g) of the
+    Specht matrices, which must be an integer equal to the nullity.
     """
     if not reps:
         raise InputError("need at least one representation")
@@ -212,30 +194,44 @@ def invariant_dim(
         raise BoundExceededError(
             f"tensor dimension {total_dim} exceeds bound {dim_bound}"
         )
-    elements = enumerate_subgroup(subgroup)
+    # the s_k in the subgroup generate a Young subgroup whose order is the
+    # product over k of the length of the run of generators ending at k
+    gens, young_order, run = [], 1, 1
+    for k in range(n - 1):
+        s_k = list(identity(n))
+        s_k[k], s_k[k + 1] = s_k[k + 1], s_k[k]
+        run = run + 1 if subgroup.contains(tuple(s_k)) else 1
+        if run > 1:
+            gens.append(k)
+        young_order *= run
+    if young_order != subgroup.order():
+        raise InputError(
+            f"{subgroup.label()} is not generated by the adjacent transpositions it contains"
+        )
     for r in reps:
-        # one Cayley-graph sweep beats per-element factorizations once the
-        # subgroup is more than a sliver of S_n
-        if len(elements) > 4 * n:
-            r.populate_group_cache()
-    acc = zero_matrix(total_dim, total_dim)
-    for g in elements:
-        term = reps[0].matrix(g)
+        check_coxeter(r)
+    held: list[list[int]] = []
+    for k in gens:
+        rows, den = clear_denominators(reps[0].generators[k])
         for r in reps[1:]:
-            term = mat_kron(term, r.matrix(g))
-        for i in range(total_dim):
-            row_acc, row_term = acc[i], term[i]
-            for j in range(total_dim):
-                if row_term[j]:
-                    row_acc[j] += row_term[j]
-    inv = Fraction(1, len(elements))
-    proj = mat_scale(acc, inv)
-    if not mat_eq(mat_mul(proj, proj), proj):
-        raise ConsistencyError(f"group average over {subgroup.label()} is not idempotent")
-    tr = mat_trace(proj)
-    if tr.denominator != 1:
-        raise ConsistencyError(f"projector trace {tr} is not integral")
-    rk = rank(proj)
-    if rk != tr:
-        raise ConsistencyError(f"rank {rk} != trace {tr} for {subgroup.label()}")
-    return rk
+            ints, d = clear_denominators(r.generators[k])
+            rows, den = mat_kron(rows, ints), den * d
+        for i, row in enumerate(rows):
+            row[i] -= den
+        held += rows
+        held = held[: len(echelon(held))]
+    nullity = total_dim - len(held)
+    # tr rho_r is a class function of S_n, so one product per cycle type
+    by_type: dict = {}
+    total = Fraction(0)
+    for g in enumerate_subgroup(subgroup):
+        key = cycle_type(g)
+        if key not in by_type:
+            by_type[key] = prod(mat_trace(r.matrix(g)) for r in reps)
+        total += by_type[key]
+    average = total / subgroup.order()
+    if average != nullity:
+        raise ConsistencyError(
+            f"nullity {nullity} != trace average {average} for {subgroup.label()}"
+        )
+    return nullity

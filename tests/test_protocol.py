@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from groupsum_reference import reference_pipeline
+from rref_reference import kernel, rref
 
 from kronlab.errors import BoundExceededError, InputError
 from kronlab.oracles import kron_char, pleth_wreath
@@ -14,6 +17,7 @@ from kronlab.projectors import (
     StateVector,
     apply_pipeline,
     kron_pipeline,
+    perm_index,
     pleth_pipeline,
 )
 from kronlab.protocol import (
@@ -99,6 +103,25 @@ class TestWitnessSpaces:
             assert apply_pipeline(p, v).amps == v.amps
         for w in ws.rejecting_basis[:20]:
             assert apply_pipeline(p, w).is_zero()
+
+    @pytest.mark.parametrize(
+        "triple",
+        list(itertools.product(enumerate_partitions(2), repeat=3)) + [((2, 1),) * 3],
+    )
+    def test_bases_match_reference_rref(self, triple):
+        # the operator from the group-sum reference, reduced by the Fraction RREF
+        p = kron_pipeline(*triple)
+        space = perm_index(p.n)
+        keys = [space.key(j, p.k) for j in range(p.dim)]
+        columns = [reference_pipeline(p, StateVector.basis_state(p.n, key)).amps for key in keys]
+        reduced, pivots = rref([[col.get(key, 0) for key in keys] for col in columns])
+
+        def states(vectors):
+            return [{key: x for key, x in zip(keys, vec) if x} for vec in vectors]
+
+        ws = witness_spaces(p)
+        assert [v.amps for v in ws.accepting_basis] == states(reduced[: len(pivots)])
+        assert [v.amps for v in ws.rejecting_basis] == states(kernel(reduced, pivots, p.dim))
 
     def test_empty_accepting_space(self):
         p = kron_pipeline((2, 1), (3,), (3,))

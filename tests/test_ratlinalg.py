@@ -1,20 +1,31 @@
 from fractions import Fraction
 
+from rref_reference import rref
+
 from kronlab.ratlinalg import (
+    clear_denominators,
+    echelon,
     identity_matrix,
-    kernel_basis,
     mat_eq,
     mat_kron,
     mat_mul,
     mat_trace,
-    rank,
-    rref,
+    rref_kernel,
     zero_matrix,
 )
 
 
 def F(x, y=1):
     return Fraction(x, y)
+
+
+def rank(m):
+    return len(echelon(clear_denominators(m)[0]))
+
+
+def kernel_basis(m):
+    rows = clear_denominators(m)[0]
+    return rref_kernel(rows, echelon(rows), len(m[0]))
 
 
 class TestBasics:

@@ -1,13 +1,21 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from kronlab.characters import character_table
-from kronlab.errors import BoundExceededError
+from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.partitions import enumerate_partitions, hook_dimension, kostka
-from kronlab.permutations import all_perms, cycle_type, from_cycles, full_group, young_subgroup
+from kronlab.permutations import (
+    all_perms,
+    cycle_type,
+    from_cycles,
+    full_group,
+    wreath_product,
+    young_subgroup,
+)
 from kronlab.ratlinalg import identity_matrix, mat_eq, mat_trace
-from kronlab.specht import build_seminormal, check_coxeter, invariant_dim, rep_matrix
+from kronlab.specht import DEFAULT_DIM_BOUND, build_seminormal, check_coxeter, invariant_dim
 
 
 def class_representative(rho):
@@ -36,7 +44,7 @@ class TestSeminormalForm:
 
     def test_identity_matrix(self):
         rep = build_seminormal((2, 1))
-        assert mat_eq(rep_matrix(rep, (1, 2, 3)), identity_matrix(2))
+        assert mat_eq(rep.matrix((1, 2, 3)), identity_matrix(2))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_traces_match_characters(self, n):
@@ -116,6 +124,32 @@ class TestInvariantDimensions:
         rep = build_seminormal((3, 2, 1))  # dim 16
         with pytest.raises(BoundExceededError):
             invariant_dim([rep, rep, rep], full_group(6), dim_bound=100)
+
+    def test_mutated_generator_is_caught(self):
+        # a doubled generator breaks s^2 = 1: the group it generates is not S_n
+        rep = build_seminormal((2, 1))
+        rep.generators[0] = [[2 * x for x in row] for row in rep.generators[0]]
+        with pytest.raises(ConsistencyError):
+            invariant_dim([rep, build_seminormal((2, 1))], full_group(3))
+
+    def test_subgroup_must_be_generated_by_adjacent_transpositions(self):
+        # S_2 wr S_2 contains s_1 and s_3 but not the block swap (13)(24)
+        rep = build_seminormal((2, 2))
+        with pytest.raises(InputError):
+            invariant_dim([rep], wreath_product(2, 2))
+
+    def test_dimension_bound_checked_before_allocation(self):
+        # 35^3 = 42875 > DEFAULT_DIM_BOUND: refused before any constraint row
+        rep = build_seminormal((3, 2, 1, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError):
+                invariant_dim([rep, rep, rep], full_group(7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.dim**3 > DEFAULT_DIM_BOUND
+        assert peak < 1 << 20
 
     def test_dimension_column_of_table(self):
         for n in (2, 3, 4, 5, 6):
