@@ -9,11 +9,11 @@ named by the KRONLAB_CACHE environment variable (default
 ``./.kronlab-cache``).  A ``cache_settings`` scope overrides the
 directory and can turn the cache off for every call inside it; the CLI
 opens one per command for ``--cache-dir`` and ``--no-cache``.  A file
-is checked by the orthogonality relations whenever its bytes are new to
-the process, and recomputed and overwritten if corrupt; a file whose
-bytes equal those last checked or written for that path is answered
-from memory.  Files are written to a temporary name and renamed into
-place, so a reader never sees a partial file.
+is checked by its labels and the orthogonality relations whenever its
+bytes are new to the process, and recomputed and overwritten if
+corrupt; a file whose bytes equal those last checked or written for
+that path is answered from memory.  Files are written to a temporary
+name and renamed into place, so a reader never sees a partial file.
 """
 
 from __future__ import annotations
@@ -27,12 +27,15 @@ from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
-from .errors import ConsistencyError, InputError
+from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, check_partition, enumerate_partitions, hook_dimension
 from .permutations import class_size, centralizer_order
 
 DEFAULT_CACHE_DIR = ".kronlab-cache"
 CACHE_ENV_VAR = "KRONLAB_CACHE"
+# largest n whose table is computed, or loaded and re-checked, within 30 s
+# on a 2-core host: n = 16 takes 18-22 s to check, n = 17 takes 41 s
+TABLE_DEGREE_LIMIT = 16
 
 
 def _border_strip_removals(lam: Partition, length: int) -> list[tuple[Partition, int]]:
@@ -112,6 +115,26 @@ class CharacterTable:
                 if s != expected:
                     raise ConsistencyError(f"column orthogonality fails at ({rho}, {tau})")
 
+    def check_labels(self) -> None:
+        """Raises unless the labels agree with closed forms that avoid the
+        Murnaghan-Nakayama rule (a relabelled table still passes
+        orthogonality): rows and classes in enumeration order, sizes
+        n!/z_rho, hook dimensions at the identity, and 2 d c(lam) / (n(n-1))
+        at a transposition, c(lam) the sum of the cell contents."""
+        parts = tuple(enumerate_partitions(self.n))
+        sizes = tuple(class_size(rho) for rho in parts)
+        if (self.partitions, self.classes, self.class_sizes) != (parts, parts, sizes):
+            raise ConsistencyError(f"rows, classes or class sizes are not those of S_{self.n}")
+        for lam in parts:
+            d = hook_dimension(lam)
+            if self.dimension(lam) != d:
+                raise ConsistencyError(f"identity column disagrees with hooks at {lam}")
+            if self.n >= 2:
+                contents = sum(j - i for i, row in enumerate(lam) for j in range(row))
+                chi = self.chi(lam, (2,) + (1,) * (self.n - 2))
+                if chi * self.n * (self.n - 1) != 2 * d * contents:
+                    raise ConsistencyError(f"transposition column disagrees at {lam}")
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -145,11 +168,9 @@ def _compute_table(n: int) -> CharacterTable:
     sizes = tuple(class_size(rho) for rho in parts)
     values = {(lam, rho): mn_character(lam, rho) for lam in parts for rho in parts}
     table = CharacterTable(n, parts, parts, sizes, values)
-    # dimensions must come out of the recursion, not the hook formula;
-    # their agreement is a real check on both
-    for lam in parts:
-        if table.dimension(lam) != hook_dimension(lam):
-            raise ConsistencyError(f"MN dimension disagrees with hooks at {lam}")
+    # the identity and transposition columns must come out of the
+    # recursion, not the closed forms; their agreement checks both
+    table.check_labels()
     return table
 
 
@@ -187,11 +208,12 @@ def _cache_path(n: int, override=None) -> Path:
 
 def _load_checked(data: bytes, n: int) -> CharacterTable | None:
     """The table in a cache file's bytes, or None if it fails to parse,
-    holds another degree or fails orthogonality."""
+    holds another degree, or fails its label or orthogonality checks."""
     try:
         table = CharacterTable.from_json(json.loads(data))
         if table.n != n:
             raise ConsistencyError("cache file holds the wrong degree")
+        table.check_labels()
         table.check_orthogonality()
     except (ValueError, KeyError, TypeError, ConsistencyError):
         return None
@@ -222,16 +244,18 @@ def character_table(
     cache_dir: str | os.PathLike | None = None,
     use_cache: bool | None = None,
 ) -> CharacterTable:
-    """Complete character table of S_n (practical bound n <= 12).
+    """Complete character table of S_n, for n <= TABLE_DEGREE_LIMIT.
 
     With use_cache, tries the JSON disk cache first; a file that fails to
-    parse or fails orthogonality is recomputed and overwritten.  A file is
+    parse or fails its checks is recomputed and overwritten.  A file is
     re-checked only when its bytes differ from those this process last
     checked or wrote at that path.  cache_dir and use_cache left as None
     come from the enclosing cache_settings scope.
     """
     if n < 1:
         raise InputError("character table needs n >= 1")
+    if n > TABLE_DEGREE_LIMIT:
+        raise BoundExceededError(f"character table of S_{n}: n exceeds {TABLE_DEGREE_LIMIT}")
     if use_cache is None:
         use_cache = _settings.get()[1]
     if not use_cache:

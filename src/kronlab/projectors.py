@@ -3,7 +3,10 @@ algebra of S_n, composed into the pipelines whose image dimensions are
 the Kronecker and plethysm coefficients.
 
 Every stage has one implementation, an integer kernel (`_stage_kernel`)
-applied by `BatchEvaluator` to batches of vectors.  Amplitudes stay
+applied by `BatchEvaluator` to batches of vectors: a single-factor stage
+is an nf x nf matrix multiplied into its factor, and the simultaneous
+left average over S_n, the one stage acting on several factors, is an
+orbit sum made of two index gathers.  Amplitudes stay
 integer numerators over a running denominator; they are carried in
 float64 arrays purely for speed, with an l1-norm bound asserted below
 2^53 before every stage so every intermediate is exactly representable.
@@ -32,7 +35,6 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from .characters import character_table
 from .errors import BoundExceededError, ConsistencyError, InputError
@@ -55,6 +57,9 @@ from .permutations import (
 FLOAT_EXACT_LIMIT = 1 << 53  # float64 holds integers exactly below this
 DENSE_DIM_LIMIT = 24**3  # 13824; one factor never exceeds 6! = 720
 DENSE_FACTOR_LIMIT = 720
+# basis rows per dense-trace chunk: near cache size an n = 4 trace took
+# 0.12-0.16 s, against 0.27-0.30 s at 32 MB (one thread, 2-core host)
+DENSE_CHUNK_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -369,25 +374,40 @@ class _FactorKernel:
         self.l1 = int(np.abs(kernel).sum(axis=1).max())
 
     def apply(self, x: np.ndarray, k: int, nf: int) -> np.ndarray:
-        rows = x.shape[0]
-        pre = nf**self.factor
-        post = nf ** (k - self.factor - 1)
-        x4 = x.reshape(rows, pre, nf, post)
-        tmp = x4.transpose(0, 1, 3, 2).reshape(-1, nf) @ self.kernel.T
-        return tmp.reshape(rows, pre, post, nf).transpose(0, 1, 3, 2).reshape(rows, pre * nf * post)
+        post = nf ** (k - self.factor - 1)  # x viewed as (rows * pre, nf, post)
+        if post == 1:
+            return (x.reshape(-1, nf) @ self.kernel.T).reshape(x.shape)
+        return np.matmul(self.kernel, x.reshape(-1, nf, post)).reshape(x.shape)
 
 
-class _SparseKernel:
-    """Stage acting on several factors at once (the simultaneous-left
-    average), applied as one sparse matrix over the full tensor basis."""
+class _OrbitKernel:
+    """The simultaneous left action of all of S_n on all k factors.  In
+    the coordinates (s_1, s_1^-1 s_2, ..., s_1^-1 s_k) it moves only s_1,
+    so the unnormalised sum over the group adds up each orbit.  back[r] is
+    the orbit of flat index r, and gather[i, o] is the one member of orbit
+    o whose first factor is perm i."""
 
-    def __init__(self, matrix: "_sparse.csr_matrix", den: int, l1: int):
-        self.matrix = matrix
-        self.den = den
-        self.l1 = l1
+    def __init__(self, space: PermIndex, k: int):
+        flat = np.arange(space.nf**k, dtype=np.int64)
+        digits = np.unravel_index(flat, (space.nf,) * k)
+        rel = [space.mult[space.inv[digits[0]], d] for d in digits[1:]]
+        self.back = np.ravel_multi_index(rel, (space.nf,) * (k - 1))
+        self.gather = np.empty((space.nf, space.nf ** (k - 1)), dtype=np.int64)
+        self.gather[digits[0], self.back] = flat
+        self.den = self.l1 = space.nf
 
     def apply(self, x: np.ndarray, k: int, nf: int) -> np.ndarray:
-        return np.ascontiguousarray(self.matrix.dot(x.T).T)
+        return x[:, self.gather].sum(axis=1)[:, self.back]
+
+
+def _is_full_left(stage: InvariantAverage, n: int, k: int) -> bool:
+    """True for the average over all of S_n acting on the left of every
+    one of the k factors."""
+    return (
+        stage.group == full_group(n)
+        and all(side == "L" for _, side in stage.actions)
+        and sorted(f for f, _ in stage.actions) == list(range(k))
+    )
 
 
 @lru_cache(maxsize=256)
@@ -399,7 +419,6 @@ def _stage_kernel_cached(n: int, stage: Stage, k: int):
 
 
 def _stage_kernel(space: PermIndex, stage: Stage, k: int):
-    nf = space.nf
     if isinstance(stage, Isotypic):
         table = character_table(space.n)
         chi = np.array(
@@ -419,29 +438,12 @@ def _stage_kernel(space: PermIndex, stage: Stage, k: int):
             st = space.mult[space.inv, :]  # st[s, t] = s^-1 o t
             kernel = member[st].T  # kernel[t, s] = [s^-1 o t in G]
         return _FactorKernel(f, kernel, stage.group.order())
-    # simultaneous action on several factors: one sparse matrix whose row
-    # r holds a 1 at g.r for every g (the same set as g^-1.r); the action
-    # is free, so each row has |G| distinct columns
-    dim = nf**k
-    sides = dict(stage.actions)
-    digits = np.unravel_index(np.arange(dim, dtype=np.int64), (nf,) * k)
-    elements = enumerate_subgroup(stage.group)
-    cols = np.empty((dim, len(elements)), dtype=np.int64)
-    for e, g in enumerate(elements):
-        gi, gii = space.index[g], space.index[inverse(g)]
-        moved = [
-            space.mult[gi][dig] if sides.get(f) == "L"
-            else space.mult[dig, gii] if sides.get(f) == "R"
-            else dig
-            for f, dig in enumerate(digits)
-        ]
-        cols[:, e] = np.ravel_multi_index(moved, (nf,) * k)
-    cols.sort(axis=1)
-    matrix = _sparse.csr_matrix(
-        (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, len(elements))),
-        shape=(dim, dim),
-    )
-    return _SparseKernel(matrix, len(elements), len(elements))
+    if not _is_full_left(stage, space.n, k):
+        raise InputError(
+            "the only stage acting on several factors is the average over "
+            f"S_{space.n} on the left of all {k}, not {stage.describe()}"
+        )
+    return _OrbitKernel(space, k)
 
 
 class BatchEvaluator:
@@ -457,46 +459,31 @@ class BatchEvaluator:
             )
         self.space = perm_index(p.n)  # refuses n! > DENSE_FACTOR_LIMIT
         self.kernels = [_stage_kernel_cached(p.n, s, p.k) for s in p.stages]
-        self.denominator = 1
-        for kern in self.kernels:
-            self.denominator *= kern.den
-
-    def check_bound(self, start_max_abs: int) -> None:
-        bound = start_max_abs
-        for kern in self.kernels:
-            bound *= kern.l1
-            if bound >= FLOAT_EXACT_LIMIT:
-                raise BoundExceededError(
-                    f"integer amplitudes for {self.pipeline.label} would exceed "
-                    "exact float64 range"
-                )
+        self.denominator = prod(kern.den for kern in self.kernels)
 
     def apply(self, x: np.ndarray, *, start_max_abs: int = 1) -> np.ndarray:
         """Push batch rows through every stage in pipeline order.  Returns
         integer-valued float64 amplitudes over self.denominator."""
-        self.check_bound(start_max_abs)
-        for kern in self.kernels:
-            x = kern.apply(x, self.pipeline.k, self.space.nf)
-        return x
+        return self.apply_stages(x, range(len(self.kernels)), start_max_abs=start_max_abs)[0]
 
     def apply_stages(
         self, x: np.ndarray, stage_indices, *, start_max_abs: int = 1
     ) -> tuple[np.ndarray, int]:
         """Apply a subset of stages (in the given order); returns the batch
-        and the denominator for that subset."""
-        den = 1
-        bound = start_max_abs
-        for i in stage_indices:
-            bound *= self.kernels[i].l1
-            if bound >= FLOAT_EXACT_LIMIT:
-                raise BoundExceededError("stage subset exceeds exact float64 range")
-            x = self.kernels[i].apply(x, self.pipeline.k, self.space.nf)
-            den *= self.kernels[i].den
-        return x, den
+        and the denominator for that subset.  Every l1 bound is at least 1,
+        so the subset's product bounds every intermediate."""
+        kernels = [self.kernels[i] for i in stage_indices]
+        if start_max_abs * prod(kern.l1 for kern in kernels) >= FLOAT_EXACT_LIMIT:
+            raise BoundExceededError(
+                f"integer amplitudes for {self.pipeline.label} would exceed exact float64 range"
+            )
+        for kern in kernels:
+            x = kern.apply(x, self.pipeline.k, self.space.nf)
+        return x, prod(kern.den for kern in kernels)
 
 
-def _basis_batch(dim: int, cols, dtype=np.float64) -> np.ndarray:
-    x = np.zeros((len(cols), dim), dtype=dtype)
+def _basis_batch(dim: int, cols) -> np.ndarray:
+    x = np.zeros((len(cols), dim), dtype=np.float64)
     x[np.arange(len(cols)), cols] = 1.0
     return x
 
@@ -512,25 +499,15 @@ def _is_left_translation_equivariant(p: Pipeline) -> bool:
     """True when every stage commutes with simultaneous left translation
     on all factors: isotypic stages (central class sums), right-side-only
     averages, and the full-group all-factor left average qualify."""
-    for stage in p.stages:
-        if isinstance(stage, Isotypic):
-            continue
-        if all(side == "R" for _, side in stage.actions):
-            continue
-        if (
-            stage.group.kind == "full"
-            and len(stage.actions) == p.k
-            and all(side == "L" for _, side in stage.actions)
-            and sorted(f for f, _ in stage.actions) == list(range(p.k))
-        ):
-            continue
-        return False
-    return True
+    return all(
+        isinstance(s, Isotypic)
+        or all(side == "R" for _, side in s.actions)
+        or _is_full_left(s, p.n, p.k)
+        for s in p.stages
+    )
 
 
-def pipeline_trace_dense(
-    p: Pipeline, *, strategy: str = "auto", chunk_rows: int = 1024
-) -> int:
+def pipeline_trace_dense(p: Pipeline, *, strategy: str = "auto") -> int:
     """Exact trace of the composed pipeline operator, by applying the full
     stage sequence to basis vectors and summing diagonal entries.
 
@@ -560,6 +537,7 @@ def pipeline_trace_dense(
         multiplier = 1
     else:
         raise InputError(f"unknown strategy {strategy!r}")
+    chunk_rows = max(1, DENSE_CHUNK_BYTES // (8 * dim))
     total = 0
     for start in range(0, len(cols), chunk_rows):
         chunk = cols[start : start + chunk_rows]
@@ -760,14 +738,11 @@ def check_projector_algebra(
     num_stages = len(p.stages)
 
     once: list[np.ndarray] = []
-    bounds: list[int] = []
     idempotent: list[bool] = []
     symmetric: list[bool] = []
     for i in range(num_stages):
-        l1 = ev.kernels[i].l1
-        den = ev.kernels[i].den
-        out1, _ = ev.apply_stages(base.copy(), [i])
-        out2, _ = ev.apply_stages(out1.copy(), [i], start_max_abs=l1)
+        out1, den = ev.apply_stages(base, [i])
+        out2, _ = ev.apply_stages(out1, [i], start_max_abs=ev.kernels[i].l1)
         a = _exact_int_array(out2)  # stage applied twice, over den^2
         b = _exact_int_array(out1)  # stage applied once, over den
         # S^2 = S  <=>  a / den^2 == b / den  <=>  a == b * den
@@ -784,13 +759,12 @@ def check_projector_algebra(
         if not sym:
             failures.append(f"stage {i} not symmetric")
         once.append(out1)
-        bounds.append(l1)
 
     pair_commutes: dict[tuple[int, int], bool] = {}
     for i in range(num_stages):
         for j in range(i + 1, num_stages):
-            ij, _ = ev.apply_stages(once[i].copy(), [j], start_max_abs=bounds[i])
-            ji, _ = ev.apply_stages(once[j].copy(), [i], start_max_abs=bounds[j])
+            ij, _ = ev.apply_stages(once[i], [j], start_max_abs=ev.kernels[i].l1)
+            ji, _ = ev.apply_stages(once[j], [i], start_max_abs=ev.kernels[j].l1)
             same = bool(np.array_equal(_exact_int_array(ij), _exact_int_array(ji)))
             pair_commutes[(i, j)] = same
             if not same:

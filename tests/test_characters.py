@@ -1,15 +1,17 @@
 import json
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
 import pytest
 
 from kronlab.characters import (
+    TABLE_DEGREE_LIMIT,
     CharacterTable,
     character_table,
     mn_character,
 )
-from kronlab.errors import InputError
+from kronlab.errors import BoundExceededError, InputError
 from kronlab.partitions import enumerate_partitions, hook_dimension, kostka, transpose
 from kronlab.permutations import (
     all_perms,
@@ -194,6 +196,36 @@ class TestDiskCache:
 
         monkeypatch.setattr("kronlab.characters.os.replace", refuse)
         character_table(4, cache_dir=tmp_path).check_orthogonality()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_conjugate_relabelled_rows_in_order_recomputed(self, tmp_path):
+        # conjugate labels with the rows sorted back into enumeration
+        # order: orthogonality, the row order and every dimension still
+        # hold; the transposition column does not
+        character_table(7, cache_dir=tmp_path)
+        path = tmp_path / "chartable-n7.json"
+        good = path.read_bytes()
+        data = json.loads(good)
+        order = {lam: i for i, lam in enumerate(enumerate_partitions(7))}
+        for row in data["rows"]:
+            row["partition"] = list(transpose(tuple(row["partition"])))
+        data["rows"].sort(key=lambda row: order[tuple(row["partition"])])
+        CharacterTable.from_json(data).check_orthogonality()
+        path.write_text(json.dumps(data))
+        table = character_table(7, cache_dir=tmp_path)
+        assert table.chi((3, 2, 2), (2, 1, 1, 1, 1, 1)) == -1
+        assert path.read_bytes() == good
+
+    def test_degree_bound_before_computing(self, tmp_path):
+        tracemalloc.start()
+        try:
+            for use_cache in (True, False):
+                with pytest.raises(BoundExceededError):
+                    character_table(TABLE_DEGREE_LIMIT + 1, cache_dir=tmp_path, use_cache=use_cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,9 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kronlab
 from kronlab.cli import (
     EXIT_BOUND,
     EXIT_OK,
@@ -13,6 +17,7 @@ from kronlab.cli import (
     parse_partition,
     parse_permutation,
 )
+from kronlab.partitions import transpose
 
 
 def run_cli(argv):
@@ -78,6 +83,24 @@ class TestKronCommand:
             ["kron", "3,2,1,1", "3,2,1,1", "3,2,1,1", "--method", "specht", "--format", "json"]
         )
         assert code == EXIT_BOUND
+
+    def test_relabelled_cache_file_recomputed(self, tmp_path):
+        # every row of the n = 7 table relabelled with its conjugate still
+        # passes orthogonality and every dimension; char and collapsed
+        # then agreed on 1
+        assert run_cli(["chartable", "7", "--cache-dir", str(tmp_path), "--format", "json"])[0] == EXIT_OK
+        path = tmp_path / "chartable-n7.json"
+        data = json.loads(path.read_text())
+        for row in data["rows"]:
+            row["partition"] = list(transpose(tuple(row["partition"])))
+        path.write_text(json.dumps(data))
+        code, out = run_cli(
+            ["kron", "3,2,2", "3,2,2", "3,2,2", "--all-methods", "--cache-dir", str(tmp_path), "--format", "json"]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["values"] == {"char": 2, "collapsed": 2}
+        assert doc["agree"] is True
 
 
 class TestPlethCommand:
@@ -167,6 +190,10 @@ class TestTables:
         code, out = run_cli(["encode", "perm", "[2,1,3]", "--format", "json"])
         assert json.loads(out)["bits"] == "010100001"
 
+    def test_chartable_degree_bound(self):
+        code, _ = run_cli(["chartable", "30", "--format", "json"])
+        assert code == EXIT_BOUND
+
 
 class TestOutputContracts:
     def test_json_deterministic(self):
@@ -231,3 +258,12 @@ class TestOutputContracts:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "kronlab"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one numerical dependency; a fresh interpreter importing
+    # kronlab must not pull in scipy
+    code = "import sys, kronlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(kronlab.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from groupsum_reference import reference_pipeline
+from groupsum_reference import reference_pipeline, reference_stage
 
 from kronlab.errors import BoundExceededError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
@@ -225,7 +225,6 @@ class TestDenseTrace:
         space = perm_index(3)
         for tau_idx in (1, 3, 5):
             tau = space.perms[tau_idx]
-            shift = InvariantAverage(full_group(3), ((0, "L"), (1, "L"), (2, "L")))
             # build the translation as a one-element "average"
             batch = _basis_batch(dim, cols)
             translate = _translation_batch(space, tau, batch, k=3)
@@ -462,6 +461,38 @@ class TestProjectorAlgebra:
             rng.shuffle(order)
             out, _ = ev.apply_stages(base.copy(), order)
             assert np.array_equal(_exact_int_array(out), _exact_int_array(ref))
+
+
+class TestOrbitKernel:
+    def test_full_left_stage_matches_reference_n4(self):
+        # the orbit sum against the element-by-element group sum, on
+        # seeded basis states and one random rational state
+        stage = kron_pipeline((3, 1), (2, 2), (2, 1, 1)).stages[3]
+        rng = random.Random(4)
+        perms = all_perms(4)
+        states = [
+            StateVector.basis_state(4, tuple(rng.choice(perms) for _ in range(3)))
+            for _ in range(3)
+        ]
+        amps = {
+            tuple(rng.choice(perms) for _ in range(3)): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            for _ in range(6)
+        }
+        states.append(StateVector(4, 3, amps))
+        for state in states:
+            assert apply_invariant_average(state, stage).amps == reference_stage(state, stage).amps
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            InvariantAverage(young_subgroup((2, 1)), ((0, "L"), (1, "L"))),
+            InvariantAverage(full_group(3), ((0, "L"), (1, "L"))),
+            InvariantAverage(full_group(3), ((0, "R"), (1, "R"), (2, "R"))),
+        ],
+    )
+    def test_other_multi_factor_stages_refused(self, stage):
+        with pytest.raises(InputError):
+            BatchEvaluator(Pipeline(3, 3, (stage,), "multi-factor"))
 
 
 class TestSparseVsOtherBackends:
