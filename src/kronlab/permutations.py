@@ -4,17 +4,23 @@ A permutation of degree n is a tuple ``images`` of length n with
 ``images[i] = pi(i+1)``, i.e. one-line notation on {1..n}.  Composition
 is ``compose(a, b)(x) = a(b(x))`` everywhere in the package; the
 character-consistency tests pin this convention down.
+
+`perm_array` holds S_n as uint8 rows for numpy passes over the whole group,
+and `class_census` counts a subgroup's cycle types without enumerating it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, prod
+
+import numpy as np
 
 from .errors import InputError
-from .partitions import Partition, check_partition
+from .partitions import Partition, check_partition, enumerate_partitions
 
 Perm = tuple[int, ...]
 
@@ -103,6 +109,48 @@ def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def perm_array(n: int) -> np.ndarray:
+    """S_n as 0-based one-line uint8 rows, in all_perms order: the rows
+    led by i are i followed by S_{n-1} on the other values, in order."""
+    out = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        lead = np.zeros((len(out), 1), dtype=np.uint8)
+        out = np.concatenate([np.hstack([lead + i, out + (out >= i)]) for i in range(k)])
+    return out
+
+
+def perm_ranks(perms: np.ndarray) -> np.ndarray:
+    """Position in all_perms of each 0-based one-line row (last axis),
+    from its Lehmer code: digit i counts the later entries below entry i.
+    Fastest when each position's column is contiguous."""
+    n = perms.shape[-1]
+    rank = np.zeros(perms.shape[:-1], dtype=np.int64)
+    for i in range(n - 1):
+        smaller = sum((perms[..., j] < perms[..., i] for j in range(i + 1, n)), np.uint8(0))
+        rank += smaller * np.int64(factorial(n - 1 - i))
+    return rank
+
+
+def class_indices(perms: np.ndarray) -> np.ndarray:
+    """Index in enumerate_partitions(n) of each 0-based one-line row's
+    cycle type (last axis).  The fixed-point counts f_s of the powers
+    pi^s, s = 1..n, determine the type (f_s sums the cycle lengths that
+    divide s), and f_s <= n, so sum_s f_s (n+1)^(s-1) keys it; the keys
+    fit int64 for n <= 15."""
+    n = perms.shape[-1]
+    key, power = 0, perms
+    for s in range(1, n + 1):
+        fixed = sum((power[..., i] == i for i in range(n)), np.uint8(0))  # f_s
+        key = key + fixed * np.int64((n + 1) ** (s - 1))
+        power = np.take_along_axis(perms, power, axis=-1)  # pi^(s+1) = pi o pi^s
+    keys = [
+        sum(sum(p for p in rho if s % p == 0) * (n + 1) ** (s - 1) for s in range(1, n + 1))
+        for rho in enumerate_partitions(n)
+    ]
+    order = np.argsort(keys)
+    return order[np.searchsorted(np.sort(keys), key)]
+
+
 def wreath_embed(sigma: Perm, m: int) -> Perm:
     """Embed sigma in S_d as the block permutation of d consecutive blocks
     of size m inside S_{md}: position (a-1)m + b goes to (sigma(a)-1)m + b."""
@@ -135,10 +183,7 @@ class SubgroupDescriptor:
         if self.kind == "full":
             return factorial(self.degree)
         if self.kind == "young":
-            out = 1
-            for p in self.shape:
-                out *= factorial(p)
-            return out
+            return prod(factorial(p) for p in self.shape)
         if self.kind == "wreath":
             return factorial(self.m) ** self.d * factorial(self.d)
         if self.kind == "block_perms":
@@ -224,22 +269,10 @@ def enumerate_subgroup(g: SubgroupDescriptor) -> tuple[Perm, ...]:
     n = g.degree
     if g.kind == "full":
         return tuple(all_perms(n))
-    if g.kind == "young":
-        blocks = []
-        start = 0
-        for p in g.shape:
-            blocks.append(list(itertools.permutations(range(start + 1, start + p + 1))))
-            start += p
-        out = []
-        for pieces in itertools.product(*blocks):
-            images = [0] * n
-            start = 0
-            for p, piece in zip(g.shape, pieces):
-                for off, img in enumerate(piece):
-                    images[start + off] = img
-                start += p
-            out.append(tuple(images))
-        return tuple(out)
+    if g.kind == "young":  # the blocks are consecutive, so images concatenate
+        starts = itertools.accumulate((0,) + g.shape[:-1])
+        blocks = [itertools.permutations(range(s + 1, s + p + 1)) for s, p in zip(starts, g.shape)]
+        return tuple(sum(pieces, ()) for pieces in itertools.product(*blocks))
     if g.kind == "block_perms":
         return tuple(wreath_embed(s, g.m) for s in all_perms(g.d))
     if g.kind == "wreath":
@@ -254,11 +287,38 @@ def enumerate_subgroup(g: SubgroupDescriptor) -> tuple[Perm, ...]:
 
 def cycle_type_census(g: SubgroupDescriptor) -> dict[Partition, int]:
     """How many elements of each cycle type the subgroup contains."""
-    census: dict[Partition, int] = {}
-    for pi in enumerate_subgroup(g):
-        t = cycle_type(pi)
-        census[t] = census.get(t, 0) + 1
-    return census
+    return dict(Counter(cycle_type(pi) for pi in enumerate_subgroup(g)))
+
+
+def _disjoint_census(a: dict[Partition, int], b: dict[Partition, int]) -> Counter:
+    """Census of a direct product of two groups moving disjoint points."""
+    out: Counter = Counter()
+    for (rho, x), (tau, y) in itertools.product(a.items(), b.items()):
+        out[tuple(sorted(rho + tau, reverse=True))] += x * y
+    return out
+
+
+def class_census(g: SubgroupDescriptor) -> dict[Partition, int]:
+    """cycle_type_census from closed forms: n!/z_rho in S_n, products of
+    those for a Young subgroup, and Polya's Z(S_d)[Z(H)] for H on d blocks
+    permuted by S_d (H = S_m for S_m wr S_d, trivial for block
+    permutations): a cycle of length l whose cycle product in H has type
+    tau gives cycles l*tau_i, and each cycle product is hit |H|^(l-1) times."""
+    if g.kind == "full":
+        return {rho: class_size(rho) for rho in enumerate_partitions(g.degree)}
+    if g.kind == "young":
+        return reduce(_disjoint_census, (class_census(full_group(p)) for p in g.shape), {(): 1})
+    if g.kind not in ("wreath", "block_perms"):
+        raise InputError(f"unknown subgroup kind {g.kind!r}")
+    base = class_census(full_group(g.m)) if g.kind == "wreath" else {(1,) * g.m: 1}
+    h = sum(base.values())
+    out: Counter = Counter()
+    for pi, count in class_census(full_group(g.d)).items():
+        cycles = (
+            {tuple(ell * t for t in tau): h ** (ell - 1) * c for tau, c in base.items()} for ell in pi
+        )
+        out.update(reduce(_disjoint_census, cycles, {(): count}))
+    return dict(out)
 
 
 def encode_permutation(pi: Perm) -> str:

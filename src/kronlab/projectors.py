@@ -20,7 +20,9 @@ Python integers, so any rational amplitude stays exact.
 `pipeline_trace_collapsed` is the independent closed-form route: it
 expands every stage into its group sum and contracts with the per-factor
 identity  trace(L_l R_tau) = z(type(tau)) [type(l) = type(tau)],
-never touching a state vector.
+never touching a state vector.  It enumerates no group: the group sums
+enter as closed-form cycle-type censuses (`permutations.class_census`),
+and its one pass over S_n builds the class-count array with numpy.
 
 All operators in play are real and rational in the permutation basis, so
 no complex numbers appear anywhere.
@@ -28,7 +30,6 @@ no complex numbers appear anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,12 +46,15 @@ from .permutations import (
     all_perms,
     block_permutations,
     centralizer_order,
+    class_census,
+    class_indices,
     compose,
-    cycle_type,
     enumerate_subgroup,
     full_group,
-    identity,
     inverse,
+    perm_array,
+    perm_ranks,
+    wreath_product,
     young_subgroup,
 )
 
@@ -60,6 +64,9 @@ DENSE_FACTOR_LIMIT = 720
 # basis rows per dense-trace chunk: near cache size an n = 4 trace took
 # 0.12-0.16 s, against 0.27-0.30 s at 32 MB (one thread, 2-core host)
 DENSE_CHUNK_BYTES = 1 << 21
+# largest n whose collapsed first call stays within 10 s and 500 MB peak RSS
+# on a 2-core host: n = 9 took 0.8 s and 54 MB, n = 10 took 14.3 s and 279 MB
+COLLAPSED_DEGREE_LIMIT = 9
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +323,14 @@ class PermIndex:
         self.perms = all_perms(n)
         self.nf = len(self.perms)
         self.index = {p: i for i, p in enumerate(self.perms)}
-        self.inv = np.array([self.index[inverse(p)] for p in self.perms], dtype=np.int64)
-        mult = np.empty((self.nf, self.nf), dtype=np.int64)
-        for i, a in enumerate(self.perms):
-            row = mult[i]
-            for j, b in enumerate(self.perms):
-                row[j] = self.index[compose(a, b)]
-        self.mult = mult
-        classes = enumerate_partitions(n)
-        class_index = {rho: i for i, rho in enumerate(classes)}
-        self.classes = classes
-        self.type_index = np.array(
-            [class_index[cycle_type(p)] for p in self.perms], dtype=np.int64
-        )
+        arr = perm_array(n)
+        self.inv = perm_ranks(np.argsort(arr, axis=1))
+        self.mult = np.empty((self.nf, self.nf), dtype=np.int64)
+        rows = max(1, (1 << 21) // (self.nf * n * 8))  # about 2 MB of transient per block
+        for i in range(0, self.nf, rows):  # mult[i, j] = index of a_i o a_j
+            self.mult[i : i + rows] = perm_ranks(arr[i : i + rows][:, arr])
+        self.classes = enumerate_partitions(n)
+        self.type_index = class_indices(arr)
 
     def flat(self, key: TensorBasisState) -> int:
         """Flat tensor-basis index of a k-tuple of permutations (factor 0
@@ -354,8 +356,7 @@ def perm_index(n: int) -> PermIndex:
 
 def _member_vector(space: PermIndex, group: SubgroupDescriptor) -> np.ndarray:
     member = np.zeros(space.nf, dtype=np.float64)
-    for g in enumerate_subgroup(group):
-        member[space.index[g]] = 1.0
+    member[[space.index[g] for g in enumerate_subgroup(group)]] = 1.0
     return member
 
 
@@ -559,21 +560,18 @@ def pipeline_trace_dense(p: Pipeline, *, strategy: str = "auto") -> int:
 @lru_cache(maxsize=None)
 def _shifted_class_counts(n: int) -> np.ndarray:
     """counts[a, b, c] = number of permutations l of type class_a with
-    type(l * rep_b^-1) = class_c, where rep_b is a fixed representative
-    of class_b.  This is a class function of the representative."""
-    classes = enumerate_partitions(n)
-    class_index = {rho: i for i, rho in enumerate(classes)}
-    reps = {}
-    for pi in all_perms(n):
-        reps.setdefault(cycle_type(pi), pi)
-    p = len(classes)
-    counts = np.zeros((p, p, p), dtype=np.int64)
-    rep_invs = [inverse(reps[rho]) for rho in classes]
-    for l in all_perms(n):
-        a = class_index[cycle_type(l)]
-        for b in range(p):
-            c = class_index[cycle_type(compose(l, rep_invs[b]))]
-            counts[a, b, c] += 1
+    type(l * rep_b^-1) = class_c, rep_b the first of class_b in all_perms
+    order (a class function of the representative).  One numpy pass over
+    S_n per class b: l * rep_b^-1 permutes l's columns, and its class is
+    read off its rank."""
+    perms = perm_array(n)
+    cls = class_indices(perms)
+    columns = np.ascontiguousarray(perms.T)  # perm_ranks is fastest on contiguous columns
+    p = len(enumerate_partitions(n))
+    counts = np.empty((p, p, p), dtype=np.int64)
+    for b, rep in enumerate(np.unique(cls, return_index=True)[1]):
+        c = cls[perm_ranks(columns[np.argsort(perms[rep])].T)]
+        counts[:, b, :] = np.bincount(cls * p + c, minlength=p * p).reshape(p, p)
     return counts
 
 
@@ -607,15 +605,19 @@ def _collapsed_template(p: Pipeline):
 @lru_cache(maxsize=None)
 def _left_census(n: int, groups: tuple[SubgroupDescriptor, ...]):
     """Cycle-type census of the composed left-acting elements (one product
-    element per tuple of choices from the groups' sums), as a sorted tuple
-    of (class, count), plus the product of the group orders."""
-    elements = [identity(n)]
-    order = 1
-    for g in groups:
-        elements = [compose(a, b) for a in elements for b in enumerate_subgroup(g)]
-        order *= g.order()
-    census = Counter(cycle_type(w) for w in elements)
-    return tuple(sorted(census.items())), order
+    element per tuple of choices from the groups' sums), plus the product
+    of the group orders.  The template lists are S_n alone and a block
+    Young subgroup followed by its block permutations, whose products run
+    once over S_m wr S_d; any other list is refused."""
+    templates = {
+        (young_subgroup((m,) * (n // m)), block_permutations(m, n // m)): wreath_product(m, n // m)
+        for m in range(1, n + 1)
+        if n % m == 0
+    }
+    templates[(full_group(n),)] = full_group(n)
+    if groups not in templates:
+        raise InputError(f"left stages {[g.label() for g in groups]} do not fit the collapsed template")
+    return class_census(templates[groups]), templates[groups].order()
 
 
 @lru_cache(maxsize=None)
@@ -626,54 +628,33 @@ def _factor_contraction(
     class: T(class b) = sum over right-subgroup classes rho_h of
     census(rho_h) * z(rho_h) * sum_{l ~ rho_h} chi_shape(l w_b^-1)."""
     table = character_table(n)
-    classes = list(table.classes)
-    class_index = {rho: i for i, rho in enumerate(classes)}
-    counts = _shifted_class_counts(n)
-    chi_col = [table.chi(shape, rho) for rho in classes]
-    if right_group is not None:
-        census = Counter()
-        for h in enumerate_subgroup(right_group):
-            census[cycle_type(h)] += 1
-    else:
-        census = Counter({(1,) * n: 1})
-    out = []
-    for b in range(len(classes)):
-        total = 0
-        for rho_h, cnt in census.items():
-            a = class_index[rho_h]
-            inner = sum(int(counts[a, b, c]) * chi_col[c] for c in range(len(classes)))
-            total += cnt * centralizer_order(rho_h) * inner
-        out.append(total)
-    return tuple(out)
+    chi = np.array([table.chi(shape, rho) for rho in table.classes], dtype=np.int64)
+    inner = _shifted_class_counts(n) @ chi  # inner[a, b]; |entries| <= n! max|chi|
+    census = class_census(right_group) if right_group is not None else {(1,) * n: 1}
+    class_index = {rho: i for i, rho in enumerate(table.classes)}
+    weights = [(class_index[rho], cnt * centralizer_order(rho)) for rho, cnt in census.items()]
+    return tuple(
+        sum(w * int(inner[a, b]) for a, w in weights) for b in range(len(table.classes))
+    )
 
 
 def pipeline_trace_collapsed(p: Pipeline) -> int:
     """Exact trace by group-sum contraction: expand stages into sums over
     group elements and contract factor by factor with
-    trace(L_l R_tau) = z(type(tau)) [type(l) = type(tau)]."""
+    trace(L_l R_tau) = z(type(tau)) [type(l) = type(tau)].  Group sums
+    enter only through closed-form cycle-type censuses; the one pass over
+    S_n is the class-count array.  Refused for n > COLLAPSED_DEGREE_LIMIT
+    before anything is built."""
+    if p.n > COLLAPSED_DEGREE_LIMIT:
+        raise BoundExceededError(f"collapsed trace of {p.label}: n exceeds {COLLAPSED_DEGREE_LIMIT}")
     iso, right, left = _collapsed_template(p)
     n = p.n
-    table = character_table(n)
-    classes = list(table.classes)
-    class_index = {rho: i for i, rho in enumerate(classes)}
-
-    census_items, left_order = _left_census(n, tuple(left))
+    class_index = {rho: i for i, rho in enumerate(character_table(n).classes)}
+    census, left_order = _left_census(n, tuple(left))
     factor_t = [_factor_contraction(n, iso[f], right.get(f)) for f in range(p.k)]
-
-    grand = 0
-    for rho_w, cnt in census_items:
-        b = class_index[rho_w]
-        prod = cnt
-        for f in range(p.k):
-            prod *= factor_t[f][b]
-        grand += prod
-
-    numer = grand
-    for f in range(p.k):
-        numer *= hook_dimension(iso[f])
-    denom = left_order * factorial(n) ** p.k
-    for f in range(p.k):
-        denom *= right[f].order() if f in right else 1
+    grand = sum(cnt * prod(t[class_index[rho]] for t in factor_t) for rho, cnt in census.items())
+    numer = grand * prod(hook_dimension(iso[f]) for f in range(p.k))
+    denom = left_order * factorial(n) ** p.k * prod(g.order() for g in right.values())
     value = Fraction(numer, denom)
     if value.denominator != 1:
         raise ConsistencyError(f"collapsed trace of {p.label} is not integral: {value}")

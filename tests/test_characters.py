@@ -11,7 +11,7 @@ from kronlab.characters import (
     character_table,
     mn_character,
 )
-from kronlab.errors import BoundExceededError, InputError
+from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.partitions import enumerate_partitions, hook_dimension, kostka, transpose
 from kronlab.permutations import (
     all_perms,
@@ -176,6 +176,34 @@ class TestDiskCache:
         healed = CharacterTable.from_json(json.loads(path.read_text()))
         assert healed.values == table.values
         assert healed.values != CharacterTable.from_json(data).values
+
+    @pytest.mark.parametrize("entry", [10**30, -(2**63), 2**62, 5])
+    def test_oversized_entry_recomputed(self, tmp_path, entry):
+        # 10**30 does not fit int64, -2**63 has no int64 absolute value,
+        # and every one of these exceeds isqrt(z) = 2 at the 6-cycle
+        character_table(6, cache_dir=tmp_path)
+        path = tmp_path / "chartable-n6.json"
+        good = path.read_bytes()
+        data = json.loads(good)
+        data["rows"][1]["values"][0] = entry
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConsistencyError):
+            CharacterTable.from_json(data).check_orthogonality()
+        table = character_table(6, cache_dir=tmp_path)
+        assert table.chi((5, 1), (6,)) == -1
+        assert path.read_bytes() == good
+
+    def test_orthogonality_verdicts(self):
+        table = character_table(7, use_cache=False)
+        table.check_orthogonality()
+        swapped = dict(table.values)
+        a, b = ((6, 1), (7,)), ((6, 1), (6, 1))  # -1 and 0, both within isqrt(z)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        with pytest.raises(ConsistencyError):
+            CharacterTable(7, table.partitions, table.classes, table.class_sizes, swapped).check_orthogonality()
+        sizes = (table.class_sizes[0] + 1,) + table.class_sizes[1:]
+        with pytest.raises(ConsistencyError):
+            CharacterTable(7, table.partitions, table.classes, sizes, table.values).check_orthogonality()
 
     def test_no_cache_mode(self, tmp_path):
         character_table(4, cache_dir=tmp_path, use_cache=False)

@@ -67,6 +67,13 @@ class TestKronCommand:
         code, _ = run_cli(["kron", "4,1", "4,1", "4,1", "--method", "dense", "--format", "json"])
         assert code == EXIT_BOUND
 
+    def test_collapsed_degree_bound(self, tmp_path):
+        code, out = run_cli(
+            ["kron", "5,5", "5,5", "5,5", "--method", "collapsed", "--cache-dir", str(tmp_path), "--format", "json"]
+        )
+        assert (code, out) == (EXIT_BOUND, "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_all_methods_skips_out_of_bound_backends(self):
         # at n = 5 the dense backend is out of bounds; the applicable
         # backends still run and must agree

@@ -1,7 +1,11 @@
+import random
 from collections import Counter
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kronlab.errors import InputError
 from kronlab.partitions import enumerate_partitions
@@ -9,6 +13,8 @@ from kronlab.permutations import (
     all_perms,
     block_permutations,
     centralizer_order,
+    class_census,
+    class_indices,
     class_size,
     compose,
     cycle_type,
@@ -17,9 +23,12 @@ from kronlab.permutations import (
     encode_permutation,
     enumerate_subgroup,
     from_cycles,
+    SubgroupDescriptor,
     full_group,
     identity,
     inverse,
+    perm_array,
+    perm_ranks,
     wreath_embed,
     wreath_product,
     young_subgroup,
@@ -224,3 +233,53 @@ class TestFullGroup:
         g = full_group(4)
         assert len(enumerate_subgroup(g)) == 24 == g.order()
         assert all_perms(3)[0] == identity(3)
+
+
+class TestPermArrays:
+    """The numpy helpers against all_perms and cycle_type, for every n <= 7."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_ranks_and_classes(self, n):
+        perms = all_perms(n)
+        arr = perm_array(n)
+        assert arr.dtype == np.uint8
+        assert [tuple(int(x) + 1 for x in row) for row in arr] == perms
+        classes = enumerate_partitions(n)
+        order = list(range(len(perms)))
+        random.Random(n).shuffle(order)  # not only in all_perms order
+        shuffled = arr[order]
+        assert perm_ranks(shuffled).tolist() == order
+        assert [classes[c] for c in class_indices(shuffled)] == [cycle_type(perms[i]) for i in order]
+
+    def test_ranks_of_products_on_a_leading_axis(self):
+        arr = perm_array(4)
+        products = arr[:, arr]  # products[i, j] = a_i o a_j
+        perms = all_perms(4)
+        assert perm_ranks(products).tolist() == [
+            [perms.index(compose(a, b)) for b in perms] for a in perms
+        ]
+
+
+class TestClassCensus:
+    """Closed-form censuses against enumeration."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_and_young_subgroups(self, n):
+        for mu in enumerate_partitions(n):
+            g = young_subgroup(mu)
+            assert class_census(g) == cycle_type_census(g)
+        assert class_census(full_group(n)) == cycle_type_census(full_group(n))
+        enumerate_subgroup.cache_clear()
+
+    @given(m=st.integers(1, 8), d=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_wreath_and_block_permutations(self, m, d):
+        assume(factorial(m) ** d * factorial(d) <= 10**5)
+        for g in (wreath_product(m, d), block_permutations(m, d)):
+            census = class_census(g)
+            assert census == cycle_type_census(g)
+            assert sum(census.values()) == g.order()
+
+    def test_unknown_kind(self):
+        with pytest.raises(InputError):
+            class_census(SubgroupDescriptor("cyclic", 3))

@@ -4,22 +4,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from collapsed_reference import reference_index_tables, reference_shifted_class_counts
 from groupsum_reference import reference_pipeline, reference_stage
 
+from kronlab.characters import cache_settings
 from kronlab.errors import BoundExceededError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
 from kronlab.partitions import enumerate_partitions, hook_dimension
 from kronlab.permutations import (
     all_perms,
+    block_permutations,
     from_cycles,
     full_group,
     identity,
     young_subgroup,
 )
 from kronlab.projectors import (
+    COLLAPSED_DEGREE_LIMIT,
     BatchEvaluator,
     InvariantAverage,
     Isotypic,
+    PermIndex,
     Pipeline,
     StateVector,
     apply_action,
@@ -35,6 +40,8 @@ from kronlab.projectors import (
     truncated_kron_trace,
     _basis_batch,
     _exact_int_array,
+    _left_census,
+    _shifted_class_counts,
     _stage_kernel_cached,
 )
 
@@ -367,6 +374,74 @@ class TestCollapsedTrace:
         lam = (3, 1, 1)
         p = kron_pipeline(lam, lam, lam)
         assert pipeline_trace_collapsed(p) == kron_char(lam, lam, lam).value
+
+    def test_n9_sample_against_oracle(self):
+        assert pipeline_trace_collapsed(kron_pipeline(*[(4, 4, 1)] * 3)) == 2
+        parts = enumerate_partitions(9)
+        rng = random.Random(9)
+        for lam, mu, nu in (rng.sample(parts, 3) for _ in range(8)):
+            p = kron_pipeline(lam, mu, nu)
+            assert pipeline_trace_collapsed(p) == kron_char(lam, mu, nu).value
+
+    def test_degree_bound_before_anything_is_built(self, tmp_path):
+        n = COLLAPSED_DEGREE_LIMIT + 1
+        pipelines = [kron_pipeline((n - 1, 1), (n - 1, 1), (n,)), pleth_pipeline(2, n // 2, (n,))]
+        built = _shifted_class_counts.cache_info().currsize
+        with cache_settings(tmp_path):
+            tracemalloc.start()
+            try:
+                for p in pipelines:
+                    with pytest.raises(BoundExceededError):
+                        pipeline_trace_collapsed(p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
+        assert _shifted_class_counts.cache_info().currsize == built
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            (),
+            (young_subgroup((2, 2)),),
+            (block_permutations(2, 2), young_subgroup((2, 2))),
+            (young_subgroup((2, 2)), block_permutations(1, 4)),
+            (full_group(4), full_group(4)),
+        ],
+    )
+    def test_other_left_stage_lists_refused(self, groups):
+        with pytest.raises(InputError):
+            _left_census(4, groups)
+
+
+class TestVectorisedTables:
+    """The numpy-built class counts and index tables against one-call-per-
+    permutation scalar code."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_shifted_class_counts(self, n):
+        assert np.array_equal(_shifted_class_counts(n), reference_shifted_class_counts(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_perm_index_tables(self, n):
+        space = PermIndex(n)
+        mult, inv, type_index = reference_index_tables(n)
+        assert np.array_equal(space.mult, mult)
+        assert np.array_equal(space.inv, inv)
+        assert np.array_equal(space.type_index, type_index)
+
+    def test_perm_index_transient(self):
+        # mult is built in row blocks: beyond the tables it keeps (the
+        # 720 x 720 int64 mult is 4.1 MB), at most 2 MB is live at once
+        tracemalloc.start()
+        try:
+            space = PermIndex(6)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.mult.nbytes < kept
+        assert peak - kept < 2 << 20
 
 
 class TestTruncatedPipeline:
