@@ -49,7 +49,6 @@ from .projectors import (
     Isotypic,
     Pipeline,
     StateVector,
-    apply_action,
     apply_invariant_average,
     apply_isotypic,
     apply_pipeline,

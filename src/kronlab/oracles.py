@@ -19,7 +19,7 @@ from .characters import character_table
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, check_partition, hook_dimension
 from .permutations import cycle_type_census, full_group, wreath_product
-from .specht import DEFAULT_DIM_BOUND, build_seminormal, invariant_dim
+from .specht import build_seminormal, invariant_dim
 
 WREATH_ORDER_LIMIT = factorial(9)  # 362880 elements, enumerated in a few seconds
 
@@ -105,9 +105,7 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
     )
 
 
-def kron_invariant_def(
-    lam: Partition, mu: Partition, nu: Partition, *, dim_bound: int = DEFAULT_DIM_BOUND
-) -> CoefficientResult:
+def kron_invariant_def(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
     """Kronecker coefficient straight from its definition: the dimension of
     the invariant subspace of [lam] x [mu] x [nu] under the diagonal
     S_n action, computed as the common fixed space of the adjacent
@@ -118,7 +116,7 @@ def kron_invariant_def(
     if sum(mu) != n or sum(nu) != n:
         raise InputError(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
     reps = [build_seminormal(lam), build_seminormal(mu), build_seminormal(nu)]
-    value = invariant_dim(reps, full_group(n), dim_bound=dim_bound)
+    value = invariant_dim(reps, full_group(n))
     return CoefficientResult(
         value,
         "specht",

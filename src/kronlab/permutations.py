@@ -263,7 +263,6 @@ def block_permutations(m: int, d: int) -> SubgroupDescriptor:
     return SubgroupDescriptor("block_perms", m * d, m=m, d=d)
 
 
-@lru_cache(maxsize=None)
 def enumerate_subgroup(g: SubgroupDescriptor) -> tuple[Perm, ...]:
     """All elements, each exactly once, in a deterministic order."""
     n = g.degree
@@ -285,8 +284,9 @@ def enumerate_subgroup(g: SubgroupDescriptor) -> tuple[Perm, ...]:
     raise InputError(f"unknown subgroup kind {g.kind!r}")
 
 
+@lru_cache(maxsize=None)
 def cycle_type_census(g: SubgroupDescriptor) -> dict[Partition, int]:
-    """How many elements of each cycle type the subgroup contains."""
+    """Cycle-type counts over the enumeration; memoised, so do not mutate."""
     return dict(Counter(cycle_type(pi) for pi in enumerate_subgroup(g)))
 
 

@@ -11,11 +11,11 @@ integer numerators over a running denominator; they are carried in
 float64 arrays purely for speed, with an l1-norm bound asserted below
 2^53 before every stage so every intermediate is exactly representable.
 The dense trace and the projector-algebra checks push basis vectors
-through it; exact-rational state vectors (`StateVector`, `apply_*`, used
-by the verifier protocol) go through it as integer numerators over the
-lcm of their denominators, split into base-2^b limbs (one batch row
-each) when they are too large for the bound, and are recombined in
-Python integers, so any rational amplitude stays exact.
+through it.  State vectors (`StateVector`, `apply_*`, used by the
+verifier protocol) are stored in the same format: integer numerators
+keyed by flat basis index over one denominator.  Numerators too large
+for the bound are split into base-2^b limbs (one batch row each) and
+recombined in Python integers, so any rational amplitude stays exact.
 
 `pipeline_trace_collapsed` is the independent closed-form route: it
 expands every stage into its group sum and contracts with the per-factor
@@ -30,10 +30,11 @@ no complex numbers appear anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm, prod
+from functools import cached_property, lru_cache
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -46,12 +47,11 @@ from .permutations import (
     all_perms,
     block_permutations,
     centralizer_order,
+    check_perm,
     class_census,
     class_indices,
-    compose,
     enumerate_subgroup,
     full_group,
-    inverse,
     perm_array,
     perm_ranks,
     wreath_product,
@@ -184,73 +184,90 @@ def pleth_pipeline(d: int, m: int, lam: Partition) -> Pipeline:
 # ---------------------------------------------------------------------------
 # sparse exact-rational state vectors
 
-# a computational basis label: one permutation per tensor factor
-TensorBasisState = tuple[Perm, ...]
+
+class _AmpsView(Mapping):
+    """A state's amplitudes as Fractions keyed by permutation tuples,
+    converted from the numerators on first read; len() converts nothing."""
+
+    def __init__(self, state: "StateVector"):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.nums)
+
+    def __iter__(self):
+        return iter(self._amps)
+
+    def __getitem__(self, key: tuple[Perm, ...]) -> Fraction:
+        return self._amps[key]
+
+    @cached_property
+    def _amps(self) -> dict[tuple[Perm, ...], Fraction]:
+        s, perms = self._state, all_perms(self._state.n)
+        keys = zip(*np.unravel_index(np.fromiter(s.nums, np.int64), (len(perms),) * s.k))
+        return {tuple(perms[d] for d in key): Fraction(v, s.den) for key, v in zip(keys, s.nums.values())}
 
 
 @dataclass
 class StateVector:
-    """Sparse rational vector over k-tuples of permutations of degree n.
-    Zero amplitudes are never stored."""
+    """Sparse rational vector over k-tuples of permutations of degree n, in
+    BatchEvaluator's format: integer numerators keyed by flat tensor-basis
+    index (factor 0 is the most significant digit; each digit is a rank in
+    all_perms order) over one denominator.  Kept in lowest terms (den > 0,
+    gcd 1, no stored zeros), so == is exact rational equality."""
 
     n: int
     k: int
-    amps: dict[TensorBasisState, Fraction]
+    nums: dict[int, int]
+    den: int = 1
+    amps = property(_AmpsView, doc="Read-only view: amplitudes keyed by permutation tuples.")
+
+    def __post_init__(self):
+        if not self.den:
+            raise InputError("state vector denominator is zero")
+        g = gcd(*self.nums.values(), self.den) * (1 if self.den > 0 else -1)
+        self.nums = {f: v // g for f, v in self.nums.items() if v}
+        self.den //= g
 
     @staticmethod
     def basis_state(n: int, perms: tuple[Perm, ...]) -> "StateVector":
-        return StateVector(n, len(perms), {tuple(perms): Fraction(1)})
+        if any(len(check_perm(p)) != n for p in perms):
+            raise InputError(f"basis state needs permutations of degree {n}")
+        ranks = perm_ranks(np.array(perms, dtype=np.int64).reshape(len(perms), n) - 1).tolist()
+        flat = sum(r * factorial(n) ** i for i, r in enumerate(reversed(ranks)))
+        return StateVector(n, len(perms), {flat: 1})
 
     @staticmethod
     def zero(n: int, k: int) -> "StateVector":
         return StateVector(n, k, {})
 
     def is_zero(self) -> bool:
-        return not self.amps
+        return not self.nums
 
     def norm_sq(self) -> Fraction:
-        return sum((a * a for a in self.amps.values()), Fraction(0))
+        return Fraction(sum(v * v for v in self.nums.values()), self.den * self.den)
 
     def inner(self, other: "StateVector") -> Fraction:
-        if len(self.amps) > len(other.amps):
+        if len(self.nums) > len(other.nums):
             return other.inner(self)
-        return sum(
-            (a * other.amps[key] for key, a in self.amps.items() if key in other.amps),
-            Fraction(0),
-        )
+        total = sum(v * other.nums.get(f, 0) for f, v in self.nums.items())
+        return Fraction(total, self.den * other.den)
 
     def scaled(self, c) -> "StateVector":
         c = Fraction(c)
-        if not c:
-            return StateVector.zero(self.n, self.k)
-        return StateVector(self.n, self.k, {key: a * c for key, a in self.amps.items()})
+        nums = {f: v * c.numerator for f, v in self.nums.items()}
+        return StateVector(self.n, self.k, nums, self.den * c.denominator)
 
     def plus(self, other: "StateVector") -> "StateVector":
-        out = dict(self.amps)
-        for key, a in other.amps.items():
-            s = out.get(key, Fraction(0)) + a
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return StateVector(self.n, self.k, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {f: v * a for f, v in self.nums.items()}
+        for f, v in other.nums.items():
+            out[f] = out.get(f, 0) + v * b
+        return StateVector(self.n, self.k, out, den)
 
     def minus(self, other: "StateVector") -> "StateVector":
         return self.plus(other.scaled(-1))
-
-
-def apply_action(state: StateVector, factor: int, side: str, g: Perm) -> StateVector:
-    """One-sided action of g on one tensor factor: L sends sigma to
-    g*sigma, R sends sigma to sigma*g^-1.  Pure basis relabeling."""
-    if side not in ("L", "R"):
-        raise InputError(f"side must be 'L' or 'R', got {side!r}")
-    ginv = inverse(g)
-    out: dict[tuple[Perm, ...], Fraction] = {}
-    for key, amp in state.amps.items():
-        comps = list(key)
-        comps[factor] = compose(g, comps[factor]) if side == "L" else compose(comps[factor], ginv)
-        out[tuple(comps)] = amp
-    return StateVector(state.n, state.k, out)
 
 
 def apply_isotypic(state: StateVector, factor: int, lam: Partition) -> StateVector:
@@ -281,17 +298,13 @@ def apply_pipeline(p: Pipeline, state: StateVector) -> StateVector:
 
 
 def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> StateVector:
-    """Push a state through the stage kernels as one batch.  Amplitudes
-    become integer numerators over the lcm of their denominators; a
-    numerator too large for the 2^53 guard is split into base-2^b limbs,
+    """Push a state's numerators through the stage kernels as one batch.
+    A numerator too large for the 2^53 guard is split into base-2^b limbs,
     one batch row per limb, and the rows are recombined in Python ints."""
     ev = BatchEvaluator(Pipeline(state.n, state.k, stages, label))
     if state.is_zero():
         return StateVector.zero(state.n, state.k)
-    space, k = ev.space, state.k
-    den = lcm(*(a.denominator for a in state.amps.values()))
-    cols = [space.flat(key) for key in state.amps]
-    nums = [a.numerator * (den // a.denominator) for a in state.amps.values()]
+    cols, nums = list(state.nums), list(state.nums.values())
     headroom = (FLOAT_EXACT_LIMIT - 1) // prod(kern.l1 for kern in ev.kernels)
     b = max(1, (headroom + 1).bit_length() - 1)  # limbs below 2^b pass the guard
     mask = (1 << b) - 1
@@ -303,9 +316,7 @@ def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> 
     out = rows[-1]
     for row in reversed(rows[:-1]):
         out = [(hi << b) + lo for hi, lo in zip(out, row)]
-    den *= ev.denominator
-    amps = {space.key(f, k): Fraction(v, den) for f, v in enumerate(out) if v}
-    return StateVector(state.n, k, amps)
+    return StateVector(state.n, state.k, dict(enumerate(out)), state.den * ev.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +324,14 @@ def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> 
 
 
 class PermIndex:
-    """S_n with a fixed basis order (lexicographic one-line; identity
-    first) plus the multiplication and inverse index tables."""
+    """S_n in all_perms order (identity first) as multiplication, inverse
+    and cycle-type index tables."""
 
     def __init__(self, n: int):
         if factorial(n) > DENSE_FACTOR_LIMIT:
             raise BoundExceededError(f"S_{n} has more than {DENSE_FACTOR_LIMIT} elements to index")
         self.n = n
-        self.perms = all_perms(n)
-        self.nf = len(self.perms)
-        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.nf = factorial(n)
         arr = perm_array(n)
         self.inv = perm_ranks(np.argsort(arr, axis=1))
         self.mult = np.empty((self.nf, self.nf), dtype=np.int64)
@@ -332,22 +341,6 @@ class PermIndex:
         self.classes = enumerate_partitions(n)
         self.type_index = class_indices(arr)
 
-    def flat(self, key: TensorBasisState) -> int:
-        """Flat tensor-basis index of a k-tuple of permutations (factor 0
-        is the most significant digit)."""
-        flat = 0
-        for perm in key:
-            flat = flat * self.nf + self.index[perm]
-        return flat
-
-    def key(self, flat: int, k: int) -> TensorBasisState:
-        """The k-tuple of permutations at a flat tensor-basis index."""
-        digits = []
-        for _ in range(k):
-            flat, d = divmod(flat, self.nf)
-            digits.append(self.perms[d])
-        return tuple(reversed(digits))
-
 
 @lru_cache(maxsize=None)
 def perm_index(n: int) -> PermIndex:
@@ -356,7 +349,7 @@ def perm_index(n: int) -> PermIndex:
 
 def _member_vector(space: PermIndex, group: SubgroupDescriptor) -> np.ndarray:
     member = np.zeros(space.nf, dtype=np.float64)
-    member[[space.index[g] for g in enumerate_subgroup(group)]] = 1.0
+    member[perm_ranks(np.array(enumerate_subgroup(group)) - 1)] = 1.0
     return member
 
 

@@ -266,20 +266,20 @@ def _monte_carlo(
     return MonteCarloRun(shots, accepts, seed, p_accept)
 
 
-def witness_spaces(p: Pipeline, *, dim_limit: int = WITNESS_SPACE_DIM_LIMIT) -> WitnessSpaces:
+def witness_spaces(p: Pipeline) -> WitnessSpaces:
     """Exact bases for the accepting subspace A = im(E) and the rejecting
     subspace R = ker(E) = im(I - E).
 
     Materializes the composed operator column by column (the batch
     evaluator applied to the identity), then one row reduction yields
     both bases: the nonzero reduced rows span the image (the operator is
-    symmetric), the free columns give the kernel.  Bounded by dim_limit
-    because the reduction is dense."""
+    symmetric), the free columns give the kernel.  Bounded by
+    WITNESS_SPACE_DIM_LIMIT because the reduction is dense."""
     dim = p.dim
-    if dim > dim_limit:
+    if dim > WITNESS_SPACE_DIM_LIMIT:
         raise BoundExceededError(
             f"witness spaces need a dense {dim} x {dim} reduction; "
-            f"limit is {dim_limit} (sample witnesses instead)"
+            f"limit is {WITNESS_SPACE_DIM_LIMIT} (sample witnesses instead)"
         )
     ev = BatchEvaluator(p)
     den = ev.denominator
@@ -294,16 +294,10 @@ def witness_spaces(p: Pipeline, *, dim_limit: int = WITNESS_SPACE_DIM_LIMIT) -> 
     pivots = echelon(rows)
     if len(pivots) != expected_rank:
         raise ConsistencyError(f"rank {len(pivots)} != trace {expected_rank}")
-
-    space = ev.space
-
-    def to_state(vec, scale=1) -> StateVector:
-        amps = {space.key(j, p.k): Fraction(x, scale) for j, x in enumerate(vec) if x}
-        return StateVector(p.n, p.k, amps)
-
     # row i over its pivot entry is row i of the reduced row-echelon form
-    accepting = [to_state(rows[i], rows[i][pc]) for i, pc in enumerate(pivots)]
-    rejecting = [to_state(vec) for vec in rref_kernel(rows, pivots, dim)]
+    accepting = [StateVector(p.n, p.k, dict(enumerate(row)), row[pc]) for row, pc in zip(rows, pivots)]
+    kernel, kernel_den = rref_kernel(rows, pivots, dim)
+    rejecting = [StateVector(p.n, p.k, dict(enumerate(vec)), kernel_den) for vec in kernel]
     return WitnessSpaces(p, accepting, rejecting)
 
 
@@ -356,14 +350,13 @@ def sample_rejecting_witness(p: Pipeline, seed: int, support: int = 3) -> StateV
 
 def _probe_witness(p: Pipeline, seed: int, support: int, project, failure: str) -> StateVector:
     """First nonzero project(v) over seeded random sparse integer probes v."""
-    space = BatchEvaluator(p).space  # checks the dense bound first
     for attempt in range(64):
         rng = random.Random(seed * _SEED_STRIDE + attempt)
-        amps = {}
+        nums = {}
         for _ in range(support):
             flat = rng.randrange(p.dim)
-            amps[space.key(flat, p.k)] = Fraction(rng.choice([x for x in range(-9, 10) if x]))
-        out = project(StateVector(p.n, p.k, amps))
+            nums[flat] = rng.choice([x for x in range(-9, 10) if x])
+        out = project(StateVector(p.n, p.k, nums))
         if not out.is_zero():
             return out
     raise ConsistencyError(failure)

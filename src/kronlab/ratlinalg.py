@@ -107,17 +107,16 @@ def echelon(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def rref_kernel(rows: list[list[int]], pivots: list[int], cols: int) -> list[list[Fraction]]:
+def rref_kernel(rows: list[list[int]], pivots: list[int], cols: int) -> tuple[list[list[int]], int]:
     """Right-kernel basis read off echelon's rows and pivots, one vector per
-    free column, each row scaled by its own pivot entry."""
-    pivot_set = set(pivots)
+    free column, as integer vectors over one common denominator (the lcm
+    of the pivot entries)."""
+    den = lcm(1, *(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
+    for fc in sorted(set(range(cols)).difference(pivots)):
+        vec = [0] * cols
+        vec[fc] = den
         for row, pc in zip(rows, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
+            vec[pc] = -row[fc] * (den // row[pc])
         basis.append(vec)
-    return basis
+    return basis, den

@@ -18,6 +18,7 @@ character traces are the tests that pin the convention down.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -28,8 +29,8 @@ from .permutations import (
     Perm,
     SubgroupDescriptor,
     check_perm,
-    cycle_type,
-    enumerate_subgroup,
+    class_census,
+    from_cycles,
     identity,
 )
 from .ratlinalg import (
@@ -178,7 +179,8 @@ def invariant_dim(
     L (A_k x B_k x ... - I), reduced one generator at a time.  Two checks
     share no code with that elimination: the Coxeter relations on every
     factor, and the trace average (1/|G|) sum_g prod_r tr rho_r(g) of the
-    Specht matrices, which must be an integer equal to the nullity.
+    Specht matrices, summed over the subgroup's closed-form cycle-type
+    census, which must be an integer equal to the nullity.
     """
     if not reps:
         raise InputError("need at least one representation")
@@ -221,14 +223,14 @@ def invariant_dim(
         held += rows
         held = held[: len(echelon(held))]
     nullity = total_dim - len(held)
-    # tr rho_r is a class function of S_n, so one product per cycle type
-    by_type: dict = {}
+    # tr rho_r is a class function of S_n, so one product per cycle type,
+    # taken at its consecutive-cycle representative (which need not lie in
+    # the subgroup)
     total = Fraction(0)
-    for g in enumerate_subgroup(subgroup):
-        key = cycle_type(g)
-        if key not in by_type:
-            by_type[key] = prod(mat_trace(r.matrix(g)) for r in reps)
-        total += by_type[key]
+    for rho, count in class_census(subgroup).items():
+        starts = list(itertools.accumulate(rho, initial=0))
+        rep = from_cycles(n, [range(s + 1, e + 1) for s, e in zip(starts, starts[1:])])
+        total += count * prod(mat_trace(r.matrix(rep)) for r in reps)
     average = total / subgroup.order()
     if average != nullity:
         raise ConsistencyError(

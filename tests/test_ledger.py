@@ -8,11 +8,14 @@ import sys
 import pytest
 
 from kronlab.oracles import kron_char, kron_invariant_def, pleth_wreath
+from kronlab.permutations import cycle_type_census
 from kronlab.projectors import (
+    StateVector,
     _factor_contraction,
     _left_census,
     _shifted_class_counts,
     _stage_kernel_cached,
+    apply_pipeline,
     kron_pipeline,
     perm_index,
     pipeline_trace_collapsed,
@@ -46,7 +49,14 @@ def reached(fn, *args) -> set[tuple[str, str]]:
 def cold_route_caches():
     """Memoised steps are entered only when they compute; clear them so
     each route reaches everything it would read on a first call."""
-    for cached in (_left_census, _factor_contraction, _shifted_class_counts, _stage_kernel_cached, perm_index):
+    for cached in (
+        _left_census,
+        _factor_contraction,
+        _shifted_class_counts,
+        _stage_kernel_cached,
+        perm_index,
+        cycle_type_census,
+    ):
         cached.cache_clear()
 
 
@@ -69,6 +79,14 @@ def test_specht_route_reads_no_characters():
     seen = reached(kron_invariant_def, *TRIPLE)
     assert not {name for module, name in seen if module == "characters"}
     assert ("ratlinalg", "echelon") in seen
+    assert ("permutations", "enumerate_subgroup") not in seen
+
+
+def test_state_vectors_and_dense_trace_share_the_batch_engine():
+    p = kron_pipeline(*TRIPLE)
+    state = StateVector.basis_state(3, ((1, 2, 3), (2, 1, 3), (3, 1, 2)))
+    assert ("projectors", "apply_stages") in reached(apply_pipeline, p, state)
+    assert ("projectors", "apply_stages") in reached(pipeline_trace_dense, p)
 
 
 def test_shared_reads():

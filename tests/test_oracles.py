@@ -158,6 +158,12 @@ class TestInvariantDefinition:
         for lam, mu, nu in triples:
             assert kron_invariant_def(lam, mu, nu).value == kron_char(lam, mu, nu).value
 
+    def test_hook_triple_at_n10(self):
+        # D = 9^3 is in bound at n = 10; the trace check must not enumerate
+        # the 10! elements of S_10
+        triple = ((9, 1),) * 3
+        assert kron_invariant_def(*triple).value == kron_char(*triple).value
+
 
 class TestResultSerialization:
     def test_json_fields(self):

@@ -269,7 +269,6 @@ class TestClassCensus:
             g = young_subgroup(mu)
             assert class_census(g) == cycle_type_census(g)
         assert class_census(full_group(n)) == cycle_type_census(full_group(n))
-        enumerate_subgroup.cache_clear()
 
     @given(m=st.integers(1, 8), d=st.integers(1, 8))
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from collapsed_reference import reference_index_tables, reference_shifted_class_counts
-from groupsum_reference import reference_pipeline, reference_stage
+from groupsum_reference import apply_action, reference_pipeline, reference_stage, state_of
 
 from kronlab.characters import cache_settings
 from kronlab.errors import BoundExceededError, InputError
@@ -27,7 +28,6 @@ from kronlab.projectors import (
     PermIndex,
     Pipeline,
     StateVector,
-    apply_action,
     apply_invariant_average,
     apply_isotypic,
     apply_pipeline,
@@ -55,7 +55,7 @@ def random_rational_state(n, k, seed, density=0.5):
             amps[key_parts] = Fraction(c)
     if not amps:
         amps[(identity(n),) * k] = Fraction(1)
-    return StateVector(n, k, amps)
+    return state_of(n, k, amps)
 
 
 def _sample_keys(n, k, rng, density):
@@ -231,7 +231,7 @@ class TestDenseTrace:
 
         space = perm_index(3)
         for tau_idx in (1, 3, 5):
-            tau = space.perms[tau_idx]
+            tau = all_perms(3)[tau_idx]
             # build the translation as a one-element "average"
             batch = _basis_batch(dim, cols)
             translate = _translation_batch(space, tau, batch, k=3)
@@ -297,28 +297,26 @@ class TestDenseTrace:
         ev = BatchEvaluator(p)
         out = ev.apply(_basis_batch(p.dim, np.arange(p.dim)))
         ints = _exact_int_array(out)
-        from kronlab.projectors import perm_index
-
-        space = perm_index(2)
+        perms = all_perms(2)
 
         def key_of(flat):
             digits = []
             for _ in range(3):
                 digits.append(flat % 2)
                 flat //= 2
-            return tuple(space.perms[i] for i in reversed(digits))
+            return tuple(perms[i] for i in reversed(digits))
 
         for col in range(p.dim):
-            sparse_out = reference_pipeline(p, StateVector.basis_state(2, key_of(col)))
+            sparse_out = reference_pipeline(p, {key_of(col): Fraction(1)})
             for col2 in range(p.dim):
-                expected = sparse_out.amps.get(key_of(col2), Fraction(0))
+                expected = sparse_out.get(key_of(col2), Fraction(0))
                 assert Fraction(int(ints[col, col2]), ev.denominator) == expected
 
 
 def _translation_batch(space, tau, batch, k):
     """Apply the simultaneous left translation by tau to batch rows."""
     nf = space.nf
-    ti = space.index[tau]
+    ti = all_perms(space.n).index(tau)
     lm = space.mult[ti]
     dim = nf**k
     src = np.arange(dim, dtype=np.int64)
@@ -545,17 +543,13 @@ class TestOrbitKernel:
         stage = kron_pipeline((3, 1), (2, 2), (2, 1, 1)).stages[3]
         rng = random.Random(4)
         perms = all_perms(4)
-        states = [
-            StateVector.basis_state(4, tuple(rng.choice(perms) for _ in range(3)))
-            for _ in range(3)
-        ]
-        amps = {
+        sources = [{tuple(rng.choice(perms) for _ in range(3)): Fraction(1)} for _ in range(3)]
+        sources.append({
             tuple(rng.choice(perms) for _ in range(3)): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
             for _ in range(6)
-        }
-        states.append(StateVector(4, 3, amps))
-        for state in states:
-            assert apply_invariant_average(state, stage).amps == reference_stage(state, stage).amps
+        })
+        for amps in sources:
+            assert apply_invariant_average(state_of(4, 3, amps), stage).amps == reference_stage(amps, stage)
 
     @pytest.mark.parametrize(
         "stage",
@@ -575,16 +569,9 @@ class TestSparseVsOtherBackends:
     def test_diagonal_entries_match(self, n):
         parts = enumerate_partitions(n)
         p = kron_pipeline(parts[-1], parts[0], parts[-1])
-        from kronlab.projectors import perm_index
-
-        space = perm_index(n)
         total = Fraction(0)
-        for i1 in range(space.nf):
-            for i2 in range(space.nf):
-                for i3 in range(space.nf):
-                    key = (space.perms[i1], space.perms[i2], space.perms[i3])
-                    out = reference_pipeline(p, StateVector.basis_state(n, key))
-                    total += out.amps.get(key, Fraction(0))
+        for key in itertools.product(all_perms(n), repeat=3):
+            total += reference_pipeline(p, {key: Fraction(1)}).get(key, Fraction(0))
         assert total == pipeline_trace_dense(p, strategy="full")
 
 
@@ -600,8 +587,8 @@ class TestStateVectorEngine:
             for _ in range(8):
                 key = tuple(rng.choice(perms) for _ in range(3))
                 amps[key] = Fraction(rng.choice([-1, 1]) * rng.randint(1 << 79, 1 << 80), (1 << 61) - 1)
-            state = StateVector(n, 3, amps)
-            assert apply_pipeline(p, state).amps == reference_pipeline(p, state).amps
+            state = state_of(n, 3, amps)
+            assert apply_pipeline(p, state).amps == reference_pipeline(p, amps)
 
     def test_bound_checked_before_allocation(self):
         # (5!)^3 = 1.7M basis states: refused before any kernel, index
@@ -631,3 +618,12 @@ class TestStateVectorEngine:
     def test_pipeline_and_state_degree_must_match(self):
         with pytest.raises(InputError):
             apply_pipeline(kron_pipeline((2, 1), (2, 1), (2, 1)), StateVector.basis_state(2, (identity(2),) * 3))
+
+    @pytest.mark.parametrize("perms", [((1, 2),), ((1, 2, 3), (1, 1, 3)), ((1, 2, 3, 4),)])
+    def test_basis_state_refuses_wrong_permutations(self, perms):
+        with pytest.raises(InputError):
+            StateVector.basis_state(3, perms)
+
+    def test_zero_denominator_refused(self):
+        with pytest.raises(InputError):
+            StateVector(3, 1, {0: 1}, 0)

@@ -1,14 +1,16 @@
-"""Property tests: random rational states through the stage kernels,
-random witnesses through the verifier, random integer matrices through
-the elimination, and random triples through every in-bound backend."""
+"""Property tests: random rational states through the state arithmetic
+and the stage kernels, random witnesses through the verifier, random
+integer matrices through the elimination, and random triples through
+every in-bound backend."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from groupsum_reference import reference_pipeline, reference_stage
+from groupsum_reference import reference_pipeline, reference_stage, state_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rref_reference import rref
+from rref_reference import kernel, rref
 
 from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
@@ -35,22 +37,70 @@ def kron_triples(draw, degrees=(2, 3)):
 
 
 @st.composite
-def rational_states(draw, n):
+def rational_amps(draw, n):
+    """dict-of-Fraction amplitudes on (S_n)^3, keyed by permutation tuples."""
     perms = all_perms(n)
     keys = st.tuples(*[st.sampled_from(perms)] * 3)
     values = st.fractions(max_denominator=1 << 62).filter(bool)
-    amps = draw(st.dictionaries(keys, values, min_size=1, max_size=12))
-    return StateVector(n, 3, amps)
+    return draw(st.dictionaries(keys, values, min_size=1, max_size=12))
 
 
 @given(data=st.data(), triple=kron_triples())
 @SETTINGS
 def test_every_stage_matches_group_sums(data, triple):
     p = kron_pipeline(*triple)
-    state = data.draw(rational_states(p.n))
+    amps = data.draw(rational_amps(p.n))
+    state = state_of(p.n, 3, amps)
     for stage in p.stages:
-        assert apply_stage(state, stage).amps == reference_stage(state, stage).amps
-    assert apply_pipeline(p, state).amps == reference_pipeline(p, state).amps
+        assert apply_stage(state, stage).amps == reference_stage(amps, stage)
+    assert apply_pipeline(p, state).amps == reference_pipeline(p, amps)
+
+
+@st.composite
+def raw_states(draw, nf):
+    """Unreduced numerators on (S_n)^3, n! = nf, keyed by flat index: they
+    may be near 2^80 or zero, over a denominator that may be negative."""
+    big = st.integers(-(1 << 80), 1 << 80)
+    nums = draw(st.dictionaries(st.integers(0, nf**3 - 1), st.one_of(st.integers(-9, 9), big), max_size=8))
+    return nums, draw(st.one_of(st.integers(-9, 9), big).filter(bool))
+
+
+def _ref_plus(a, b):
+    out = dict(a)
+    for f, x in b.items():
+        out[f] = out.get(f, 0) + x
+    return {f: x for f, x in out.items() if x}
+
+
+@given(
+    x=raw_states(6),
+    y=raw_states(6),
+    c=st.fractions(max_denominator=1 << 40),
+    m=st.integers(-(1 << 70), 1 << 70),
+)
+@SETTINGS
+def test_state_arithmetic_matches_fraction_dicts(x, y, c, m):
+    (xn, xd), (yn, yd) = x, y
+    a, b = StateVector(3, 3, dict(xn), xd), StateVector(3, 3, dict(yn), yd)
+    ra = {f: Fraction(v, xd) for f, v in xn.items() if v}
+    rb = {f: Fraction(v, yd) for f, v in yn.items() if v}
+    for got, ref in (
+        (a, ra),
+        (a.plus(b), _ref_plus(ra, rb)),
+        (a.minus(b), _ref_plus(ra, {f: -v for f, v in rb.items()})),
+        (a.scaled(c), {f: v * c for f, v in ra.items() if c}),
+        (StateVector.zero(3, 3).plus(b), rb),
+    ):
+        # lowest terms, so == below is exact rational equality
+        assert got.den > 0 and all(got.nums.values()) and gcd(*got.nums.values(), got.den) == 1
+        assert {f: Fraction(v, got.den) for f, v in got.nums.items()} == ref
+        assert got.is_zero() == (not ref)
+    assert a.inner(b) == b.inner(a) == sum((v * rb.get(f, 0) for f, v in ra.items()), Fraction(0))
+    assert a.norm_sq() == sum((v * v for v in ra.values()), Fraction(0))
+    assert (a == b) == (ra == rb)
+    if m:
+        assert StateVector(3, 3, {f: v * m for f, v in xn.items()}, xd * m) == a
+    assert a.minus(a) == StateVector.zero(3, 3)
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +152,11 @@ def test_echelon_matches_reference_rref(m):
     assert scaled == reduced[: len(pivots)]
     assert not any(any(row) for row in rows[len(pivots):])
     cols = len(m[0])
-    kernel = rref_kernel(rows, pivots, cols)
-    assert len(kernel) == cols - len(pivots)
-    for vec in kernel:
+    vectors, den = rref_kernel(rows, pivots, cols)
+    assert len(vectors) == cols - len(pivots)
+    for vec in vectors:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m)
+    assert [[Fraction(x, den) for x in vec] for vec in vectors] == kernel(reduced, pivots, cols)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from groupsum_reference import reference_pipeline
+from groupsum_reference import reference_pipeline, state_of
 from rref_reference import kernel, rref
 
 from kronlab.errors import BoundExceededError, InputError
@@ -17,7 +17,6 @@ from kronlab.projectors import (
     StateVector,
     apply_pipeline,
     kron_pipeline,
-    perm_index,
     pleth_pipeline,
 )
 from kronlab.protocol import (
@@ -45,7 +44,7 @@ class TestWeakFourierSampling:
 
     def test_uniform_state_is_invariant(self):
         amps = {(p,): Fraction(1) for p in all_perms(3)}
-        probs = {lam: p for lam, p, _ in weak_fourier_sample(StateVector(3, 1, amps), 0)}
+        probs = {lam: p for lam, p, _ in weak_fourier_sample(state_of(3, 1, amps), 0)}
         assert probs[(3,)] == 1
 
     def test_already_isotypic_state(self):
@@ -71,11 +70,11 @@ class TestGeneralizedPhaseEstimation:
     def test_invariant_state_accepts_surely(self):
         amps = {(p,): Fraction(1) for p in all_perms(3)}
         stage = InvariantAverage(full_group(3), ((0, "L"),))
-        p, _, reject = gpe_accept_probability(StateVector(3, 1, amps), stage)
+        p, _, reject = gpe_accept_probability(state_of(3, 1, amps), stage)
         assert p == 1 and reject.is_zero()
 
     def test_complement_state_rejects_surely(self):
-        sv = StateVector(
+        sv = state_of(
             3,
             1,
             {(identity(3),): Fraction(1), ((2, 1, 3),): Fraction(-1)},
@@ -111,9 +110,8 @@ class TestWitnessSpaces:
     def test_bases_match_reference_rref(self, triple):
         # the operator from the group-sum reference, reduced by the Fraction RREF
         p = kron_pipeline(*triple)
-        space = perm_index(p.n)
-        keys = [space.key(j, p.k) for j in range(p.dim)]
-        columns = [reference_pipeline(p, StateVector.basis_state(p.n, key)).amps for key in keys]
+        keys = list(itertools.product(all_perms(p.n), repeat=p.k))  # flat basis order
+        columns = [reference_pipeline(p, {key: Fraction(1)}) for key in keys]
         reduced, pivots = rref([[col.get(key, 0) for key in keys] for col in columns])
 
         def states(vectors):

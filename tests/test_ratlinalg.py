@@ -25,7 +25,8 @@ def rank(m):
 
 def kernel_basis(m):
     rows = clear_denominators(m)[0]
-    return rref_kernel(rows, echelon(rows), len(m[0]))
+    vectors, den = rref_kernel(rows, echelon(rows), len(m[0]))
+    return [[F(x, den) for x in vec] for vec in vectors]
 
 
 class TestBasics:
