@@ -6,13 +6,13 @@ so row/column indices cross-reference cleanly everywhere else.
 
 Tables are cached on disk as JSON, one file per n, under the directory
 named by the KRONLAB_CACHE environment variable (default
-``./.kronlab-cache``).  A ``cache_settings`` scope overrides the
-directory and can turn the cache off for every call inside it; the CLI
-opens one per command for ``--cache-dir`` and ``--no-cache``.  A file
-is checked by its labels and the orthogonality relations whenever its
-bytes are new to the process, and recomputed and overwritten if
-corrupt; a file whose bytes equal those last checked or written for
-that path is answered from memory.  Files are written to a temporary
+``./.kronlab-cache``).  A ``cache_settings`` scope, the one way to
+configure the cache, overrides the directory and can turn the cache off
+for every call inside it; the CLI opens one per command for
+``--cache-dir`` and ``--no-cache``.  A file is checked by its labels and
+the orthogonality relations whenever its bytes are new to the process,
+and recomputed and overwritten if corrupt; a file whose bytes equal
+those last checked or written for that path is answered from memory.  Files are written to a temporary
 name and renamed into place, so a reader never sees a partial file.
 """
 
@@ -183,7 +183,7 @@ def _compute_table(n: int) -> CharacterTable:
     return table
 
 
-# (cache_dir, use_cache) for character_table calls that leave them unset
+# (cache directory or None for KRONLAB_CACHE, use_cache) of the current scope
 _settings: ContextVar[tuple[str | os.PathLike | None, bool]] = ContextVar(
     "kronlab_cache_settings", default=(None, True)
 )
@@ -194,8 +194,9 @@ _validated: dict[Path, tuple[bytes, CharacterTable]] = {}
 
 @contextmanager
 def cache_settings(cache_dir: str | os.PathLike | None = None, use_cache: bool = True):
-    """Within the block, character_table calls that do not pass cache_dir
-    or use_cache use these values; cache_dir None keeps KRONLAB_CACHE."""
+    """Within the block, character_table reads and writes its files under
+    cache_dir (None keeps KRONLAB_CACHE), or computes every table afresh
+    when use_cache is false."""
     token = _settings.set((cache_dir, use_cache))
     try:
         yield
@@ -203,16 +204,9 @@ def cache_settings(cache_dir: str | os.PathLike | None = None, use_cache: bool =
         _settings.reset(token)
 
 
-def cache_dir(override: str | os.PathLike | None = None) -> Path:
-    if override is None:
-        override = _settings.get()[0]
-    if override is not None:
-        return Path(override)
-    return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR))
-
-
-def _cache_path(n: int, override=None) -> Path:
-    return cache_dir(override) / f"chartable-n{n}.json"
+def _cache_path(n: int) -> Path:
+    root = _settings.get()[0] or os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR)
+    return Path(root) / f"chartable-n{n}.json"
 
 
 def _load_checked(data: bytes, n: int) -> CharacterTable | None:
@@ -224,7 +218,7 @@ def _load_checked(data: bytes, n: int) -> CharacterTable | None:
             raise ConsistencyError("cache file holds the wrong degree")
         table.check_labels()
         table.check_orthogonality()
-    except (ValueError, KeyError, TypeError, ConsistencyError):
+    except (ValueError, KeyError, TypeError, OverflowError, ConsistencyError):
         return None
     return table
 
@@ -247,29 +241,22 @@ def _write_atomic(path: Path, data: bytes) -> bool:
     return True
 
 
-def character_table(
-    n: int,
-    *,
-    cache_dir: str | os.PathLike | None = None,
-    use_cache: bool | None = None,
-) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """Complete character table of S_n, for n <= TABLE_DEGREE_LIMIT.
 
-    With use_cache, tries the JSON disk cache first; a file that fails to
-    parse or fails its checks is recomputed and overwritten.  A file is
-    re-checked only when its bytes differ from those this process last
-    checked or wrote at that path.  cache_dir and use_cache left as None
-    come from the enclosing cache_settings scope.
+    Unless the enclosing cache_settings scope turns the cache off, tries
+    the JSON disk cache first; a file that fails to parse or fails its
+    checks is recomputed and overwritten.  A file is re-checked only when
+    its bytes differ from those this process last checked or wrote at
+    that path.
     """
     if n < 1:
         raise InputError("character table needs n >= 1")
     if n > TABLE_DEGREE_LIMIT:
         raise BoundExceededError(f"character table of S_{n}: n exceeds {TABLE_DEGREE_LIMIT}")
-    if use_cache is None:
-        use_cache = _settings.get()[1]
-    if not use_cache:
+    if not _settings.get()[1]:
         return _compute_table(n)
-    path = _cache_path(n, cache_dir).resolve()
+    path = _cache_path(n).resolve()
     try:
         data = path.read_bytes()
     except OSError:

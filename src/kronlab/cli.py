@@ -85,12 +85,6 @@ def _resolve_format(args) -> str:
     return "pretty" if sys.stdout.isatty() else "json"
 
 
-def _kron_methods(method: str, all_methods: bool) -> list[str]:
-    if all_methods:
-        return ["char", "dense", "collapsed", "specht"]
-    return [method]
-
-
 def _run_kron_method(method: str, lam, mu, nu) -> int:
     if method == "char":
         return kron_char(lam, mu, nu).value
@@ -115,23 +109,26 @@ def _run_pleth_method(method: str, d: int, m: int, lam) -> int:
 
 def _collect_methods(methods, runner, all_methods: bool) -> tuple[dict, list[str]]:
     """Run each backend; under --all-methods a backend whose size bound is
-    exceeded is reported as skipped instead of aborting the command."""
+    exceeded is reported as skipped instead of aborting the command, unless
+    every backend is refused."""
     values: dict[str, int] = {}
-    skipped: list[str] = []
+    refusals: dict[str, str] = {}
     for m in methods:
         if all_methods:
             try:
                 values[m] = runner(m)
-            except BoundExceededError:
-                skipped.append(m)
+            except BoundExceededError as exc:
+                refusals[m] = str(exc)
         else:
             values[m] = runner(m)
-    return values, skipped
+    if not values:
+        raise BoundExceededError("; ".join(f"{m}: {why}" for m, why in refusals.items()))
+    return values, list(refusals)
 
 
 def cmd_kron(args, out) -> int:
     lam, mu, nu = map(parse_partition, (args.lam, args.mu, args.nu))
-    methods = _kron_methods(args.method, args.all_methods)
+    methods = ["char", "dense", "collapsed", "specht"] if args.all_methods else [args.method]
     values, skipped = _collect_methods(
         methods, lambda m: _run_kron_method(m, lam, mu, nu), args.all_methods
     )

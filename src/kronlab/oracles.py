@@ -10,7 +10,6 @@ it means something upstream (characters, enumeration) is broken.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -19,7 +18,7 @@ from .characters import character_table
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, check_partition, hook_dimension
 from .permutations import cycle_type_census, full_group, wreath_product
-from .specht import build_seminormal, invariant_dim
+from .specht import SPECHT_DEGREE_LIMIT, SPECHT_FACTOR_DIM_LIMIT, build_seminormal, invariant_dim
 
 WREATH_ORDER_LIMIT = factorial(9)  # 362880 elements, enumerated in a few seconds
 
@@ -28,16 +27,6 @@ WREATH_ORDER_LIMIT = factorial(9)  # 362880 elements, enumerated in a few second
 class CoefficientResult:
     value: int
     method: str
-    inputs: dict
-    millis: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "inputs": self.inputs,
-            "millis": self.millis,
-        }
 
 
 def _exact_int(x: Fraction, what: str) -> int:
@@ -49,7 +38,6 @@ def _exact_int(x: Fraction, what: str) -> int:
 def kron_char(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
     """Kronecker coefficient as the normalized character product sum
     (1/n!) sum over classes of |class| * chi_lam * chi_mu * chi_nu."""
-    start = time.perf_counter()
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
@@ -61,12 +49,7 @@ def kron_char(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult
     value = _exact_int(Fraction(total, factorial(n)), "Kronecker class sum")
     if value < 0:
         raise ConsistencyError(f"negative multiplicity {value}")
-    return CoefficientResult(
-        value,
-        "character",
-        {"lam": list(lam), "mu": list(mu), "nu": list(nu)},
-        (time.perf_counter() - start) * 1000,
-    )
+    return CoefficientResult(value, "character")
 
 
 def scaled_kron(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -80,7 +63,6 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
     wreath product S_m wr S_d, enumerated explicitly inside S_{md}.
     Refused before anything is built when |S_m wr S_d| = m!^d d! exceeds
     WREATH_ORDER_LIMIT."""
-    start = time.perf_counter()
     lam = check_partition(lam)
     if d < 1 or m < 1:
         raise InputError("d and m must be positive")
@@ -97,29 +79,25 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
     value = _exact_int(Fraction(total, group.order()), "wreath average")
     if value < 0:
         raise ConsistencyError(f"negative multiplicity {value}")
-    return CoefficientResult(
-        value,
-        "wreath",
-        {"d": d, "m": m, "lam": list(lam)},
-        (time.perf_counter() - start) * 1000,
-    )
+    return CoefficientResult(value, "wreath")
 
 
 def kron_invariant_def(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
     """Kronecker coefficient straight from its definition: the dimension of
     the invariant subspace of [lam] x [mu] x [nu] under the diagonal
     S_n action, computed as the common fixed space of the adjacent
-    transpositions on explicit Specht matrices."""
-    start = time.perf_counter()
+    transpositions on explicit Specht matrices.  Refused before any matrix
+    is built for n > SPECHT_DEGREE_LIMIT or a factor of dimension above
+    SPECHT_FACTOR_DIM_LIMIT."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise InputError(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
+    if n > SPECHT_DEGREE_LIMIT:
+        raise BoundExceededError(f"Specht matrices at degree {n}: n exceeds {SPECHT_DEGREE_LIMIT}")
+    dims = [hook_dimension(shape) for shape in (lam, mu, nu)]
+    if max(dims) > SPECHT_FACTOR_DIM_LIMIT:
+        raise BoundExceededError(f"Specht factor dimensions {dims}: one exceeds {SPECHT_FACTOR_DIM_LIMIT}")
     reps = [build_seminormal(lam), build_seminormal(mu), build_seminormal(nu)]
     value = invariant_dim(reps, full_group(n))
-    return CoefficientResult(
-        value,
-        "specht",
-        {"lam": list(lam), "mu": list(mu), "nu": list(nu)},
-        (time.perf_counter() - start) * 1000,
-    )
+    return CoefficientResult(value, "specht")

@@ -18,10 +18,15 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
-from .errors import InputError
+from .errors import BoundExceededError, InputError
 
 Partition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
+
+# largest n whose p(n) partitions are enumerated; on a 2-core host
+# `dims 45` (p = 89134) took 5.3 s and 193 MB peak RSS, `dims 50` 12.2 s
+# and 420 MB, `dims 60` 76 s
+PARTITION_DEGREE_LIMIT = 45
 
 
 def check_partition(parts) -> Partition:
@@ -43,9 +48,12 @@ def transpose(lam: Partition) -> Partition:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order."""
+    """All partitions of n in reverse-lexicographic order, for
+    n <= PARTITION_DEGREE_LIMIT."""
     if n < 0:
         raise InputError("n must be nonnegative")
+    if n > PARTITION_DEGREE_LIMIT:
+        raise BoundExceededError(f"partitions of {n}: n exceeds {PARTITION_DEGREE_LIMIT}")
     return list(_partitions_bounded(n, n))
 
 

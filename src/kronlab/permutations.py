@@ -50,13 +50,6 @@ def inverse(a: Perm) -> Perm:
     return tuple(inv)
 
 
-def transposition(n: int, i: int, j: int) -> Perm:
-    """The transposition (i j) inside S_n."""
-    images = list(range(1, n + 1))
-    images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-    return tuple(images)
-
-
 def from_cycles(n: int, cycles) -> Perm:
     """Build a permutation of S_n from disjoint cycles, e.g. [(1,2),(3,4)]."""
     images = list(range(1, n + 1))
@@ -243,12 +236,9 @@ def full_group(n: int) -> SubgroupDescriptor:
     return SubgroupDescriptor("full", n)
 
 
-def young_subgroup(mu: Partition, degree: int | None = None) -> SubgroupDescriptor:
+def young_subgroup(mu: Partition) -> SubgroupDescriptor:
     mu = check_partition(mu)
-    n = sum(mu)
-    if degree is not None and degree != n:
-        raise InputError(f"Young subgroup shape {mu} does not fill degree {degree}")
-    return SubgroupDescriptor("young", n, shape=mu)
+    return SubgroupDescriptor("young", sum(mu), shape=mu)
 
 
 def wreath_product(m: int, d: int) -> SubgroupDescriptor:

@@ -81,9 +81,6 @@ class Isotypic:
     factor: int
     shape: Partition
 
-    def describe(self) -> dict:
-        return {"kind": "isotypic", "factor": self.factor, "shape": list(self.shape)}
-
 
 @dataclass(frozen=True)
 class InvariantAverage:
@@ -92,19 +89,6 @@ class InvariantAverage:
 
     group: SubgroupDescriptor
     actions: tuple[tuple[int, str], ...]  # (factor index, 'L' or 'R')
-
-    def describe(self) -> dict:
-        return {
-            "kind": "invariant_average",
-            "group": {
-                "kind": self.group.kind,
-                "degree": self.group.degree,
-                "shape": list(self.group.shape),
-                "m": self.group.m,
-                "d": self.group.d,
-            },
-            "actions": [[f, side] for f, side in self.actions],
-        }
 
 
 Stage = Isotypic | InvariantAverage
@@ -120,14 +104,6 @@ class Pipeline:
     @property
     def dim(self) -> int:
         return factorial(self.n) ** self.k
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "k": self.k,
-            "stages": [s.describe() for s in self.stages],
-        }
 
 
 def kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
@@ -285,12 +261,6 @@ def apply_invariant_average(state: StateVector, stage: InvariantAverage) -> Stat
     return _apply_stages(state, (stage,), "invariant_average")
 
 
-def apply_stage(state: StateVector, stage: Stage) -> StateVector:
-    if isinstance(stage, Isotypic):
-        return apply_isotypic(state, stage.factor, stage.shape)
-    return apply_invariant_average(state, stage)
-
-
 def apply_pipeline(p: Pipeline, state: StateVector) -> StateVector:
     if (p.n, p.k) != (state.n, state.k):
         raise InputError(f"{p.label} acts on (n, k) = {(p.n, p.k)}, not {(state.n, state.k)}")
@@ -435,7 +405,7 @@ def _stage_kernel(space: PermIndex, stage: Stage, k: int):
     if not _is_full_left(stage, space.n, k):
         raise InputError(
             "the only stage acting on several factors is the average over "
-            f"S_{space.n} on the left of all {k}, not {stage.describe()}"
+            f"S_{space.n} on the left of all {k}, not {stage}"
         )
     return _OrbitKernel(space, k)
 
@@ -501,36 +471,23 @@ def _is_left_translation_equivariant(p: Pipeline) -> bool:
     )
 
 
-def pipeline_trace_dense(p: Pipeline, *, strategy: str = "auto") -> int:
+def pipeline_trace_dense(p: Pipeline) -> int:
     """Exact trace of the composed pipeline operator, by applying the full
     stage sequence to basis vectors and summing diagonal entries.
 
-    strategy:
-      'full'       every one of the (n!)^k basis vectors;
-      'left_orbit' only basis vectors whose first factor is the identity,
-                   times n!.  Valid because every stage of the Kronecker
-                   and truncated templates commutes with simultaneous
-                   left translation, which moves the diagonal entry of
-                   (sigma_1, ..., sigma_k) onto (id, sigma_1^-1 sigma_2,
-                   ...) without changing it; the strategies are asserted
-                   equal on small instances by the test suite.
-      'auto'       'full' below 4096 dimensions, else 'left_orbit'.
+    When every stage commutes with simultaneous left translation (the
+    Kronecker and truncated templates), only the (n!)^(k-1) basis vectors
+    whose first factor is the identity are applied, and their diagonal sum
+    is multiplied by n!: the translation by sigma_1^-1 moves the diagonal
+    entry of (sigma_1, ..., sigma_k) onto that of (id, sigma_1^-1 sigma_2,
+    ...) without changing it.  Otherwise (the plethysm template) all
+    (n!)^k basis vectors are applied.
     """
     ev = BatchEvaluator(p)
     dim = p.dim
-    nf = ev.space.nf
-    if strategy == "auto":
-        strategy = "full" if dim <= 4096 or not _is_left_translation_equivariant(p) else "left_orbit"
-    if strategy == "left_orbit":
-        if not _is_left_translation_equivariant(p):
-            raise InputError(f"pipeline {p.label} is not left-translation equivariant")
-        cols = np.arange(dim // nf, dtype=np.int64)  # flat indices with factor 0 = id
-        multiplier = nf
-    elif strategy == "full":
-        cols = np.arange(dim, dtype=np.int64)
-        multiplier = 1
-    else:
-        raise InputError(f"unknown strategy {strategy!r}")
+    multiplier = ev.space.nf if _is_left_translation_equivariant(p) else 1
+    # factor 0 is the most significant digit and the identity has rank 0
+    cols = np.arange(dim // multiplier, dtype=np.int64)
     chunk_rows = max(1, DENSE_CHUNK_BYTES // (8 * dim))
     total = 0
     for start in range(0, len(cols), chunk_rows):
@@ -687,26 +644,19 @@ class AlgebraReport:
         return not self.failures
 
 
-def check_projector_algebra(
-    p: Pipeline,
-    *,
-    sample_size: int = 192,
-    seed: int = 7,
-    exhaustive_limit: int = 1728,
-) -> AlgebraReport:
+def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     """Verify per stage: idempotence and symmetry; and for every stage
-    pair: commutation, by applying both orders to basis vectors.  Below
-    exhaustive_limit dimensions every basis vector is used; above it a
-    seeded sample (symmetry then checks the sampled submatrix)."""
+    pair: commutation, by applying both orders to basis vectors.  Up to
+    1728 = 12^3 dimensions every basis vector is used; above it a sample
+    of 192 drawn with seed 7 (symmetry then checks the sampled submatrix)."""
     ev = BatchEvaluator(p)
     dim = p.dim
-    rng = np.random.default_rng(seed)
-    if dim <= exhaustive_limit:
+    if dim <= 1728:
         mode = "exhaustive"
         cols = np.arange(dim, dtype=np.int64)
     else:
         mode = "sampled"
-        cols = np.sort(rng.choice(dim, size=min(sample_size, dim), replace=False))
+        cols = np.sort(np.random.default_rng(7).choice(dim, size=192, replace=False))
     base = _basis_batch(dim, cols)
     failures: list[str] = []
     num_stages = len(p.stages)

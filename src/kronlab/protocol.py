@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -54,24 +55,12 @@ class WitnessSpaces:
     def dim_reject(self) -> int:
         return len(self.rejecting_basis)
 
-    @property
-    def total_dim(self) -> int:
-        return self.pipeline.dim
-
 
 @dataclass
 class StageRecord:
     kind: str  # 'fourier' or 'invariant'
     outcome: str  # partition like '2,1' for fourier; 'accept'/'reject' otherwise
     prob: Fraction  # conditional probability of this outcome
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "outcome": self.outcome,
-            "prob_num": self.prob.numerator,
-            "prob_den": self.prob.denominator,
-        }
 
 
 @dataclass
@@ -80,13 +69,6 @@ class VerifierOutcome:
     verdict: str  # 'accept' or 'reject'
     probability: Fraction  # absolute probability of this trajectory
     p_accept: Fraction  # acceptance probability of the witness
-
-    def to_json(self) -> dict:
-        return {
-            "stages": [s.to_json() for s in self.stages],
-            "verdict": self.verdict,
-            "p_accept": {"num": self.p_accept.numerator, "den": self.p_accept.denominator},
-        }
 
 
 @dataclass
@@ -173,20 +155,22 @@ def run_verifier(
         raise InputError("witness must be nonzero")
     if mode == "single_shot":
         return acceptance_probability(p, witness)
-    branches, p_accept = _branch_distribution(p, witness)
+    branches, spine, p_accept = _branch_distribution(p, witness)
     if mode == "exact":
         return branches
     if mode == "monte_carlo":
-        return _monte_carlo(p, branches, p_accept, seed, shots)
+        return _monte_carlo(spine, p_accept, seed, shots)
     raise InputError(f"unknown mode {mode!r}")
 
 
 def _branch_distribution(
     p: Pipeline, witness: StateVector
-) -> tuple[list[VerifierOutcome], Fraction]:
+) -> tuple[list[VerifierOutcome], list[StageRecord], Fraction]:
     """Sequential measurement semantics.  The trajectory tree is a spine:
     each stage either continues (its target outcome) or terminates in a
-    reject branch.  Zero-probability branches are omitted."""
+    reject branch.  Zero-probability branches are omitted.  Returns the
+    branches, the spine's records (ending at the first stage whose target
+    outcome has probability 0, if any) and the acceptance probability."""
     branches: list[VerifierOutcome] = []
     spine: list[StageRecord] = []
     state = witness
@@ -228,41 +212,20 @@ def _branch_distribution(
     total = sum((b.probability for b in branches), Fraction(0))
     if total != 1:
         raise ConsistencyError(f"branch probabilities sum to {total}")
-    return branches, p_accept
+    return branches, spine, p_accept
 
 
-def _monte_carlo(
-    p: Pipeline,
-    branches: list[VerifierOutcome],
-    p_accept: Fraction,
-    seed: int,
-    shots: int,
-) -> MonteCarloRun:
+def _monte_carlo(spine: list[StageRecord], p_accept: Fraction, seed: int, shots: int) -> MonteCarloRun:
     """Sample trajectories shot by shot.  Every shot starts from the same
     witness, so the per-stage conditional distributions are fixed; a shot
-    walks the spine, drawing each stage outcome at its exact conditional
-    probability (converted to float only for the draw)."""
-    # conditional continue-probabilities along the accepting spine
-    spine_conds: list[float] = []
-    accept_branch = next((b for b in branches if b.verdict == "accept"), None)
-    if accept_branch is not None:
-        spine_conds = [float(rec.prob) for rec in accept_branch.stages]
-    else:
-        # reconstruct the spine from the longest reject branch
-        longest = max(branches, key=lambda b: len(b.stages))
-        spine_conds = [float(rec.prob) for rec in longest.stages[:-1]]
+    walks the spine, continuing past each stage with its exact conditional
+    probability (converted to float only for the draw).  A spine that ends
+    at a probability-0 stage rejects every shot there."""
+    conds = [float(rec.prob) for rec in spine]
     accepts = 0
-    num_stages = len(p.stages)
     for shot in range(shots):
         rng = random.Random(seed * _SEED_STRIDE + shot)
-        alive = True
-        for idx in range(num_stages):
-            cond = spine_conds[idx] if idx < len(spine_conds) else 0.0
-            if rng.random() >= cond:
-                alive = False
-                break
-        if alive:
-            accepts += 1
+        accepts += all(rng.random() < cond for cond in conds)
     return MonteCarloRun(shots, accepts, seed, p_accept)
 
 
@@ -318,10 +281,15 @@ def sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:
         coeffs = [rng.randint(-9, 9) for _ in basis]
         if any(coeffs):
             break
-    out = StateVector.zero(ws.pipeline.n, ws.pipeline.k)
+    # one integer sum over the common denominator, normalised once
+    den = lcm(*(vec.den for vec in basis))
+    nums: dict[int, int] = {}
     for c, vec in zip(coeffs, basis):
         if c:
-            out = out.plus(vec.scaled(c))
+            scale = c * (den // vec.den)
+            for f, v in vec.nums.items():
+                nums[f] = nums.get(f, 0) + scale * v
+    out = StateVector(ws.pipeline.n, ws.pipeline.k, nums, den)
     if out.is_zero():
         # the random combination landed in a linear relation; basis vectors
         # are independent so this cannot happen, but fail loudly if it does
@@ -329,31 +297,32 @@ def sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:
     return out
 
 
-def sample_accepting_witness(p: Pipeline, seed: int, support: int = 3) -> StateVector:
+def sample_accepting_witness(p: Pipeline, seed: int) -> StateVector:
     """Accepting witness for pipelines too large for full witness_spaces:
     E applied to a random sparse integer vector (retrying until the image
     is nonzero).  The result lies in im(E) exactly."""
     return _probe_witness(
-        p, seed, support, lambda v: apply_pipeline(p, v),
+        p, seed, lambda v: apply_pipeline(p, v),
         "no accepting witness found; is the trace zero?",
     )
 
 
-def sample_rejecting_witness(p: Pipeline, seed: int, support: int = 3) -> StateVector:
+def sample_rejecting_witness(p: Pipeline, seed: int) -> StateVector:
     """Rejecting witness: v - E v for a random sparse integer v, which
     lies in ker(E) exactly (E is idempotent)."""
     return _probe_witness(
-        p, seed, support, lambda v: v.minus(apply_pipeline(p, v)),
+        p, seed, lambda v: v.minus(apply_pipeline(p, v)),
         "no rejecting witness found; is the operator the identity?",
     )
 
 
-def _probe_witness(p: Pipeline, seed: int, support: int, project, failure: str) -> StateVector:
-    """First nonzero project(v) over seeded random sparse integer probes v."""
+def _probe_witness(p: Pipeline, seed: int, project, failure: str) -> StateVector:
+    """First nonzero project(v) over seeded random probes v, each with up
+    to three nonzero integer entries."""
     for attempt in range(64):
         rng = random.Random(seed * _SEED_STRIDE + attempt)
         nums = {}
-        for _ in range(support):
+        for _ in range(3):
             flat = rng.randrange(p.dim)
             nums[flat] = rng.choice([x for x in range(-9, 10) if x])
         out = project(StateVector(p.n, p.k, nums))

@@ -162,14 +162,17 @@ def check_coxeter(rep: SpechtRep) -> None:
 
 
 DEFAULT_DIM_BOUND = 5000
+# the Coxeter check and the trace average cost about n^2 d^3 and
+# p(n) n d^3 Fraction operations per factor of dimension d, which the
+# tensor dimension does not bound.  Measured on a 2-core host, one process
+# each: (21,1),(21,1),(22) took 17 s and (10,1,1),(12),(12) (d = 55) 2.4 s;
+# (24,1),(25),(25) took 19 s, (29,1),(30),(30) 98 s, (40),(40),(40) 34 s
+# and (9,3),(12),(12) (d = 154) 18 s
+SPECHT_DEGREE_LIMIT = 22
+SPECHT_FACTOR_DIM_LIMIT = 64
 
 
-def invariant_dim(
-    reps: list[SpechtRep],
-    subgroup: SubgroupDescriptor,
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-) -> int:
+def invariant_dim(reps: list[SpechtRep], subgroup: SubgroupDescriptor) -> int:
     """Dimension of the subgroup-invariant subspace of the tensor product
     of the given representations under the diagonal action.
 
@@ -189,13 +192,9 @@ def invariant_dim(
         raise InputError("representations must share one degree")
     if subgroup.degree != n:
         raise InputError(f"subgroup degree {subgroup.degree} != {n}")
-    total_dim = 1
-    for r in reps:
-        total_dim *= r.dim
-    if total_dim > dim_bound:
-        raise BoundExceededError(
-            f"tensor dimension {total_dim} exceeds bound {dim_bound}"
-        )
+    total_dim = prod(r.dim for r in reps)
+    if total_dim > DEFAULT_DIM_BOUND:
+        raise BoundExceededError(f"tensor dimension {total_dim} exceeds bound {DEFAULT_DIM_BOUND}")
     # the s_k in the subgroup generate a Young subgroup whose order is the
     # product over k of the length of the run of generators ending at k
     gens, young_order, run = [], 1, 1

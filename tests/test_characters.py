@@ -1,13 +1,18 @@
 import json
+import tempfile
 import tracemalloc
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronlab.characters import (
     TABLE_DEGREE_LIMIT,
     CharacterTable,
+    cache_settings,
     character_table,
     mn_character,
 )
@@ -21,6 +26,18 @@ from kronlab.permutations import (
     from_cycles,
     sign_of_type,
 )
+
+
+def computed_table(n):
+    """The table of S_n computed afresh, with the disk cache off."""
+    with cache_settings(use_cache=False):
+        return character_table(n)
+
+
+def table_in(cache_dir, n):
+    """The table of S_n through the disk cache in cache_dir."""
+    with cache_settings(cache_dir):
+        return character_table(n)
 
 
 def class_representative(rho):
@@ -113,11 +130,11 @@ class TestIndependentOracle:
 class TestTableProperties:
     def test_orthogonality(self):
         for n in range(1, 7):
-            character_table(n, use_cache=False).check_orthogonality()
+            computed_table(n).check_orthogonality()
 
     def test_transpose_twist(self):
         for n in range(1, 8):
-            table = character_table(n, use_cache=False)
+            table = computed_table(n)
             for lam in table.partitions:
                 for rho in table.classes:
                     assert table.chi(transpose(lam), rho) == sign_of_type(rho) * table.chi(
@@ -126,7 +143,7 @@ class TestTableProperties:
 
     def test_regular_representation_column(self):
         for n in range(2, 6):
-            table = character_table(n, use_cache=False)
+            table = computed_table(n)
             for rho in table.classes:
                 total = sum(
                     table.dimension(lam) * table.chi(lam, rho) for lam in table.partitions
@@ -134,7 +151,7 @@ class TestTableProperties:
                 assert total == (factorial(n) if rho == (1,) * n else 0)
 
     def test_class_order_is_reverse_lexicographic(self):
-        table = character_table(3, use_cache=False)
+        table = computed_table(3)
         assert table.classes == ((3,), (2, 1), (1, 1, 1))
         assert table.row((2, 1)) == (-1, 0, 2)
 
@@ -142,7 +159,7 @@ class TestTableProperties:
         # column orthogonality implies sum over a class of chi^2 weights;
         # spot-check chi against explicit permutation sums instead
         for n in (3, 4):
-            table = character_table(n, use_cache=False)
+            table = computed_table(n)
             for rho in table.classes:
                 members = [p for p in all_perms(n) if cycle_type(p) == rho]
                 assert len(members) == class_size(rho)
@@ -150,27 +167,27 @@ class TestTableProperties:
 
 class TestDiskCache:
     def test_round_trip(self, tmp_path):
-        t1 = character_table(5, cache_dir=tmp_path)
+        t1 = table_in(tmp_path, 5)
         assert (tmp_path / "chartable-n5.json").exists()
-        t2 = character_table(5, cache_dir=tmp_path)
+        t2 = table_in(tmp_path, 5)
         assert t1.values == t2.values
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         path = tmp_path / "chartable-n4.json"
         path.write_text("{not json")
-        table = character_table(4, cache_dir=tmp_path)
+        table = table_in(tmp_path, 4)
         table.check_orthogonality()
         # file was overwritten with a valid table
         reloaded = CharacterTable.from_json(json.loads(path.read_text()))
         assert reloaded.values == table.values
 
     def test_tampered_values_detected(self, tmp_path):
-        character_table(4, cache_dir=tmp_path)
+        table_in(tmp_path, 4)
         path = tmp_path / "chartable-n4.json"
         data = json.loads(path.read_text())
         data["rows"][1]["values"][0] += 1
         path.write_text(json.dumps(data))
-        table = character_table(4, cache_dir=tmp_path)
+        table = table_in(tmp_path, 4)
         table.check_orthogonality()
         # the bad file was replaced by a valid one
         healed = CharacterTable.from_json(json.loads(path.read_text()))
@@ -181,7 +198,7 @@ class TestDiskCache:
     def test_oversized_entry_recomputed(self, tmp_path, entry):
         # 10**30 does not fit int64, -2**63 has no int64 absolute value,
         # and every one of these exceeds isqrt(z) = 2 at the 6-cycle
-        character_table(6, cache_dir=tmp_path)
+        table_in(tmp_path, 6)
         path = tmp_path / "chartable-n6.json"
         good = path.read_bytes()
         data = json.loads(good)
@@ -189,12 +206,12 @@ class TestDiskCache:
         path.write_text(json.dumps(data))
         with pytest.raises(ConsistencyError):
             CharacterTable.from_json(data).check_orthogonality()
-        table = character_table(6, cache_dir=tmp_path)
+        table = table_in(tmp_path, 6)
         assert table.chi((5, 1), (6,)) == -1
         assert path.read_bytes() == good
 
     def test_orthogonality_verdicts(self):
-        table = character_table(7, use_cache=False)
+        table = computed_table(7)
         table.check_orthogonality()
         swapped = dict(table.values)
         a, b = ((6, 1), (7,)), ((6, 1), (6, 1))  # -1 and 0, both within isqrt(z)
@@ -206,7 +223,8 @@ class TestDiskCache:
             CharacterTable(7, table.partitions, table.classes, sizes, table.values).check_orthogonality()
 
     def test_no_cache_mode(self, tmp_path):
-        character_table(4, cache_dir=tmp_path, use_cache=False)
+        with cache_settings(tmp_path, use_cache=False):
+            character_table(4)
         assert not (tmp_path / "chartable-n4.json").exists()
 
     def test_env_var_controls_default_dir(self, tmp_path, monkeypatch):
@@ -215,7 +233,7 @@ class TestDiskCache:
         assert (tmp_path / "envcache" / "chartable-n3.json").exists()
 
     def test_write_leaves_only_the_table(self, tmp_path):
-        character_table(4, cache_dir=tmp_path)
+        table_in(tmp_path, 4)
         assert [f.name for f in tmp_path.iterdir()] == ["chartable-n4.json"]
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
@@ -223,14 +241,14 @@ class TestDiskCache:
             raise OSError("disk full")
 
         monkeypatch.setattr("kronlab.characters.os.replace", refuse)
-        character_table(4, cache_dir=tmp_path).check_orthogonality()
+        table_in(tmp_path, 4).check_orthogonality()
         assert list(tmp_path.iterdir()) == []
 
     def test_conjugate_relabelled_rows_in_order_recomputed(self, tmp_path):
         # conjugate labels with the rows sorted back into enumeration
         # order: orthogonality, the row order and every dimension still
         # hold; the transposition column does not
-        character_table(7, cache_dir=tmp_path)
+        table_in(tmp_path, 7)
         path = tmp_path / "chartable-n7.json"
         good = path.read_bytes()
         data = json.loads(good)
@@ -240,7 +258,7 @@ class TestDiskCache:
         data["rows"].sort(key=lambda row: order[tuple(row["partition"])])
         CharacterTable.from_json(data).check_orthogonality()
         path.write_text(json.dumps(data))
-        table = character_table(7, cache_dir=tmp_path)
+        table = table_in(tmp_path, 7)
         assert table.chi((3, 2, 2), (2, 1, 1, 1, 1, 1)) == -1
         assert path.read_bytes() == good
 
@@ -248,13 +266,70 @@ class TestDiskCache:
         tracemalloc.start()
         try:
             for use_cache in (True, False):
-                with pytest.raises(BoundExceededError):
-                    character_table(TABLE_DEGREE_LIMIT + 1, cache_dir=tmp_path, use_cache=use_cache)
+                with cache_settings(tmp_path, use_cache), pytest.raises(BoundExceededError):
+                    character_table(TABLE_DEGREE_LIMIT + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert list(tmp_path.iterdir()) == []
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.0, 10**400]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+
+
+def _value_slots(doc):
+    """(container, key) for every value of a parsed cache file."""
+    slots = [(doc, "n")]
+    slots += [(c, key) for c in doc["classes"] for key in ("type", "size")]
+    slots += [(r, "partition") for r in doc["rows"]]
+    slots += [(r["values"], j) for r in doc["rows"] for j in range(len(r["values"]))]
+    return slots
+
+
+@given(data=st.data(), n=st.integers(1, 7))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_damaged_cache_file_yields_the_computed_table(data, n):
+    # random byte edits, truncations and JSON value edits of a valid file:
+    # the table read back equals the computed one, and the file left
+    # behind re-validates
+    reference = computed_table(n)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"chartable-n{n}.json"
+        table_in(d, n)
+        good = path.read_bytes()
+        kind = data.draw(st.sampled_from(["bytes", "truncate", "value"]))
+        if kind == "bytes":
+            raw = bytearray(good)
+            edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+            for pos, byte in data.draw(st.lists(edits, min_size=1, max_size=4)):
+                raw[pos] = byte
+            damaged = bytes(raw)
+        elif kind == "truncate":
+            damaged = good[: data.draw(st.integers(0, len(good) - 1))]
+        else:
+            doc = json.loads(good)
+            container, key = data.draw(st.sampled_from(_value_slots(doc)))
+            container[key] = data.draw(JSON_VALUES)
+            damaged = json.dumps(doc).encode()
+        path.write_bytes(damaged)
+        table = table_in(d, n)
+        left = CharacterTable.from_json(json.loads(path.read_bytes()))
+    for t in (table, left):
+        assert (t.n, t.partitions, t.classes, t.class_sizes) == (
+            n, reference.partitions, reference.classes, reference.class_sizes
+        )
+        assert t.values == reference.values
+    left.check_labels()
+    left.check_orthogonality()
 
 
 class TestMemo:
@@ -274,29 +349,29 @@ class TestMemo:
         return calls
 
     def test_unchanged_file_loaded_at_most_once(self, tmp_path, loads):
-        tables = [character_table(5, cache_dir=tmp_path) for _ in range(10)]
+        tables = [table_in(tmp_path, 5) for _ in range(10)]
         assert len(loads) <= 1
         assert all(t.values == tables[0].values for t in tables)
 
     def test_same_length_tamper_rechecked_and_healed(self, tmp_path, loads):
-        table = character_table(4, cache_dir=tmp_path)
+        table = table_in(tmp_path, 4)
         path = tmp_path / "chartable-n4.json"
         good = path.read_bytes()
         # the first row is the trivial character, all ones
         bad = good.replace(b'"values": [1', b'"values": [2', 1)
         assert bad != good and len(bad) == len(good)
         path.write_bytes(bad)
-        healed = character_table(4, cache_dir=tmp_path)
+        healed = table_in(tmp_path, 4)
         assert len(loads) == 1
         healed.check_orthogonality()
         assert healed.values == table.values
         assert path.read_bytes() == good
 
     def test_deleted_file_written_again(self, tmp_path, loads):
-        character_table(4, cache_dir=tmp_path)
+        table_in(tmp_path, 4)
         path = tmp_path / "chartable-n4.json"
         path.unlink()
-        character_table(4, cache_dir=tmp_path).check_orthogonality()
+        table_in(tmp_path, 4).check_orthogonality()
         assert path.exists()
         assert CharacterTable.from_json(json.loads(path.read_text())).n == 4
 
@@ -304,7 +379,7 @@ class TestMemo:
 class TestCentralizerConsistency:
     def test_sum_of_squares_column(self):
         for n in range(2, 7):
-            table = character_table(n, use_cache=False)
+            table = computed_table(n)
             for rho in table.classes:
                 total = sum(table.chi(lam, rho) ** 2 for lam in table.partitions)
                 assert total == centralizer_order(rho)

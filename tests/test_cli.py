@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import kronlab
 from kronlab.cli import (
@@ -17,7 +21,8 @@ from kronlab.cli import (
     parse_partition,
     parse_permutation,
 )
-from kronlab.partitions import transpose
+from kronlab.partitions import PARTITION_DEGREE_LIMIT, hook_dimension, transpose
+from kronlab.specht import SPECHT_FACTOR_DIM_LIMIT
 
 
 def run_cli(argv):
@@ -274,3 +279,119 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(kronlab.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# exit-code property: refused invocations of every command
+
+
+def _text(parts):
+    return ",".join(map(str, parts))
+
+
+@st.composite
+def partition_of(draw, n):
+    """A partition of n, drawn as a sorted random composition."""
+    parts, left = [], n
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+@st.composite
+def malformed_partition(draw):
+    parts = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)), reverse=True)
+    kind = draw(st.sampled_from(["increasing", "nonpositive", "token"]))
+    if kind == "increasing":
+        return _text(parts + [parts[-1] + draw(st.integers(1, 3))])
+    i = draw(st.integers(0, len(parts) - 1))
+    parts[i] = draw(st.integers(-3, 0)) if kind == "nonpositive" else draw(st.sampled_from(["x", "1.5", "2a"]))
+    return _text(parts)
+
+
+@st.composite
+def malformed_permutation(draw):
+    images = draw(st.permutations(range(1, draw(st.integers(2, 6)) + 1)))
+    kind = draw(st.sampled_from(["repeat", "shift", "token"]))
+    if kind == "repeat":
+        images[0] = images[1]
+    elif kind == "shift":
+        images = [x + 1 for x in images]
+    else:
+        images[0] = draw(st.sampled_from(["x", "0.5", "[]"]))
+    return "[" + _text(images) + "]"
+
+
+@st.composite
+def refused_invocation(draw):
+    """(argv, documented exit code) for an invocation that must be refused:
+    2 for malformed or mismatched input, 3 for a size beyond a bound."""
+    kind = draw(st.sampled_from(
+        ["malformed", "permutation", "mismatch", "kron", "specht", "pleth", "scaledkron", "verify", "sizes"]
+    ))  # fmt: skip
+    kron_flags = st.sampled_from([["--all-methods"], ["--method", "char"], ["--method", "dense"],
+                                  ["--method", "collapsed"], ["--method", "specht"]])  # fmt: skip
+    if kind == "malformed":
+        bad = draw(malformed_partition())
+        good = _text(draw(partition_of(3)))
+        argv = draw(st.sampled_from([
+            ["kron", bad, good, good], ["kron", good, good, bad, "--all-methods"], ["pleth", "1", "3", bad],
+            ["scaledkron", good, bad, good], ["kostka", bad, good], ["encode", "diagram", bad],
+        ]))  # fmt: skip
+        return argv, EXIT_USAGE
+    if kind == "permutation":
+        return ["encode", "perm", draw(malformed_permutation())], EXIT_USAGE
+    if kind == "mismatch":
+        n = draw(st.integers(1, 5))
+        a, b = draw(partition_of(n)), draw(partition_of(n + draw(st.integers(1, 2))))
+        argv = draw(st.sampled_from([
+            ["kron", _text(a), _text(a), _text(b)] + draw(kron_flags), ["scaledkron", _text(b), _text(a), _text(a)],
+            ["kostka", _text(a), _text(b)], ["pleth", "2", str(n), _text(a)],
+        ]))  # fmt: skip
+        return argv, EXIT_USAGE
+    if kind == "kron":  # beyond every backend's degree bound
+        n = draw(st.integers(23, 60))
+        shapes = [_text(draw(partition_of(n))) for _ in range(3)]
+        return ["kron", *shapes] + draw(kron_flags), EXIT_BOUND
+    if kind == "specht":  # in the degree bound, but a factor too large to build
+        n = draw(st.integers(8, 22))
+        shapes = [draw(partition_of(n)) for _ in range(3)]
+        assume(max(hook_dimension(s) for s in shapes) > SPECHT_FACTOR_DIM_LIMIT)
+        flags = ["--all-methods"] if n > 16 else ["--method", "specht"]
+        return ["kron", *map(_text, shapes)] + flags, EXIT_BOUND
+    if kind == "pleth":  # the wreath product too large to enumerate
+        d, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        assume(factorial(m) ** d * factorial(d) > factorial(9) and d * m >= 10)
+        flags = draw(st.sampled_from([["--all-methods"], ["--method", "wreath"], ["--method", "collapsed"]]))
+        return ["pleth", str(d), str(m), _text(draw(partition_of(d * m)))] + flags, EXIT_BOUND
+    if kind == "scaledkron":
+        method = draw(st.sampled_from(["dense", "collapsed"]))
+        n = draw(st.integers(5 if method == "dense" else 10, 30))
+        return ["scaledkron", *(_text(draw(partition_of(n))) for _ in range(3)), "--method", method], EXIT_BOUND
+    if kind == "verify":
+        return draw(st.sampled_from([
+            ["verify", "kron-all", str(draw(st.integers(17, 200)))],
+            ["verify", "algebra", str(draw(st.integers(5, 200)))],
+            ["verify", "protocol", str(draw(st.integers(4, 200)))],
+            ["verify", "pleth-all", "2", str(draw(st.integers(6, 100)))],
+        ])), EXIT_BOUND  # fmt: skip
+    return draw(st.sampled_from([
+        (["chartable", str(draw(st.integers(17, 10**6)))], EXIT_BOUND),
+        (["dims", str(draw(st.integers(PARTITION_DEGREE_LIMIT + 1, 10**6)))], EXIT_BOUND),
+        (["chartable", str(draw(st.integers(-5, 0)))], EXIT_USAGE),
+        (["dims", str(draw(st.integers(-5, -1)))], EXIT_USAGE),
+    ]))  # fmt: skip
+
+
+@given(case=refused_invocation())
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much])
+def test_refused_invocations_exit_with_documented_code(case):
+    argv, expected = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", "json", "--no-cache"])
+    assert code == expected, (argv, err.getvalue())
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    assert ("resource bound:" if expected == EXIT_BOUND else "error:") in err.getvalue()

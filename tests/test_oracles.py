@@ -1,4 +1,3 @@
-import json
 from itertools import permutations as iter_permutations
 from math import comb
 
@@ -166,14 +165,6 @@ class TestInvariantDefinition:
 
 
 class TestResultSerialization:
-    def test_json_fields(self):
-        res = kron_char((2, 1), (2, 1), (2, 1))
-        payload = res.to_json()
-        assert set(payload) == {"value", "method", "inputs", "millis"}
-        assert payload["value"] == 1
-        assert payload["method"] == "character"
-        json.dumps(payload)  # serializable
-
     def test_result_roundtrip_values(self):
         res = pleth_wreath(2, 2, (2, 2))
         assert isinstance(res, CoefficientResult)

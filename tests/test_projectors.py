@@ -31,12 +31,12 @@ from kronlab.projectors import (
     apply_invariant_average,
     apply_isotypic,
     apply_pipeline,
-    apply_stage,
     check_projector_algebra,
     kron_pipeline,
     pipeline_trace_collapsed,
     pipeline_trace_dense,
     pleth_pipeline,
+    truncated_kron_pipeline,
     truncated_kron_trace,
     _basis_batch,
     _exact_int_array,
@@ -185,16 +185,33 @@ class TestPipelineConstruction:
         with pytest.raises(InputError):
             pleth_pipeline(2, 2, (3, 2))
 
-    def test_json_serialization(self):
-        import json
-
-        p = kron_pipeline((2,), (1, 1), (1, 1))
-        doc = json.loads(json.dumps(p.to_json()))
-        assert doc["n"] == 2 and doc["k"] == 3 and len(doc["stages"]) == 7
-        assert doc["stages"][0] == {"kind": "isotypic", "factor": 0, "shape": [2]}
-
 
 class TestDenseTrace:
+    @pytest.mark.parametrize(
+        "p, rows",
+        [
+            (kron_pipeline((2, 1), (2, 1), (3,)), 6**2),
+            (truncated_kron_pipeline((2, 1), (2, 1), (3,)), 6**2),
+            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), 24**2),
+            (pleth_pipeline(2, 2, (2, 2)), 24),
+            (pleth_pipeline(2, 3, (4, 2)), 720),
+        ],
+        ids=["kron", "truncated", "kron-n4", "pleth", "pleth-n6"],
+    )
+    def test_basis_rows_applied(self, p, rows, monkeypatch):
+        # (n!)^(k-1) identity-first rows for the left-translation
+        # equivariant templates, all (n!)^k rows for plethysm
+        applied = []
+        apply = BatchEvaluator.apply
+
+        def counting(self, x, **kwargs):
+            applied.append(len(x))
+            return apply(self, x, **kwargs)
+
+        monkeypatch.setattr(BatchEvaluator, "apply", counting)
+        pipeline_trace_dense(p)
+        assert sum(applied) == rows
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_kron_matches_oracle(self, n):
         parts = enumerate_partitions(n)
@@ -204,23 +221,9 @@ class TestDenseTrace:
                     got = pipeline_trace_dense(kron_pipeline(lam, mu, nu))
                     assert got == kron_char(lam, mu, nu).value, (lam, mu, nu)
 
-    def test_strategies_agree_exhaustively_small(self):
-        for n in (2, 3):
-            parts = enumerate_partitions(n)
-            for lam in parts:
-                for mu in parts:
-                    p = kron_pipeline(lam, mu, parts[0])
-                    assert pipeline_trace_dense(p, strategy="full") == pipeline_trace_dense(
-                        p, strategy="left_orbit"
-                    )
-
-    def test_orbit_rejected_for_pleth(self):
-        p = pleth_pipeline(2, 2, (2, 2))
-        with pytest.raises(InputError):
-            pipeline_trace_dense(p, strategy="left_orbit")
-
     def test_left_translation_equivariance_of_kron_stages(self):
-        # the identity behind the orbit strategy, checked stage by stage:
+        # the identity behind the dense trace's identity-first rows,
+        # checked stage by stage:
         # conjugating by a simultaneous left translation fixes each stage
         p = kron_pipeline((2, 1), (2, 1), (2, 1))
         ev = BatchEvaluator(p)
@@ -480,9 +483,7 @@ class TestProjectorAlgebra:
         assert report.ok
 
     def test_sampled_mode_at_n4(self):
-        report = check_projector_algebra(
-            kron_pipeline((3, 1), (2, 2), (2, 1, 1)), sample_size=96
-        )
+        report = check_projector_algebra(kron_pipeline((3, 1), (2, 2), (2, 1, 1)))
         assert report.mode == "sampled"
         assert report.ok
 
@@ -565,14 +566,22 @@ class TestOrbitKernel:
 
 
 class TestSparseVsOtherBackends:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_diagonal_entries_match(self, n):
-        parts = enumerate_partitions(n)
-        p = kron_pipeline(parts[-1], parts[0], parts[-1])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            kron_pipeline((1, 1), (2,), (1, 1)),
+            kron_pipeline((1, 1, 1), (3,), (1, 1, 1)),
+            pleth_pipeline(2, 2, (2, 2)),  # not left-translation equivariant: every basis row
+        ],
+        ids=["2", "3", "pleth"],
+    )
+    def test_diagonal_entries_match(self, p):
+        # the dense trace against the sum of every diagonal entry of the
+        # element-by-element group sums
         total = Fraction(0)
-        for key in itertools.product(all_perms(n), repeat=3):
+        for key in itertools.product(all_perms(p.n), repeat=p.k):
             total += reference_pipeline(p, {key: Fraction(1)}).get(key, Fraction(0))
-        assert total == pipeline_trace_dense(p, strategy="full")
+        assert total == pipeline_trace_dense(p)
 
 
 class TestStateVectorEngine:

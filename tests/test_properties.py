@@ -16,9 +16,9 @@ from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
 from kronlab.permutations import all_perms
 from kronlab.projectors import (
+    Pipeline,
     StateVector,
     apply_pipeline,
-    apply_stage,
     kron_pipeline,
     pipeline_trace_collapsed,
     pipeline_trace_dense,
@@ -52,7 +52,8 @@ def test_every_stage_matches_group_sums(data, triple):
     amps = data.draw(rational_amps(p.n))
     state = state_of(p.n, 3, amps)
     for stage in p.stages:
-        assert apply_stage(state, stage).amps == reference_stage(amps, stage)
+        one_stage = Pipeline(p.n, p.k, (stage,), "one stage")
+        assert apply_pipeline(one_stage, state).amps == reference_stage(amps, stage)
     assert apply_pipeline(p, state).amps == reference_pipeline(p, amps)
 
 

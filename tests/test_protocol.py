@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from kronlab.projectors import (
     InvariantAverage,
     Pipeline,
     StateVector,
+    apply_isotypic,
     apply_pipeline,
     kron_pipeline,
     pleth_pipeline,
@@ -201,17 +201,6 @@ class TestVerifierRuns:
             shuffled = Pipeline(p.n, p.k, tuple(order), p.label + "-shuffled")
             assert acceptance_probability(shuffled, w) == base
 
-    def test_outcome_json(self):
-        p, ws = self._spaces()
-        w = sample_witness(ws, "accept", 0)
-        branches = run_verifier(p, w, "exact")
-        doc = json.loads(json.dumps([b.to_json() for b in branches]))
-        accept = [b for b in doc if b["verdict"] == "accept"]
-        assert len(accept) == 1
-        assert accept[0]["p_accept"] == {"num": 1, "den": 1}
-        for stage in accept[0]["stages"]:
-            assert set(stage) == {"kind", "outcome", "prob_num", "prob_den"}
-
     def test_zero_witness_rejected(self):
         p, _ = self._spaces()
         with pytest.raises(InputError):
@@ -219,6 +208,32 @@ class TestVerifierRuns:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "witness, p_accept, accepts",
+        [
+            ("accept", Fraction(1), [300, 300, 300]),
+            ("reject", Fraction(0), [0, 0, 0]),
+            ("cut short", Fraction(0), [0, 0, 0]),
+            ("mixed", Fraction(10800, 39089), [83, 85, 77]),
+        ],
+    )
+    def test_accept_counts_pinned(self, witness, p_accept, accepts):
+        # the per-shot seeds fix every draw, so the counts at seeds 0, 1, 2
+        # are fixed too; "cut short" lies in another isotypic component of
+        # factor 0, so its spine ends at the first stage
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        ws = witness_spaces(p)
+        acc, rej = sample_witness(ws, "accept", 1), sample_witness(ws, "reject", 2)
+        w = {
+            "accept": acc,
+            "reject": rej,
+            "cut short": apply_isotypic(StateVector.basis_state(3, (identity(3),) * 3), 0, (3,)),
+            "mixed": acc.plus(rej),
+        }[witness]
+        runs = [run_verifier(p, w, "monte_carlo", seed=s, shots=300) for s in (0, 1, 2)]
+        assert [r.p_accept_exact for r in runs] == [p_accept] * 3
+        assert [r.accepts for r in runs] == accepts
+
     def test_accepting_witness_always_accepts(self):
         p = kron_pipeline((2, 1), (2, 1), (2, 1))
         ws = witness_spaces(p)

@@ -120,11 +120,6 @@ class TestInvariantDimensions:
                 reps = [build_seminormal(lam), build_seminormal(mu)]
                 assert invariant_dim(reps, full_group(n)) == (1 if lam == mu else 0)
 
-    def test_dimension_bound(self):
-        rep = build_seminormal((3, 2, 1))  # dim 16
-        with pytest.raises(BoundExceededError):
-            invariant_dim([rep, rep, rep], full_group(6), dim_bound=100)
-
     def test_mutated_generator_is_caught(self):
         # a doubled generator breaks s^2 = 1: the group it generates is not S_n
         rep = build_seminormal((2, 1))
