@@ -185,47 +185,39 @@ def enumerate_syt(lam: Partition) -> tuple[Tableau, ...]:
     return tuple(results)
 
 
-def enumerate_ssyt(lam: Partition, mu: tuple[int, ...]) -> list[Tableau]:
-    """Semistandard tableaux of shape lam and content mu.
+def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
+    """Number of semistandard tableaux of shape lam and content mu.
 
-    Cells are filled column by column; a value is only placed while its
-    content budget lasts, which prunes most dead branches early.
+    By Pieri's rule the cells holding the largest entry form a horizontal
+    strip, so K(lam, mu) sums K(nu, mu without its last part) over the
+    shapes nu with lam[i+1] <= nu[i] <= lam[i] and mu[-1] fewer cells,
+    memoised by (shape, parts left).
     """
     lam = check_partition(lam)
     if sum(lam) != sum(mu):
         raise InputError(f"|shape| = {sum(lam)} but |content| = {sum(mu)}")
-    lamt = transpose(lam)
-    cells = [(i, j) for j in range(len(lamt)) for i in range(lamt[j])]
-    budget = list(mu)
-    grid = [[0] * p for p in lam]
-    out: list[Tableau] = []
+    if any(part < 0 for part in mu):
+        raise InputError(f"content {mu} has a negative part")
+    memo: dict[tuple[Partition, int], int] = {}
 
-    def fill(pos: int):
-        if pos == len(cells):
-            out.append(tuple(tuple(r) for r in grid))
+    def strips(shape: Partition, left: int) -> Iterator[Partition]:
+        # the rows below row 0 can give up at most shape[1] cells
+        if not shape:
+            yield ()
             return
-        i, j = cells[pos]
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])  # weak increase along the row
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)  # strict increase down the column
-        for v in range(lo, len(mu) + 1):
-            if budget[v - 1] == 0:
-                continue
-            budget[v - 1] -= 1
-            grid[i][j] = v
-            fill(pos + 1)
-            grid[i][j] = 0
-            budget[v - 1] += 1
+        below = shape[1] if len(shape) > 1 else 0
+        for r in range(max(0, left - below), min(shape[0] - below, left) + 1):
+            for rest in strips(shape[1:], left - r):
+                yield (shape[0] - r,) + rest if shape[0] > r else rest
 
-    fill(0)
-    return out
+    def count(shape: Partition, parts: int) -> int:
+        if parts == 0:
+            return 1
+        if (shape, parts) not in memo:
+            memo[shape, parts] = sum(count(nu, parts - 1) for nu in strips(shape, mu[parts - 1]))
+        return memo[shape, parts]
 
-
-def kostka(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard tableaux of shape lam and content mu."""
-    return len(enumerate_ssyt(lam, mu))
+    return count(lam, len(mu))
 
 
 def contains(mu: Partition, lam: Partition) -> bool:

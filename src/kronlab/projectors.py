@@ -10,8 +10,11 @@ orbit sum made of two index gathers.  Amplitudes stay
 integer numerators over a running denominator; they are carried in
 float64 arrays purely for speed, with an l1-norm bound asserted below
 2^53 before every stage so every intermediate is exactly representable.
-The dense trace and the projector-algebra checks push basis vectors
-through it.  State vectors (`StateVector`, `apply_*`, used by the
+The projector-algebra checks push basis vectors through it.  The dense
+trace splits the stages at the multi-factor ones: the single-factor
+stages before them act on the basis ket and those after them on the
+basis bra, one factor at a time, so only the middle stages run on
+full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
 verifier protocol) are stored in the same format: integer numerators
 keyed by flat basis index over one denominator.  Numerators too large
 for the bound are split into base-2^b limbs (one batch row each) and
@@ -61,8 +64,9 @@ from .permutations import (
 FLOAT_EXACT_LIMIT = 1 << 53  # float64 holds integers exactly below this
 DENSE_DIM_LIMIT = 24**3  # 13824; one factor never exceeds 6! = 720
 DENSE_FACTOR_LIMIT = 720
-# basis rows per dense-trace chunk: near cache size an n = 4 trace took
-# 0.12-0.16 s, against 0.27-0.30 s at 32 MB (one thread, 2-core host)
+# basis rows per dense-trace chunk: a warm n = 4 Kronecker trace took 57 ms
+# at 2 MB, against 66 ms at 1 MB and 90 ms at 8 MB (best of five runs, one
+# thread, 2-core host)
 DENSE_CHUNK_BYTES = 1 << 21
 # largest n whose collapsed first call stays within 10 s and 500 MB peak RSS
 # on a 2-core host: n = 9 took 0.8 s and 54 MB, n = 10 took 14.3 s and 279 MB
@@ -329,19 +333,25 @@ def _member_vector(space: PermIndex, group: SubgroupDescriptor) -> np.ndarray:
 
 class _FactorKernel:
     """Stage acting on a single tensor factor through an nf x nf integer
-    kernel (stored as exact-integer-valued float64)."""
+    kernel, stored in the narrowest integer dtype that holds its entries
+    and widened to exact-integer-valued float64 at use."""
 
     def __init__(self, factor: int, kernel: np.ndarray, den: int):
         self.factor = factor
-        self.kernel = kernel
+        self._ints = kernel.astype(np.min_scalar_type(-int(np.abs(kernel).max()) - 1))
         self.den = den
         self.l1 = int(np.abs(kernel).sum(axis=1).max())
 
+    @property
+    def kernel(self) -> np.ndarray:
+        return self._ints.astype(np.float64)
+
     def apply(self, x: np.ndarray, k: int, nf: int) -> np.ndarray:
         post = nf ** (k - self.factor - 1)  # x viewed as (rows * pre, nf, post)
+        kernel = self.kernel
         if post == 1:
-            return (x.reshape(-1, nf) @ self.kernel.T).reshape(x.shape)
-        return np.matmul(self.kernel, x.reshape(-1, nf, post)).reshape(x.shape)
+            return (x.reshape(-1, nf) @ kernel.T).reshape(x.shape)
+        return np.matmul(kernel, x.reshape(-1, nf, post)).reshape(x.shape)
 
 
 class _OrbitKernel:
@@ -453,10 +463,13 @@ def _basis_batch(dim: int, cols) -> np.ndarray:
 
 
 def _exact_int_array(x: np.ndarray) -> np.ndarray:
-    r = np.rint(x)
-    if not np.all(np.abs(x - r) == 0.0):
+    # NaN, infinities and out-of-range values cast to some integer that
+    # differs from them, so one comparison catches every kind of drift
+    with np.errstate(invalid="ignore"):
+        r = x.astype(np.int64)
+    if not np.array_equal(r, x):
         raise ConsistencyError("batch amplitudes drifted off the integers")
-    return r.astype(np.int64)
+    return r
 
 
 def _is_left_translation_equivariant(p: Pipeline) -> bool:
@@ -471,30 +484,75 @@ def _is_left_translation_equivariant(p: Pipeline) -> bool:
     )
 
 
+def _factor_products(kernels, k: int, nf: int) -> list[np.ndarray]:
+    """Per factor, the product of its single-factor kernels in pipeline
+    order (the identity when it has none): column c is the image of e_c,
+    row c is e_c^T times the stages."""
+    out: list[np.ndarray | None] = [None] * k
+    for kern in kernels:
+        f = kern.factor
+        out[f] = kern.kernel if out[f] is None else kern.kernel @ out[f]
+    return [np.eye(nf) if a is None else a for a in out]
+
+
 def pipeline_trace_dense(p: Pipeline) -> int:
-    """Exact trace of the composed pipeline operator, by applying the full
-    stage sequence to basis vectors and summing diagonal entries.
+    """Exact trace of the composed pipeline operator: the sum over basis
+    vectors e_c of e_c^T (trailing stages)(middle stages)(leading stages) e_c,
+    every stage applied in pipeline order.
+
+    The kernels are split at the multi-factor stages.  The single-factor
+    stages before the first one act on the ket: per factor, their product's
+    column c_f is the image of the unit vector, and a ket row is the outer
+    product of those columns.  Only the middle stages run on full-width
+    rows.  The single-factor stages after the last multi-factor stage act on
+    the bra, e_c^T times that factor's product, and the diagonal entry is
+    the contraction of the middle output with the bra rows, one factor at a
+    time.  A pipeline with no multi-factor stage splits its stages into two
+    halves around an empty middle.
 
     When every stage commutes with simultaneous left translation (the
     Kronecker and truncated templates), only the (n!)^(k-1) basis vectors
-    whose first factor is the identity are applied, and their diagonal sum
-    is multiplied by n!: the translation by sigma_1^-1 moves the diagonal
+    whose first factor is the identity are used, and their diagonal sum is
+    multiplied by n!: the translation by sigma_1^-1 moves the diagonal
     entry of (sigma_1, ..., sigma_k) onto that of (id, sigma_1^-1 sigma_2,
     ...) without changing it.  Otherwise (the plethysm template) all
-    (n!)^k basis vectors are applied.
+    (n!)^k basis vectors are used.
     """
     ev = BatchEvaluator(p)
-    dim = p.dim
-    multiplier = ev.space.nf if _is_left_translation_equivariant(p) else 1
+    dim, k, nf = p.dim, p.k, ev.space.nf
+    multi = [i for i, kern in enumerate(ev.kernels) if not isinstance(kern, _FactorKernel)]
+    lo, hi = (multi[0], multi[-1] + 1) if multi else (len(ev.kernels) // 2,) * 2
+    middle = range(lo, hi)
+    # Entries of the ket are at most the product of the leading kernels'
+    # row l1 norms, and the bra's l1 norm is at most that of the trailing
+    # ones.  So every partial sum of the kernel products, the middle stages
+    # and the contraction stays under the product over all kernels: the
+    # bound apply_stages checks, here on an empty batch before anything is
+    # built.
+    outer = prod(kern.l1 for kern in ev.kernels[:lo] + ev.kernels[hi:])
+    ev.apply_stages(np.empty((0, dim)), middle, start_max_abs=outer)
+    ket = [a.T.copy() for a in _factor_products(ev.kernels[:lo], k, nf)]  # row c: image of e_c
+    bra = _factor_products(ev.kernels[hi:], k, nf) if hi < len(ev.kernels) else None
+
+    multiplier = nf if _is_left_translation_equivariant(p) else 1
     # factor 0 is the most significant digit and the identity has rank 0
     cols = np.arange(dim // multiplier, dtype=np.int64)
     chunk_rows = max(1, DENSE_CHUNK_BYTES // (8 * dim))
     total = 0
     for start in range(0, len(cols), chunk_rows):
         chunk = cols[start : start + chunk_rows]
-        out = ev.apply(_basis_batch(dim, chunk))
-        diag = _exact_int_array(out[np.arange(len(chunk)), chunk])
-        total += int(sum(int(v) for v in diag))
+        digits = np.unravel_index(chunk, (nf,) * k)
+        x = ket[0][digits[0]]
+        for f in range(1, k):
+            x = (x[:, :, None] * ket[f][digits[f]][:, None, :]).reshape(len(chunk), -1)
+        x, _ = ev.apply_stages(x, middle, start_max_abs=outer)
+        if bra is None:
+            diag = x[np.arange(len(chunk)), chunk]
+        else:
+            for f in reversed(range(k)):
+                x = np.matmul(x.reshape(len(chunk), -1, nf), bra[f][digits[f]][:, :, None])
+            diag = x.reshape(-1)
+        total += int(_exact_int_array(diag).sum(dtype=object))
     value = Fraction(total * multiplier, ev.denominator)
     if value.denominator != 1:
         raise ConsistencyError(f"dense trace of {p.label} is not integral: {value}")
@@ -677,7 +735,7 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
         if not idem:
             failures.append(f"stage {i} not idempotent")
         # rows of out1 are stage columns: out1[r, t] = S[t, cols[r]]
-        sub = _exact_int_array(out1[:, cols])  # sub[r, r'] = S[cols[r'], cols[r]]
+        sub = b[:, cols]  # sub[r, r'] = S[cols[r'], cols[r]]
         sym = bool(np.array_equal(sub, sub.T))
         symmetric.append(sym)
         if not sym:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import factorial
 from pathlib import Path
 
@@ -193,6 +194,13 @@ class TestTables:
     def test_kostka(self):
         code, out = run_cli(["kostka", "3,1", "2,1,1", "--format", "json"])
         assert json.loads(out)["value"] == 2
+
+    def test_kostka_counts_without_listing_tableaux(self):
+        # 140,229,804 tableaux: listing them one by one ran past 20 s
+        start = time.perf_counter()
+        code, out = run_cli(["kostka", "6,6,6,6", ",".join(["1"] * 24), "--format", "json"])
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_OK and json.loads(out)["value"] == 140229804
 
     def test_encode_diagram(self):
         code, out = run_cli(["encode", "diagram", "5,3", "--format", "json"])

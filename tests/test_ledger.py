@@ -21,6 +21,7 @@ from kronlab.projectors import (
     pipeline_trace_collapsed,
     pipeline_trace_dense,
     pleth_pipeline,
+    truncated_kron_pipeline,
 )
 from kronlab.protocol import witness_spaces
 
@@ -87,6 +88,20 @@ def test_state_vectors_and_dense_trace_share_the_batch_engine():
     state = StateVector.basis_state(3, ((1, 2, 3), (2, 1, 3), (3, 1, 2)))
     assert ("projectors", "apply_stages") in reached(apply_pipeline, p, state)
     assert ("projectors", "apply_stages") in reached(pipeline_trace_dense, p)
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [kron_pipeline(*TRIPLE), truncated_kron_pipeline(*TRIPLE), pleth_pipeline(2, 2, (2, 2))],
+    ids=["kron", "truncated", "pleth"],
+)
+def test_dense_borrows_nothing_from_collapsed(pipeline):
+    # dense simulates the stages in order; the class counts, factor
+    # contractions and censuses are the collapsed route's own
+    seen = reached(pipeline_trace_dense, pipeline)
+    for name in ("_shifted_class_counts", "_factor_contraction", "_left_census"):
+        assert ("projectors", name) not in seen
+    assert ("permutations", "class_census") not in seen
 
 
 def test_shared_reads():

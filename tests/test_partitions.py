@@ -1,6 +1,7 @@
 from math import comb, factorial
 
 import pytest
+from ssyt_reference import enumerate_ssyt
 
 from kronlab.errors import InputError
 from kronlab.partitions import (
@@ -9,7 +10,6 @@ from kronlab.partitions import (
     decode_diagram,
     encode_diagram,
     enumerate_partitions,
-    enumerate_ssyt,
     enumerate_syt,
     hook_dimension,
     is_horizontal_strip,
@@ -141,6 +141,12 @@ class TestKostka:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             kostka((2, 1), (2, 2))
+        with pytest.raises(InputError):
+            kostka((2, 1), (4, -1))
+
+    def test_content_order_does_not_matter(self):
+        # K(lam, mu) is symmetric in the order of mu's parts, zeros included
+        assert kostka((3, 2), (1, 2, 0, 2)) == kostka((3, 2), (2, 2, 1)) == len(enumerate_ssyt((3, 2), (1, 2, 0, 2)))
 
 
 def _kostka_by_strip_peeling(lam, mu, _memo={}):
@@ -168,10 +174,13 @@ class TestHorizontalStrips:
         assert is_horizontal_strip((1,), (1, 1, 1)) is False
 
     def test_pieri_peeling_matches_kostka(self):
+        # kostka peels strips too, so both are checked against the
+        # tableaux listed one by one
         for n in range(1, 8):
             for lam in enumerate_partitions(n):
                 for mu in enumerate_partitions(n):
-                    assert _kostka_by_strip_peeling(lam, mu) == kostka(lam, mu), (lam, mu)
+                    count = len(enumerate_ssyt(lam, mu))
+                    assert _kostka_by_strip_peeling(lam, mu) == kostka(lam, mu) == count, (lam, mu)
 
 
 def _count_ssyt_bounded(lam, bound):

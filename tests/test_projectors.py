@@ -9,7 +9,7 @@ from collapsed_reference import reference_index_tables, reference_shifted_class_
 from groupsum_reference import apply_action, reference_pipeline, reference_stage, state_of
 
 from kronlab.characters import cache_settings
-from kronlab.errors import BoundExceededError, InputError
+from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
 from kronlab.partitions import enumerate_partitions, hook_dimension
 from kronlab.permutations import (
@@ -200,15 +200,16 @@ class TestDenseTrace:
     )
     def test_basis_rows_applied(self, p, rows, monkeypatch):
         # (n!)^(k-1) identity-first rows for the left-translation
-        # equivariant templates, all (n!)^k rows for plethysm
+        # equivariant templates, all (n!)^k rows for plethysm, counted as
+        # they pass the middle stages (none, for plethysm)
         applied = []
-        apply = BatchEvaluator.apply
+        apply_stages = BatchEvaluator.apply_stages
 
-        def counting(self, x, **kwargs):
+        def counting(self, x, stage_indices, **kwargs):
             applied.append(len(x))
-            return apply(self, x, **kwargs)
+            return apply_stages(self, x, stage_indices, **kwargs)
 
-        monkeypatch.setattr(BatchEvaluator, "apply", counting)
+        monkeypatch.setattr(BatchEvaluator, "apply_stages", counting)
         pipeline_trace_dense(p)
         assert sum(applied) == rows
 
@@ -292,6 +293,70 @@ class TestDenseTrace:
         ev = BatchEvaluator(p)
         with pytest.raises(BoundExceededError):
             ev.apply(_basis_batch(p.dim, np.arange(4)), start_max_abs=1 << 53)
+
+    def test_non_commuting_stages_in_pipeline_order(self):
+        # S_(3,1) and S_(2,2) averages do not commute, so the kernel
+        # products are not symmetric: the ket must take their columns and
+        # the bra their rows.  Reading either the other way gives 4/3
+        # here, and a fractional trace is refused, not rounded.
+        def left(shape):
+            return InvariantAverage(young_subgroup(shape), ((0, "L"),))
+
+        def reference_trace(p):
+            return sum(reference_pipeline(p, {(g,): Fraction(1)}).get((g,), 0) for g in all_perms(4))
+
+        p = Pipeline(4, 1, (left((3, 1)), left((2, 2)), left((2, 2)), left((3, 1))), "non-commuting")
+        assert pipeline_trace_dense(p) == reference_trace(p) == 2
+        right = InvariantAverage(young_subgroup((3, 1)), ((0, "R"),))
+        q = Pipeline(4, 1, (left((3, 1)), left((3, 1)), left((2, 2)), right), "fractional")
+        assert reference_trace(q) == Fraction(4, 3)
+        with pytest.raises(ConsistencyError):
+            pipeline_trace_dense(q)
+
+    def test_non_commuting_stages_around_the_orbit(self):
+        # around a middle stage the per-factor products must also be taken
+        # in pipeline order: reversing both gives a fractional trace here.
+        # The reference applies every stage to every basis vector.
+        def left(shape, f):
+            return InvariantAverage(young_subgroup(shape), ((f, "L"),))
+
+        stages = (
+            left((3, 1), 1),
+            left((2, 2), 1),
+            InvariantAverage(full_group(4), ((0, "L"), (1, "L"))),
+            left((2, 2), 0),
+            left((3, 1), 1),
+        )
+        p = Pipeline(4, 2, stages, "non-commuting")
+        ev = BatchEvaluator(p)
+        full = _exact_int_array(ev.apply(_basis_batch(p.dim, np.arange(p.dim))))
+        assert pipeline_trace_dense(p) == Fraction(int(np.trace(full)), ev.denominator) == 2
+
+    def test_dense_trace_guard_covers_every_kernel(self):
+        # each half of the kernels stays under 2^53 but their l1 product
+        # reaches it: the trace is refused before any kernel product or
+        # basis row is built
+        iso = Isotypic(0, (3, 2, 1))
+        p = Pipeline(6, 1, (iso,) * 6, "isotypic^6")
+        ev = BatchEvaluator(p)  # kernels built and cached outside the trace
+        l1 = ev.kernels[0].l1
+        assert l1**3 < 1 << 53 <= l1**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError):
+                pipeline_trace_dense(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one 720 x 720 float64 product is 4 MB
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5, 1e300])
+    def test_drift_check_refuses_non_integers(self, bad):
+        x = np.arange(12, dtype=np.float64).reshape(3, 4)
+        assert np.array_equal(_exact_int_array(x), x)
+        x[1, 2] = bad
+        with pytest.raises(ConsistencyError):
+            _exact_int_array(x)
 
     def test_matches_sparse_application(self):
         # the float64 batch path and the definitional group sums on

@@ -3,19 +3,24 @@ and the stage kernels, random witnesses through the verifier, random
 integer matrices through the elimination, and random triples through
 every in-bound backend."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import pytest
 from groupsum_reference import reference_pipeline, reference_stage, state_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rref_reference import kernel, rref
 
+from kronlab.errors import ConsistencyError
 from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
-from kronlab.permutations import all_perms
+from kronlab.permutations import all_perms, full_group, young_subgroup
 from kronlab.projectors import (
+    InvariantAverage,
+    Isotypic,
     Pipeline,
     StateVector,
     apply_pipeline,
@@ -55,6 +60,47 @@ def test_every_stage_matches_group_sums(data, triple):
         one_stage = Pipeline(p.n, p.k, (stage,), "one stage")
         assert apply_pipeline(one_stage, state).amps == reference_stage(amps, stage)
     assert apply_pipeline(p, state).amps == reference_pipeline(p, amps)
+
+
+@st.composite
+def mixed_pipelines(draw):
+    """Pipelines at n = 2, 3 made of single-factor isotypic, left and right
+    Young stages placed before, between and after up to two full-left
+    orbit stages; k = 1 pipelines and some k = 2, 3 ones have none.  At
+    n <= 3 the single-factor stages on one factor all commute, so k = 1
+    pipelines also run at n = 4, where S_(2,2) and S_(3,1) averages do not
+    and the per-factor kernel products are not symmetric."""
+    n, k = draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))))
+    shapes, factors = st.sampled_from(enumerate_partitions(n)), st.integers(0, k - 1)
+    single = st.one_of(
+        st.builds(Isotypic, factors, shapes),
+        st.builds(
+            lambda f, shape, side: InvariantAverage(young_subgroup(shape), ((f, side),)),
+            factors,
+            shapes,
+            st.sampled_from("LR"),
+        ),
+    )
+    orbit = InvariantAverage(full_group(n), tuple((f, "L") for f in range(k)))
+    stages = draw(st.lists(single, max_size=4))
+    for _ in range(draw(st.integers(0, 2 if k > 1 else 0))):
+        stages += [orbit] + draw(st.lists(single, max_size=2))
+    return Pipeline(n, k, tuple(stages) or (orbit,), "mixed")
+
+
+@given(p=mixed_pipelines())
+@SETTINGS
+def test_dense_trace_matches_group_sums_on_every_basis_vector(p):
+    # stages that do not commute can make the trace fractional or
+    # negative, and the dense trace must then refuse it rather than round
+    expected = Fraction(0)
+    for key in itertools.product(all_perms(p.n), repeat=p.k):
+        expected += reference_pipeline(p, {key: Fraction(1)}).get(key, Fraction(0))
+    if expected.denominator == 1 and expected >= 0:
+        assert pipeline_trace_dense(p) == expected
+    else:
+        with pytest.raises(ConsistencyError):
+            pipeline_trace_dense(p)
 
 
 @st.composite
