@@ -66,6 +66,12 @@ def _border_strip_removals(lam: Partition, length: int) -> list[tuple[Partition,
     return out
 
 
+def content_power_sums(lam: Partition) -> tuple[int, int, int]:
+    """p_1, p_2 and p_3 of the cell contents j - i of lam."""
+    contents = [j - i for i, row in enumerate(lam) for j in range(row)]
+    return tuple(sum(c**power for c in contents) for power in (1, 2, 3))
+
+
 @lru_cache(maxsize=None)
 def mn_character(lam: Partition, rho: Partition) -> int:
     """Character of the irreducible of type lam at the class of type rho.
@@ -126,23 +132,29 @@ class CharacterTable:
 
     def check_labels(self) -> None:
         """Raises unless the labels agree with closed forms that avoid the
-        Murnaghan-Nakayama rule (a relabelled table still passes
-        orthogonality): rows and classes in enumeration order, sizes
-        n!/z_rho, hook dimensions at the identity, and 2 d c(lam) / (n(n-1))
-        at a transposition, c(lam) the sum of the cell contents."""
-        parts = tuple(enumerate_partitions(self.n))
+        Murnaghan-Nakayama rule (a relabelled or row-permuted table still
+        passes orthogonality): rows and classes in enumeration order, sizes
+        n!/z_rho, hook dimensions at the identity, and the Jucys-Murphy
+        eigenvalues of the class sums of 2-, 3- and 4-cycles, with p_j(lam)
+        the sum of the j-th powers of the cell contents:
+        |C_2| chi(2-cycle) = d p_1, |C_3| chi(3-cycle) = d (p_2 - n(n-1)/2)
+        and |C_4| chi(4-cycle) = d (p_3 - (2n-3) p_1).  Together with d these
+        separate the rows for every n <= TABLE_DEGREE_LIMIT."""
+        n = self.n
+        parts = tuple(enumerate_partitions(n))
         sizes = tuple(class_size(rho) for rho in parts)
         if (self.partitions, self.classes, self.class_sizes) != (parts, parts, sizes):
-            raise ConsistencyError(f"rows, classes or class sizes are not those of S_{self.n}")
+            raise ConsistencyError(f"rows, classes or class sizes are not those of S_{n}")
+        cycles = [(length,) + (1,) * (n - length) for length in (2, 3, 4) if length <= n]
         for lam in parts:
             d = hook_dimension(lam)
             if self.dimension(lam) != d:
                 raise ConsistencyError(f"identity column disagrees with hooks at {lam}")
-            if self.n >= 2:
-                contents = sum(j - i for i, row in enumerate(lam) for j in range(row))
-                chi = self.chi(lam, (2,) + (1,) * (self.n - 2))
-                if chi * self.n * (self.n - 1) != 2 * d * contents:
-                    raise ConsistencyError(f"transposition column disagrees at {lam}")
+            p1, p2, p3 = content_power_sums(lam)
+            eigenvalues = (p1, p2 - n * (n - 1) // 2, p3 - (2 * n - 3) * p1)
+            for rho, eigenvalue in zip(cycles, eigenvalues):
+                if class_size(rho) * self.chi(lam, rho) != d * eigenvalue:
+                    raise ConsistencyError(f"{rho[0]}-cycle column disagrees at {lam}")
 
     def to_json(self) -> dict:
         return {
@@ -177,7 +189,7 @@ def _compute_table(n: int) -> CharacterTable:
     sizes = tuple(class_size(rho) for rho in parts)
     values = {(lam, rho): mn_character(lam, rho) for lam in parts for rho in parts}
     table = CharacterTable(n, parts, parts, sizes, values)
-    # the identity and transposition columns must come out of the
+    # the identity and 2-, 3- and 4-cycle columns must come out of the
     # recursion, not the closed forms; their agreement checks both
     table.check_labels()
     return table

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 from typing import Iterator
 
@@ -27,6 +28,12 @@ Tableau = tuple[tuple[int, ...], ...]
 # `dims 45` (p = 89134) took 5.3 s and 193 MB peak RSS, `dims 50` 12.2 s
 # and 420 MB, `dims 60` 76 s
 PARTITION_DEGREE_LIMIT = 45
+# largest (shapes inside lam) x (rows of lam) that `kostka` counts: it
+# holds each shape inside lam at most once per level and copies its rows.
+# On a 2-core host the slowest admitted cases measured, (545,545),
+# (40,30,20,10) and (299000) against 1^n, took 1.5-1.9 s; the refused
+# staircase (10,9,...,1) against 1^55 took 2.5-2.8 s
+KOSTKA_WORK_LIMIT = 300_000
 
 
 def check_partition(parts) -> Partition:
@@ -119,10 +126,6 @@ def decode_diagram(bits: str) -> Partition:
     return lam
 
 
-def shape_of(tab: Tableau) -> Partition:
-    return tuple(len(row) for row in tab)
-
-
 def is_semistandard(tab: Tableau) -> bool:
     """Rows weakly increase left to right, columns strictly increase downward."""
     for row in tab:
@@ -185,39 +188,76 @@ def enumerate_syt(lam: Partition) -> tuple[Tableau, ...]:
     return tuple(results)
 
 
+def shapes_inside(lam: Partition, cap: int) -> int:
+    """Number of partitions nu with nu_i <= lam_i in every row, counted row
+    by row from the top, or cap + 1 once it passes cap.  Adding a row never
+    lowers the count, so the early stop is exact."""
+    if not lam:
+        return 1
+    if lam[0] >= cap:
+        return cap + 1
+    ways = [1] * (lam[0] + 1)  # ways[v]: choices of the rows so far ending in a row of v cells
+    for row in lam[1:]:
+        ways = [min(w, cap + 1) for w in accumulate(reversed(ways))][::-1][: row + 1]
+        if sum(ways) > cap:
+            return cap + 1
+    return sum(ways)
+
+
+def _horizontal_strips(shape: Partition, size: int) -> Iterator[Partition]:
+    """The shapes nu with shape / nu a horizontal strip of `size` cells:
+    only the last row of each block of equal rows can shrink, and only
+    down to the next block's length, so the recursion is as deep as the
+    number of distinct parts."""
+    ends = [i for i in range(len(shape)) if i + 1 == len(shape) or shape[i + 1] < shape[i]]
+    slack = [shape[i] - (shape[i + 1] if i + 1 < len(shape) else 0) for i in ends]
+    room = list(accumulate(reversed(slack)))[::-1] + [0]  # cells blocks j.. can give up
+
+    def cuts(j: int, left: int) -> Iterator[tuple[int, ...]]:
+        if j == len(ends):
+            if not left:
+                yield ()
+            return
+        for r in range(max(0, left - room[j + 1]), min(slack[j], left) + 1):
+            for rest in cuts(j + 1, left - r):
+                yield (r,) + rest
+
+    for cut in cuts(0, size):
+        nu = list(shape)
+        for i, r in zip(ends, cut):
+            nu[i] -= r
+        yield tuple(p for p in nu if p)
+
+
 def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of shape lam and content mu.
+    """Number of semistandard tableaux of shape lam and content mu, for lam
+    whose shapes inside it, times its row count, are at most
+    KOSTKA_WORK_LIMIT; larger lam is refused before counting.
 
     By Pieri's rule the cells holding the largest entry form a horizontal
-    strip, so K(lam, mu) sums K(nu, mu without its last part) over the
-    shapes nu with lam[i+1] <= nu[i] <= lam[i] and mu[-1] fewer cells,
-    memoised by (shape, parts left).
+    strip, so K(lam, mu) counts the chains from lam down to the empty shape
+    that remove horizontal strips of mu[-1], mu[-2], ... cells.  The chains
+    are counted level by level, one count per shape reached; zero parts
+    remove nothing and are dropped.
     """
     lam = check_partition(lam)
     if sum(lam) != sum(mu):
         raise InputError(f"|shape| = {sum(lam)} but |content| = {sum(mu)}")
     if any(part < 0 for part in mu):
         raise InputError(f"content {mu} has a negative part")
-    memo: dict[tuple[Partition, int], int] = {}
-
-    def strips(shape: Partition, left: int) -> Iterator[Partition]:
-        # the rows below row 0 can give up at most shape[1] cells
-        if not shape:
-            yield ()
-            return
-        below = shape[1] if len(shape) > 1 else 0
-        for r in range(max(0, left - below), min(shape[0] - below, left) + 1):
-            for rest in strips(shape[1:], left - r):
-                yield (shape[0] - r,) + rest if shape[0] > r else rest
-
-    def count(shape: Partition, parts: int) -> int:
-        if parts == 0:
-            return 1
-        if (shape, parts) not in memo:
-            memo[shape, parts] = sum(count(nu, parts - 1) for nu in strips(shape, mu[parts - 1]))
-        return memo[shape, parts]
-
-    return count(lam, len(mu))
+    cap = KOSTKA_WORK_LIMIT // max(1, len(lam))
+    if shapes_inside(lam, cap) > cap:
+        raise BoundExceededError(
+            f"kostka: more than {cap} shapes inside a shape of {len(lam)} rows"
+        )
+    level = {lam: 1}
+    for part in reversed([part for part in mu if part]):
+        below: dict[Partition, int] = {}
+        for shape, ways in level.items():
+            for nu in _horizontal_strips(shape, part):
+                below[nu] = below.get(nu, 0) + ways
+        level = below
+    return level.get((), 0)
 
 
 def contains(mu: Partition, lam: Partition) -> bool:

@@ -77,11 +77,6 @@ def cycle_type(pi: Perm) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
-def sign_of_type(rho: Partition) -> int:
-    n = sum(rho)
-    return -1 if (n - len(rho)) % 2 else 1
-
-
 def centralizer_order(rho: Partition) -> int:
     """z_rho = prod_i i^{m_i} m_i! where m_i = multiplicity of part i."""
     rho = check_partition(rho) if rho else ()

@@ -11,10 +11,13 @@ integer numerators over a running denominator; they are carried in
 float64 arrays purely for speed, with an l1-norm bound asserted below
 2^53 before every stage so every intermediate is exactly representable.
 The projector-algebra checks push basis vectors through it.  The dense
-trace splits the stages at the multi-factor ones: the single-factor
-stages before them act on the basis ket and those after them on the
-basis bra, one factor at a time, so only the middle stages run on
-full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
+trace reads one diagonal entry per orbit of the translations every stage
+commutes with (simultaneous left translation by the left stages' common
+subgroup, right translation on each factor by its right stages' common
+subgroup), weighted by the orbit size.  It splits the stages at the
+multi-factor ones: the single-factor stages before them act on the basis
+ket and those after them on the basis bra, one factor at a time, so only
+the middle stages run on full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
 verifier protocol) are stored in the same format: integer numerators
 keyed by flat basis index over one denominator.  Numerators too large
 for the bound are split into base-2^b limbs (one batch row each) and
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -321,9 +325,13 @@ def perm_index(n: int) -> PermIndex:
     return PermIndex(n)
 
 
-def _member_vector(space: PermIndex, group: SubgroupDescriptor) -> np.ndarray:
-    member = np.zeros(space.nf, dtype=np.float64)
+@lru_cache(maxsize=256)
+def _member_vector(n: int, group: SubgroupDescriptor) -> np.ndarray:
+    """Indicator of the enumerated subgroup over S_n in all_perms order;
+    memoised and read-only."""
+    member = np.zeros(factorial(n), dtype=np.float64)
     member[perm_ranks(np.array(enumerate_subgroup(group)) - 1)] = 1.0
+    member.flags.writeable = False
     return member
 
 
@@ -404,7 +412,7 @@ def _stage_kernel(space: PermIndex, stage: Stage, k: int):
         return _FactorKernel(stage.factor, kernel, factorial(space.n))
     if len(stage.actions) == 1:
         (f, side) = stage.actions[0]
-        member = _member_vector(space, stage.group)
+        member = _member_vector(space.n, stage.group)
         if side == "L":
             ts = space.mult[:, space.inv]  # kernel[t, s] = [t o s^-1 in G]
             kernel = member[ts]
@@ -472,27 +480,70 @@ def _exact_int_array(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _is_left_translation_equivariant(p: Pipeline) -> bool:
-    """True when every stage commutes with simultaneous left translation
-    on all factors: isotypic stages (central class sums), right-side-only
-    averages, and the full-group all-factor left average qualify."""
-    return all(
-        isinstance(s, Isotypic)
-        or all(side == "R" for _, side in s.actions)
-        or _is_full_left(s, p.n, p.k)
-        for s in p.stages
-    )
+def _commuting_translations(p: Pipeline) -> tuple[frozenset, tuple[frozenset, ...]]:
+    """The groups whose members every stage commutes with: the groups of
+    the single-factor left stages, whose intersection may act by
+    simultaneous left translation on all factors, and per factor the
+    groups of its right stages, whose intersection may act by right
+    translation on that factor.  An average over G commutes with
+    translation by any member of G on its own side and with every
+    translation on the other side; isotypic stages are central, and the
+    full-group orbit stage (the one multi-factor stage BatchEvaluator
+    admits) commutes with simultaneous left and any right translation."""
+    left: set[SubgroupDescriptor] = set()
+    right: list[set[SubgroupDescriptor]] = [set() for _ in range(p.k)]
+    for stage in p.stages:
+        if isinstance(stage, InvariantAverage) and len(stage.actions) == 1:
+            f, side = stage.actions[0]
+            (left if side == "L" else right[f]).add(stage.group)
+    return frozenset(left), tuple(frozenset(groups) for groups in right)
 
 
-def _factor_products(kernels, k: int, nf: int) -> list[np.ndarray]:
-    """Per factor, the product of its single-factor kernels in pipeline
-    order (the identity when it has none): column c is the image of e_c,
-    row c is e_c^T times the stages."""
-    out: list[np.ndarray | None] = [None] * k
-    for kern in kernels:
-        f = kern.factor
-        out[f] = kern.kernel if out[f] is None else kern.kernel @ out[f]
-    return [np.eye(nf) if a is None else a for a in out]
+@lru_cache(maxsize=64)
+def _trace_orbits(
+    n: int, k: int, left: frozenset, right: tuple[frozenset, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the basis under (sigma_f) -> (x sigma_f y_f), x in the
+    intersection of the left groups and y_f in that of factor f's right
+    groups (all of S_n where there are none): the smallest flat index of
+    each orbit, ascending, and the orbit sizes.  Right translations move
+    each digit within its right coset, so the tuples of coset minima stand
+    for equally many basis vectors each, and the smallest flat index over
+    the right translations takes each digit's coset minimum.  Left and
+    right translations commute, so one pass over the left group then maps
+    each tuple of coset minima to its orbit's minimum."""
+    space = perm_index(n)
+    nf, dim = space.nf, space.nf**k
+
+    def members(groups) -> np.ndarray:
+        mask = np.ones(nf, dtype=bool)
+        for group in groups:
+            mask &= _member_vector(n, group) > 0
+        return np.flatnonzero(mask)
+
+    lowest = [space.mult[:, members(groups)].min(axis=1) for groups in right]
+    minima = np.meshgrid(*(np.flatnonzero(low == np.arange(nf)) for low in lowest), indexing="ij")
+    rep = np.full(minima[0].size, dim, dtype=np.int64)
+    for x in members(left):
+        moved = [lowest[f][space.mult[x, minima[f].ravel()]] for f in range(k)]
+        np.minimum(rep, np.ravel_multi_index(moved, (nf,) * k), out=rep)
+    sizes = np.bincount(rep, minlength=dim)
+    reps = np.flatnonzero(sizes)
+    sizes = sizes[reps] * (dim // rep.size)
+    reps.flags.writeable = sizes.flags.writeable = False  # shared by every caller
+    return reps, sizes
+
+
+def _images(kernels, cols: np.ndarray, nf: int) -> np.ndarray:
+    """Row j is K_m ... K_1 e_cols[j] for the integer kernels
+    [K_1, ..., K_m] (the unit vectors when there are none), from K_1's
+    columns by thin products: no nf x nf product is formed."""
+    if not kernels:
+        return _basis_batch(nf, cols)
+    x = kernels[0][:, cols].astype(np.float64)
+    for kern in kernels[1:]:
+        x = kern.astype(np.float64) @ x
+    return x.T
 
 
 def pipeline_trace_dense(p: Pipeline) -> int:
@@ -500,23 +551,23 @@ def pipeline_trace_dense(p: Pipeline) -> int:
     vectors e_c of e_c^T (trailing stages)(middle stages)(leading stages) e_c,
     every stage applied in pipeline order.
 
-    The kernels are split at the multi-factor stages.  The single-factor
-    stages before the first one act on the ket: per factor, their product's
-    column c_f is the image of the unit vector, and a ket row is the outer
-    product of those columns.  Only the middle stages run on full-width
-    rows.  The single-factor stages after the last multi-factor stage act on
-    the bra, e_c^T times that factor's product, and the diagonal entry is
-    the contraction of the middle output with the bra rows, one factor at a
-    time.  A pipeline with no multi-factor stage splits its stages into two
-    halves around an empty middle.
+    The diagonal is constant on orbits of the translations every stage
+    commutes with (`_commuting_translations`): if P commutes with a
+    permutation matrix Q, then e_Qc^T P e_Qc = e_c^T Q^T P Q e_c =
+    e_c^T P e_c.  So only one basis vector per orbit, its smallest flat
+    index, is pushed through the stages, and its diagonal entry is
+    weighted by the orbit size: 14 of 576 rows for a Kronecker trace at
+    n = 4, one for a truncated one.
 
-    When every stage commutes with simultaneous left translation (the
-    Kronecker and truncated templates), only the (n!)^(k-1) basis vectors
-    whose first factor is the identity are used, and their diagonal sum is
-    multiplied by n!: the translation by sigma_1^-1 moves the diagonal
-    entry of (sigma_1, ..., sigma_k) onto that of (id, sigma_1^-1 sigma_2,
-    ...) without changing it.  Otherwise (the plethysm template) all
-    (n!)^k basis vectors are used.
+    The kernels are split at the multi-factor stages.  The single-factor
+    stages before the first one act on the ket: per factor, the images of
+    the unit vectors the representatives use, and a ket row is the outer
+    product of those images.  Only the middle stages run on full-width
+    rows.  The single-factor stages after the last multi-factor stage act
+    on the bra, e_c^T times that factor's kernels, and the diagonal entry
+    is the contraction of the middle output with the bra rows, one factor
+    at a time.  A pipeline with no multi-factor stage splits its stages
+    into two halves around an empty middle.
     """
     ev = BatchEvaluator(p)
     dim, k, nf = p.dim, p.k, ev.space.nf
@@ -527,33 +578,34 @@ def pipeline_trace_dense(p: Pipeline) -> int:
     # row l1 norms, and the bra's l1 norm is at most that of the trailing
     # ones.  So every partial sum of the kernel products, the middle stages
     # and the contraction stays under the product over all kernels: the
-    # bound apply_stages checks, here on an empty batch before anything is
-    # built.
+    # bound apply_stages checks, here on an empty batch before any mask,
+    # orbit or product is built.
     outer = prod(kern.l1 for kern in ev.kernels[:lo] + ev.kernels[hi:])
     ev.apply_stages(np.empty((0, dim)), middle, start_max_abs=outer)
-    ket = [a.T.copy() for a in _factor_products(ev.kernels[:lo], k, nf)]  # row c: image of e_c
-    bra = _factor_products(ev.kernels[hi:], k, nf) if hi < len(ev.kernels) else None
+    reps, sizes = _trace_orbits(p.n, k, *_commuting_translations(p))
+    # row j of ket[f] and bra[f] belongs to reps[j]; factor 0 is the most
+    # significant digit
+    ket, bra = [], []
+    for f, digit in enumerate(np.unravel_index(reps, (nf,) * k)):
+        ket.append(_images([kn._ints for kn in ev.kernels[:lo] if kn.factor == f], digit, nf))
+        trailing = [kn._ints.T for kn in reversed(ev.kernels[hi:]) if kn.factor == f]
+        bra.append(_images(trailing, digit, nf))  # e_digit^T times the stages
 
-    multiplier = nf if _is_left_translation_equivariant(p) else 1
-    # factor 0 is the most significant digit and the identity has rank 0
-    cols = np.arange(dim // multiplier, dtype=np.int64)
     chunk_rows = max(1, DENSE_CHUNK_BYTES // (8 * dim))
     total = 0
-    for start in range(0, len(cols), chunk_rows):
-        chunk = cols[start : start + chunk_rows]
-        digits = np.unravel_index(chunk, (nf,) * k)
-        x = ket[0][digits[0]]
+    for start in range(0, len(reps), chunk_rows):
+        rows = slice(start, start + chunk_rows)
+        x = ket[0][rows]
         for f in range(1, k):
-            x = (x[:, :, None] * ket[f][digits[f]][:, None, :]).reshape(len(chunk), -1)
+            x = (x[:, :, None] * ket[f][rows][:, None, :]).reshape(len(x), -1)
+        count = len(x)
         x, _ = ev.apply_stages(x, middle, start_max_abs=outer)
-        if bra is None:
-            diag = x[np.arange(len(chunk)), chunk]
-        else:
-            for f in reversed(range(k)):
-                x = np.matmul(x.reshape(len(chunk), -1, nf), bra[f][digits[f]][:, :, None])
-            diag = x.reshape(-1)
-        total += int(_exact_int_array(diag).sum(dtype=object))
-    value = Fraction(total * multiplier, ev.denominator)
+        for f in reversed(range(k)):
+            x = np.matmul(x.reshape(count, -1, nf), bra[f][rows][:, :, None])
+        diag = x.reshape(-1)
+        # size * entry can pass 2^63, so the weighted sum is taken in Python ints
+        total += sum(map(mul, sizes[rows].tolist(), _exact_int_array(diag).tolist()))
+    value = Fraction(total, ev.denominator)
     if value.denominator != 1:
         raise ConsistencyError(f"dense trace of {p.label} is not integral: {value}")
     if value < 0:

@@ -6,6 +6,11 @@ from kronlab.errors import InputError
 from kronlab.partitions import Tableau, check_partition, transpose
 
 
+def shape_of(tab):
+    """Row lengths of a tableau."""
+    return tuple(len(row) for row in tab)
+
+
 def enumerate_ssyt(lam, mu):
     """Semistandard tableaux of shape lam and content mu.
 

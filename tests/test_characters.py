@@ -14,6 +14,7 @@ from kronlab.characters import (
     CharacterTable,
     cache_settings,
     character_table,
+    content_power_sums,
     mn_character,
 )
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
@@ -24,7 +25,6 @@ from kronlab.permutations import (
     class_size,
     cycle_type,
     from_cycles,
-    sign_of_type,
 )
 
 
@@ -38,6 +38,11 @@ def table_in(cache_dir, n):
     """The table of S_n through the disk cache in cache_dir."""
     with cache_settings(cache_dir):
         return character_table(n)
+
+
+def sign_of_type(rho):
+    """Sign of a permutation of cycle type rho."""
+    return -1 if (sum(rho) - len(rho)) % 2 else 1
 
 
 def class_representative(rho):
@@ -262,6 +267,32 @@ class TestDiskCache:
         assert table.chi((3, 2, 2), (2, 1, 1, 1, 1, 1)) == -1
         assert path.read_bytes() == good
 
+    @pytest.mark.parametrize(
+        "n, a, b, column",
+        [(12, (7, 1, 1, 1, 1, 1), (4, 4, 4), "3-cycle"), (15, (6, 3, 2, 2, 2), (5, 5, 2, 1, 1, 1), "4-cycle")],
+    )
+    def test_row_swaps_refused_by_the_cycle_columns(self, n, a, b, column):
+        # the two rows share the identity and transposition columns (and at
+        # n = 15 the 3-cycle column too), and swapping them keeps both
+        # orthogonality relations
+        table = computed_table(n)
+        values = dict(table.values)
+        for rho in table.classes:
+            values[a, rho], values[b, rho] = table.chi(b, rho), table.chi(a, rho)
+        swapped = CharacterTable(n, table.partitions, table.classes, table.class_sizes, values)
+        swapped.check_orthogonality()
+        with pytest.raises(ConsistencyError, match=column):
+            swapped.check_labels()
+
+    def test_power_sums_separate_the_rows(self):
+        # check_labels is complete against row permutations because the
+        # dimension and the content power sums p_1, p_2, p_3 tell every
+        # row apart, for every degree a table is built for
+        for n in range(1, TABLE_DEGREE_LIMIT + 1):
+            parts = enumerate_partitions(n)
+            keys = {(hook_dimension(lam),) + content_power_sums(lam) for lam in parts}
+            assert len(keys) == len(parts), n
+
     def test_degree_bound_before_computing(self, tmp_path):
         tracemalloc.start()
         try:
@@ -298,15 +329,15 @@ def _value_slots(doc):
 @given(data=st.data(), n=st.integers(1, 7))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_damaged_cache_file_yields_the_computed_table(data, n):
-    # random byte edits, truncations and JSON value edits of a valid file:
-    # the table read back equals the computed one, and the file left
-    # behind re-validates
+    # random byte edits, truncations, JSON value edits and row swaps of a
+    # valid file: the table read back equals the computed one, and the
+    # file left behind re-validates
     reference = computed_table(n)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"chartable-n{n}.json"
         table_in(d, n)
         good = path.read_bytes()
-        kind = data.draw(st.sampled_from(["bytes", "truncate", "value"]))
+        kind = data.draw(st.sampled_from(["bytes", "truncate", "value", "swap"]))
         if kind == "bytes":
             raw = bytearray(good)
             edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
@@ -315,10 +346,16 @@ def test_damaged_cache_file_yields_the_computed_table(data, n):
             damaged = bytes(raw)
         elif kind == "truncate":
             damaged = good[: data.draw(st.integers(0, len(good) - 1))]
-        else:
+        elif kind == "value":
             doc = json.loads(good)
             container, key = data.draw(st.sampled_from(_value_slots(doc)))
             container[key] = data.draw(JSON_VALUES)
+            damaged = json.dumps(doc).encode()
+        else:  # two rows' values swapped: orthogonality still holds
+            doc = json.loads(good)
+            i, j = (data.draw(st.integers(0, len(doc["rows"]) - 1)) for _ in range(2))
+            a, b = doc["rows"][i], doc["rows"][j]
+            a["values"], b["values"] = b["values"], a["values"]
             damaged = json.dumps(doc).encode()
         path.write_bytes(damaged)
         table = table_in(d, n)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import factorial
 from pathlib import Path
 
@@ -116,6 +117,24 @@ class TestKronCommand:
         assert doc["agree"] is True
 
 
+    def test_row_swapped_cache_file_recomputed(self, tmp_path):
+        # (7,1^5) and (4,4,4) share the identity and transposition columns,
+        # and the swapped file keeps both orthogonality relations; read as
+        # valid, it made this print 1
+        assert run_cli(["chartable", "12", "--cache-dir", str(tmp_path), "--format", "json"])[0] == EXIT_OK
+        path = tmp_path / "chartable-n12.json"
+        good = path.read_bytes()
+        data = json.loads(good)
+        rows = {tuple(row["partition"]): row for row in data["rows"]}
+        a, b = rows[(7, 1, 1, 1, 1, 1)], rows[(4, 4, 4)]
+        a["values"], b["values"] = b["values"], a["values"]
+        path.write_text(json.dumps(data))
+        code, out = run_cli(["kron", "7,1,1,1,1,1", "6,6", "6,6", "--cache-dir", str(tmp_path), "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["values"] == {"char": 0}
+        assert path.read_bytes() == good
+
+
 class TestPlethCommand:
     def test_all_methods(self):
         code, out = run_cli(["pleth", "2", "2", "4", "--all-methods", "--format", "json"])
@@ -201,6 +220,19 @@ class TestTables:
         code, out = run_cli(["kostka", "6,6,6,6", ",".join(["1"] * 24), "--format", "json"])
         assert time.perf_counter() - start < 2.0
         assert code == EXIT_OK and json.loads(out)["value"] == 140229804
+
+    def test_kostka_refused_above_the_work_bound(self):
+        # the staircase (10,9,...,1) has 58,786 shapes inside it: counting
+        # against 1^55 took about 3 s, and twelve rows would take minutes
+        stair = ",".join(map(str, range(10, 0, -1)))
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["kostka", stair, ",".join(["1"] * 55), "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_BOUND and out == ""
+        assert peak < 1 << 20
 
     def test_encode_diagram(self):
         code, out = run_cli(["encode", "diagram", "5,3", "--format", "json"])
@@ -387,6 +419,7 @@ def refused_invocation(draw):
     return draw(st.sampled_from([
         (["chartable", str(draw(st.integers(17, 10**6)))], EXIT_BOUND),
         (["dims", str(draw(st.integers(PARTITION_DEGREE_LIMIT + 1, 10**6)))], EXIT_BOUND),
+        (["kostka", *[",".join(map(str, range(draw(st.integers(10, 30)), 0, -1)))] * 2], EXIT_BOUND),
         (["chartable", str(draw(st.integers(-5, 0)))], EXIT_USAGE),
         (["dims", str(draw(st.integers(-5, -1)))], EXIT_USAGE),
     ]))  # fmt: skip

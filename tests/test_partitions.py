@@ -1,11 +1,13 @@
 from math import comb, factorial
 
 import pytest
-from ssyt_reference import enumerate_ssyt
+from ssyt_reference import enumerate_ssyt, shape_of
 
-from kronlab.errors import InputError
+from kronlab.errors import BoundExceededError, InputError
 from kronlab.partitions import (
+    KOSTKA_WORK_LIMIT,
     check_partition,
+    contains,
     content,
     decode_diagram,
     encode_diagram,
@@ -18,7 +20,7 @@ from kronlab.partitions import (
     kostka,
     row_word,
     schur_dim_gl,
-    shape_of,
+    shapes_inside,
     transpose,
 )
 
@@ -147,6 +149,31 @@ class TestKostka:
     def test_content_order_does_not_matter(self):
         # K(lam, mu) is symmetric in the order of mu's parts, zeros included
         assert kostka((3, 2), (1, 2, 0, 2)) == kostka((3, 2), (2, 2, 1)) == len(enumerate_ssyt((3, 2), (1, 2, 0, 2)))
+
+
+    def test_shapes_inside_by_listing(self):
+        for n in range(8):
+            for lam in enumerate_partitions(n):
+                listed = sum(contains(nu, lam) for m in range(n + 1) for nu in enumerate_partitions(m))
+                assert shapes_inside(lam, 10**6) == listed
+                assert shapes_inside(lam, 3) == min(listed, 4)
+        assert shapes_inside(tuple(range(10, 0, -1)), 10**6) == 58786  # a Catalan number
+
+    def test_work_bound(self):
+        # shapes inside lam times its rows: a column of 547 cells (548
+        # shapes) passes, one of 548 cells does not
+        assert 548 * 547 <= KOSTKA_WORK_LIMIT < 549 * 548
+        assert kostka((1,) * 547, (1,) * 547) == 1
+        with pytest.raises(BoundExceededError):
+            kostka((1,) * 548, (1,) * 548)
+        with pytest.raises(BoundExceededError):
+            kostka(tuple(range(10, 0, -1)), (1,) * 55)
+        assert kostka(tuple(range(9, 0, -1)), (1,) * 45) == hook_dimension(tuple(range(9, 0, -1)))
+
+    def test_long_rows_and_columns_count_without_deep_recursion(self):
+        assert kostka((5000,), (1,) * 5000) == 1
+        assert kostka((150, 100), (1,) * 250) == hook_dimension((150, 100))
+        assert kostka((1,) * 500, (1,) * 500) == 1
 
 
 def _kostka_by_strip_peeling(lam, mu, _memo={}):

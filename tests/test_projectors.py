@@ -15,6 +15,8 @@ from kronlab.partitions import enumerate_partitions, hook_dimension
 from kronlab.permutations import (
     all_perms,
     block_permutations,
+    compose,
+    enumerate_subgroup,
     from_cycles,
     full_group,
     identity,
@@ -39,10 +41,12 @@ from kronlab.projectors import (
     truncated_kron_pipeline,
     truncated_kron_trace,
     _basis_batch,
+    _commuting_translations,
     _exact_int_array,
     _left_census,
     _shifted_class_counts,
     _stage_kernel_cached,
+    _trace_orbits,
 )
 
 
@@ -188,20 +192,40 @@ class TestPipelineConstruction:
 
 class TestDenseTrace:
     @pytest.mark.parametrize(
-        "p, rows",
+        "p, left, right, rows",
         [
-            (kron_pipeline((2, 1), (2, 1), (3,)), 6**2),
-            (truncated_kron_pipeline((2, 1), (2, 1), (3,)), 6**2),
-            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), 24**2),
-            (pleth_pipeline(2, 2, (2, 2)), 24),
-            (pleth_pipeline(2, 3, (4, 2)), 720),
+            (kron_pipeline((2, 1), (2, 1), (3,)), (), [[young_subgroup(s)] for s in ((2, 1), (2, 1), (3,))], 2),
+            (truncated_kron_pipeline((2, 1), (2, 1), (3,)), (), [[], [], []], 1),
+            (
+                kron_pipeline((3, 1), (2, 2), (2, 1, 1)),
+                (),
+                [[young_subgroup(s)] for s in ((3, 1), (2, 2), (2, 1, 1))],
+                14,
+            ),
+            (
+                pleth_pipeline(2, 2, (2, 2)),
+                (young_subgroup((2, 2)), block_permutations(2, 2)),
+                [[young_subgroup((2, 2))]],
+                6,
+            ),
+            (
+                pleth_pipeline(2, 3, (4, 2)),
+                (young_subgroup((3, 3)), block_permutations(3, 2)),
+                [[young_subgroup((4, 2))]],
+                15,
+            ),
         ],
         ids=["kron", "truncated", "kron-n4", "pleth", "pleth-n6"],
     )
-    def test_basis_rows_applied(self, p, rows, monkeypatch):
-        # (n!)^(k-1) identity-first rows for the left-translation
-        # equivariant templates, all (n!)^k rows for plethysm, counted as
-        # they pass the middle stages (none, for plethysm)
+    def test_basis_rows_applied(self, p, left, right, rows, monkeypatch):
+        # one row per orbit of the translations every stage commutes with,
+        # counted as it passes the middle stages (none, for plethysm): the
+        # expected orbits are listed by brute force from the groups of the
+        # left stages and, per factor, of the right stages
+        expected = _brute_force_orbit_sizes(p.n, p.k, left, right)
+        assert len(expected) == rows
+        reps, sizes = _trace_orbits(p.n, p.k, *_commuting_translations(p))
+        assert sorted(sizes.tolist()) == expected and sum(expected) == p.dim
         applied = []
         apply_stages = BatchEvaluator.apply_stages
 
@@ -244,6 +268,54 @@ class TestDenseTrace:
                 b, _ = ev.apply_stages(batch.copy(), [idx])
                 b = _translation_batch(space, tau, b, k=3)
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "p, right",
+        [(kron_pipeline((2, 1), (2, 1), (3,)), ((2, 1), (2, 1), (3,))), (pleth_pipeline(2, 2, (2, 2)), ((2, 2),))],
+        ids=["kron", "pleth"],
+    )
+    def test_right_translation_equivariance_of_stages(self, p, right):
+        # the identity behind the dense trace's orbits on the right, checked
+        # stage by stage: right translation on factor f by a member of its
+        # right group commutes with each stage
+        ev = BatchEvaluator(p)
+        cols = np.random.default_rng(1).choice(p.dim, size=min(24, p.dim), replace=False)
+        batch = _basis_batch(p.dim, cols)
+        from kronlab.projectors import perm_index
+
+        space = perm_index(p.n)
+        for f, shape in enumerate(right):
+            for h in enumerate_subgroup(young_subgroup(shape)):
+                translate = _right_translation_batch(space, f, h, batch, p.k)
+                for idx in range(len(p.stages)):
+                    a, _ = ev.apply_stages(translate, [idx])
+                    b, _ = ev.apply_stages(batch, [idx])
+                    assert np.array_equal(a, _right_translation_batch(space, f, h, b, p.k))
+
+    def test_right_groups_on_one_factor_intersect(self):
+        # two right averages on one factor: only their intersection
+        # S_(3,1) & S_(2,2) = {id, (1 2)} commutes with both.  Neither
+        # group alone is a symmetry here, and each alone would make one of
+        # the fractional traces below integral
+        def left(shape):
+            return InvariantAverage(young_subgroup(shape), ((0, "L"),))
+
+        def right(shape):
+            return InvariantAverage(young_subgroup(shape), ((0, "R"),))
+
+        def reference_trace(p):
+            return sum(reference_pipeline(p, {(g,): Fraction(1)}).get((g,), 0) for g in all_perms(4))
+
+        p = Pipeline(4, 1, (Isotypic(0, (4,)), left((2, 1, 1)), right((3, 1)), right((2, 2))), "intersect")
+        reps, _ = _trace_orbits(4, 1, *_commuting_translations(p))
+        groups = [[young_subgroup((3, 1)), young_subgroup((2, 2))]]
+        assert len(reps) == len(_brute_force_orbit_sizes(4, 1, [young_subgroup((2, 1, 1))], groups)) == 7
+        assert pipeline_trace_dense(p) == reference_trace(p) == 1
+        for shape, expected in (((2, 1, 1), Fraction(5, 3)), ((3, 1), Fraction(4, 3))):
+            q = Pipeline(4, 1, (left(shape), right((3, 1)), right((2, 2))), "fractional")
+            assert reference_trace(q) == expected
+            with pytest.raises(ConsistencyError):
+                pipeline_trace_dense(q)
 
     def test_pleth_dense_matches_oracle(self):
         for lam in enumerate_partitions(4):
@@ -400,6 +472,41 @@ def _translation_batch(space, tau, batch, k):
     out = np.zeros_like(batch)
     out[:, dest] = batch[:, src]
     return out
+
+
+def _right_translation_batch(space, f, h, batch, k):
+    """Apply right translation by h on factor f to batch rows."""
+    nf = space.nf
+    digits = list(np.unravel_index(np.arange(nf**k), (nf,) * k))
+    digits[f] = space.mult[digits[f], all_perms(space.n).index(h)]
+    out = np.zeros_like(batch)
+    out[:, np.ravel_multi_index(digits, (nf,) * k)] = batch
+    return out
+
+
+def _brute_force_orbit_sizes(n, k, left, right):
+    """Sorted orbit sizes of the k-tuples of S_n under
+    (s_f) -> (x s_f y_f), x in every group of left and y_f in every group
+    of right[f] (all of S_n where none is listed), each orbit listed."""
+
+    def common(groups):
+        elements = set(all_perms(n))
+        for g in groups:
+            elements &= set(enumerate_subgroup(g))
+        return elements
+
+    xs, ys = common(left), [common(groups) for groups in right]
+    seen, sizes = set(), []
+    for key in itertools.product(all_perms(n), repeat=k):
+        if key not in seen:
+            orbit = {
+                tuple(compose(compose(x, s), y) for s, y in zip(key, yy))
+                for x in xs
+                for yy in itertools.product(*ys)
+            }
+            seen |= orbit
+            sizes.append(len(orbit))
+    return sorted(sizes)
 
 
 class TestCollapsedTrace:
