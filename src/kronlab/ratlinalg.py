@@ -1,76 +1,14 @@
-"""Small exact rational matrix toolkit.
+"""Exact elimination on integer rows.
 
-Matrices are lists of lists of Fractions (or ints, which mix freely).
-Everything here is exact; nothing ever rounds.  The one elimination,
-echelon, works on integer rows (clear denominators first) and keeps each
-row primitive, which keeps the entries of controlled size.
+A matrix is a list of rows of Python ints; callers with rational entries
+scale each row to integers first.  Nothing ever rounds.  The one
+elimination, echelon, keeps each row primitive, which keeps the entries
+of controlled size, and rref_kernel reads a kernel basis off its result.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-Matrix = list[list[Fraction]]
-
-
-def identity_matrix(d: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zero_matrix(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        row = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        row[j] += x * bk[j]
-    return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def mat_kron(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = [[0] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            x = a[i][j]
-            if not x:
-                continue
-            for k in range(rb):
-                target = out[i * rb + k]
-                brow = b[k]
-                for l in range(cb):
-                    if brow[l]:
-                        target[j * cb + l] = x * brow[l]
-    return out
-
-
-def clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
-    """Integer matrix den * a and the least common denominator den."""
-    den = 1
-    for row in a:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    return [[int(Fraction(x) * den) for x in row] for row in a], den
 
 
 def echelon(rows: list[list[int]]) -> list[int]:

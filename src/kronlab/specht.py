@@ -1,5 +1,5 @@
-"""Irreducible S_n matrices in Young's seminormal form, all entries exact
-rationals, plus subgroup-invariant dimensions computed from them.
+"""Irreducible S_n representations in Young's seminormal form, all entries
+exact rationals, plus subgroup-invariant dimensions computed from them.
 
 The generator matrix convention: for an adjacent transposition s_k and a
 standard tableau T, let D be the axial distance from k to k+1 in T,
@@ -14,36 +14,27 @@ anchored at whichever of T, T' comes first in the basis order.  The form
 is rational, not unitary; everything downstream only needs traces and
 ranks, which are basis-independent.  The Coxeter relations and the
 character traces are the tests that pin the convention down.
+
+Each generator is stored only as these blocks: one sparse row per
+tableau, at most two nonzeros each.  No full matrix is ever formed.  A
+word in the generators acts on a sparse row vector from the left, so the
+Coxeter relations are checked, and class traces taken, one basis vector
+e_t at a time; the fixed-space rows are built from the blocks directly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, check_partition, enumerate_syt
-from .permutations import (
-    Perm,
-    SubgroupDescriptor,
-    check_perm,
-    class_census,
-    from_cycles,
-    identity,
-)
-from .ratlinalg import (
-    Matrix,
-    clear_denominators,
-    echelon,
-    identity_matrix,
-    mat_eq,
-    mat_kron,
-    mat_mul,
-    mat_trace,
-    zero_matrix,
-)
+from .permutations import SubgroupDescriptor, class_census, identity
+from .ratlinalg import echelon
+
+Row = dict[int, Fraction]  # sparse row vector: basis index -> nonzero entry
 
 
 def _cell_of(tab, value) -> tuple[int, int]:
@@ -60,12 +51,12 @@ def _swap_values(tab, a, b):
 
 @dataclass
 class SpechtRep:
-    """Matrices of the irreducible S_n representation of type shape."""
+    """The irreducible S_n representation of type shape, by its generators."""
 
     shape: Partition
     basis: tuple  # standard tableaux, in enumerate_syt order
-    generators: list[Matrix]  # generators[k-1] is the matrix of (k, k+1)
-    _matrix_cache: dict[Perm, Matrix] = field(default_factory=dict)
+    # generators[k-1][t] is row t of the matrix of (k, k+1), nonzeros only
+    generators: list[list[Row]]
 
     @property
     def n(self) -> int:
@@ -75,32 +66,17 @@ class SpechtRep:
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrix(self, pi: Perm) -> Matrix:
-        """Matrix of pi: generator product along an adjacent-transposition
-        factorization (bubble sort of the one-line form).  Cached."""
-        pi = check_perm(pi)
-        if len(pi) != self.n:
-            raise InputError(f"permutation degree {len(pi)} != {self.n}")
-        cached = self._matrix_cache.get(pi)
-        if cached is not None:
-            return cached
-        # sort pi to the identity by right-multiplying adjacent swaps:
-        # pi * s_{a1} * ... * s_{am} = id  =>  pi = s_{am} * ... * s_{a1}
-        word = []
-        q = list(pi)
-        done = False
-        while not done:
-            done = True
-            for i in range(len(q) - 1):
-                if q[i] > q[i + 1]:
-                    q[i], q[i + 1] = q[i + 1], q[i]
-                    word.append(i)  # s_{i+1}, stored 0-based
-                    done = False
-        mat = identity_matrix(self.dim)
-        for k in reversed(word):
-            mat = mat_mul(mat, self.generators[k])
-        self._matrix_cache[pi] = mat
-        return mat
+    def apply(self, row: Row, word) -> Row:
+        """The row vector row * s_{k1} * s_{k2} * ... for word = (k1 - 1,
+        k2 - 1, ...), applied left to right by reading generator rows."""
+        for k in word:
+            gen = self.generators[k]
+            out: Row = {}
+            for t, x in row.items():
+                for s, y in gen[t].items():
+                    out[s] = out.get(s, 0) + x * y
+            row = {s: x for s, x in out.items() if x}
+        return row
 
 
 def build_seminormal(lam: Partition) -> SpechtRep:
@@ -110,64 +86,72 @@ def build_seminormal(lam: Partition) -> SpechtRep:
     basis = enumerate_syt(lam)
     index = {t: i for i, t in enumerate(basis)}
     n = sum(lam)
-    dim = len(basis)
     generators = []
     for k in range(1, n):
-        mat = zero_matrix(dim, dim)
-        seen = set()
+        # the loop meets each pair (T, s_k T) first at its anchor, which
+        # fills both rows of the block
+        rows: list[Row] = [{} for _ in basis]
         for t_idx, tab in enumerate(basis):
-            if t_idx in seen:
+            if rows[t_idx]:
                 continue
             rk, ck = _cell_of(tab, k)
             rk1, ck1 = _cell_of(tab, k + 1)
-            dist = (ck1 - rk1) - (ck - rk)
+            a = Fraction(1, (ck1 - rk1) - (ck - rk))
             swapped = _swap_values(tab, k, k + 1)
             if swapped not in index:
                 # same row or same column: axial distance is +-1
-                mat[t_idx][t_idx] = Fraction(1, dist)
-                seen.add(t_idx)
+                rows[t_idx][t_idx] = a
                 continue
             s_idx = index[swapped]
-            if s_idx < t_idx:
-                t_idx, s_idx = s_idx, t_idx
-                dist = -dist
-            a = Fraction(1, dist)
-            mat[t_idx][t_idx] = a
-            mat[t_idx][s_idx] = 1 - a * a
-            mat[s_idx][t_idx] = Fraction(1)
-            mat[s_idx][s_idx] = -a
-            seen.update((t_idx, s_idx))
-        generators.append(mat)
+            rows[t_idx].update({t_idx: a, s_idx: 1 - a * a})
+            rows[s_idx].update({t_idx: Fraction(1), s_idx: -a})
+        generators.append(rows)
     return SpechtRep(lam, basis, generators)
 
 
 def check_coxeter(rep: SpechtRep) -> None:
-    """Exact generator relations; raises on any failure."""
-    gens = rep.generators
-    ident = identity_matrix(rep.dim)
-    for k, m in enumerate(gens):
-        if not mat_eq(mat_mul(m, m), ident):
-            raise ConsistencyError(f"s_{k + 1}^2 != 1 for shape {rep.shape}")
-    for k in range(len(gens) - 1):
-        lhs = mat_mul(gens[k], mat_mul(gens[k + 1], gens[k]))
-        rhs = mat_mul(gens[k + 1], mat_mul(gens[k], gens[k + 1]))
-        if not mat_eq(lhs, rhs):
-            raise ConsistencyError(f"braid relation fails at k={k + 1}, shape {rep.shape}")
-    for k in range(len(gens)):
-        for l in range(k + 2, len(gens)):
-            if not mat_eq(mat_mul(gens[k], gens[l]), mat_mul(gens[l], gens[k])):
-                raise ConsistencyError(
-                    f"distant generators s_{k + 1}, s_{l + 1} do not commute, shape {rep.shape}"
-                )
+    """Exact generator relations; raises on any failure.  Both sides of
+    each relation are applied to every basis vector, so they pass only as
+    equal matrices."""
+    m = len(rep.generators)
+    relations = [((k, k), (), f"s_{k + 1}^2 != 1 for") for k in range(m)]
+    relations += [
+        ((k, k + 1, k), (k + 1, k, k + 1), f"braid relation fails at k={k + 1},")
+        for k in range(m - 1)
+    ]
+    relations += [
+        ((k, l), (l, k), f"distant generators s_{k + 1}, s_{l + 1} do not commute,")
+        for k in range(m)
+        for l in range(k + 2, m)
+    ]
+    for lhs, rhs, failure in relations:
+        for t in range(rep.dim):
+            e_t = {t: Fraction(1)}
+            if rep.apply(e_t, lhs) != rep.apply(e_t, rhs):
+                raise ConsistencyError(f"{failure} shape {rep.shape}")
+
+
+def class_trace(rep: SpechtRep, rho) -> Fraction:
+    """Character of rep at cycle type rho: the trace of the word
+    s_{a+1} ... s_{b-1} over each block (a, b] of consecutive cycles,
+    read one basis vector at a time."""
+    starts = list(itertools.accumulate(rho, initial=0))
+    word = [k for a, b in zip(starts, starts[1:]) for k in range(a, b - 1)]
+    diagonal = (rep.apply({t: Fraction(1)}, word).get(t, 0) for t in range(rep.dim))
+    return sum(diagonal, Fraction(0))
 
 
 DEFAULT_DIM_BOUND = 5000
-# the Coxeter check and the trace average cost about n^2 d^3 and
-# p(n) n d^3 Fraction operations per factor of dimension d, which the
-# tensor dimension does not bound.  Measured on a 2-core host, one process
-# each: (21,1),(21,1),(22) took 17 s and (10,1,1),(12),(12) (d = 55) 2.4 s;
-# (24,1),(25),(25) took 19 s, (29,1),(30),(30) 98 s, (40),(40),(40) 34 s
-# and (9,3),(12),(12) (d = 154) 18 s
+# the degree and factor limits bound the two checks, which the tensor
+# dimension does not: the Coxeter check applies about n^2 short words to
+# each of the d basis vectors of a factor, and the trace average applies
+# a word of up to n - 1 generators to each basis vector once per cycle
+# type, about p(n) n d^2 Fraction operations per factor.  Measured on a
+# 2-core host, one fresh process each: (21,1),(21,1),(22) took 8.9 s, 6.5 s
+# of it class traces over the p(22) = 1002 cycle types, and
+# (10,1,1),(12),(12) (d = 55) 0.8 s.  Past the limits, timed in-process:
+# (24,1),(25),(25) 9.2 s and (40),(40),(40) 19 s, almost all class traces,
+# and (9,3),(12),(12) (d = 154) 1.9 s
 SPECHT_DEGREE_LIMIT = 22
 SPECHT_FACTOR_DIM_LIMIT = 64
 
@@ -179,11 +163,12 @@ def invariant_dim(reps: list[SpechtRep], subgroup: SubgroupDescriptor) -> int:
     The subgroup must be generated by the adjacent transpositions s_k it
     contains (all of S_n, or a Young subgroup).  The invariant subspace is
     their common fixed space, the kernel of the integer rows of
-    L (A_k x B_k x ... - I), reduced one generator at a time.  Two checks
-    share no code with that elimination: the Coxeter relations on every
-    factor, and the trace average (1/|G|) sum_g prod_r tr rho_r(g) of the
-    Specht matrices, summed over the subgroup's closed-form cycle-type
-    census, which must be an integer equal to the nullity.
+    L (A_k x B_k x ... - I), built from the generator blocks and reduced
+    one generator at a time.  Two checks share no code with that
+    elimination: the Coxeter relations on every factor, and the trace
+    average (1/|G|) sum_g prod_r tr rho_r(g) by class_trace, summed over
+    the subgroup's closed-form cycle-type census, which must be an
+    integer equal to the nullity.
     """
     if not reps:
         raise InputError("need at least one representation")
@@ -213,23 +198,33 @@ def invariant_dim(reps: list[SpechtRep], subgroup: SubgroupDescriptor) -> int:
         check_coxeter(r)
     held: list[list[int]] = []
     for k in gens:
-        rows, den = clear_denominators(reps[0].generators[k])
-        for r in reps[1:]:
-            ints, d = clear_denominators(r.generators[k])
-            rows, den = mat_kron(rows, ints), den * d
+        # integer rows of L (A_k x B_k x ... - I): each factor scaled by the
+        # lcm of its own generator's denominators, L the product of those
+        rows: list[dict[int, int]] = [{0: 1}]
+        den = 1
+        for r in reps:
+            gen = r.generators[k]
+            d = lcm(*(x.denominator for row in gen for x in row.values()))
+            ints = [{j: int(y * d) for j, y in row.items()} for row in gen]
+            rows = [
+                {i * r.dim + j: x * y for i, x in row.items() for j, y in irow.items()}
+                for row in rows
+                for irow in ints
+            ]
+            den *= d
         for i, row in enumerate(rows):
-            row[i] -= den
-        held += rows
+            dense = [0] * total_dim
+            for j, x in row.items():
+                dense[j] = x
+            dense[i] -= den
+            held.append(dense)
         held = held[: len(echelon(held))]
     nullity = total_dim - len(held)
     # tr rho_r is a class function of S_n, so one product per cycle type,
-    # taken at its consecutive-cycle representative (which need not lie in
-    # the subgroup)
+    # taken at its consecutive-cycle word (which need not lie in the subgroup)
     total = Fraction(0)
     for rho, count in class_census(subgroup).items():
-        starts = list(itertools.accumulate(rho, initial=0))
-        rep = from_cycles(n, [range(s + 1, e + 1) for s, e in zip(starts, starts[1:])])
-        total += count * prod(mat_trace(r.matrix(rep)) for r in reps)
+        total += count * prod(class_trace(r, rho) for r in reps)
     average = total / subgroup.order()
     if average != nullity:
         raise ConsistencyError(

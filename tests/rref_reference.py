@@ -1,7 +1,16 @@
 """The Fraction reduced row-echelon form: the reference the integer
-elimination in ratlinalg is checked against.  It shares no code with it."""
+elimination in ratlinalg is checked against.  It shares no code with it.
+clear_denominators turns a Fraction matrix into the integer rows that
+ratlinalg takes."""
 
 from fractions import Fraction
+from math import lcm
+
+
+def clear_denominators(a):
+    """Integer matrix den * a and the least common denominator den."""
+    den = lcm(1, *(Fraction(x).denominator for row in a for x in row))
+    return [[int(Fraction(x) * den) for x in row] for row in a], den
 
 
 def rref(a):

@@ -8,23 +8,38 @@ from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.partitions import enumerate_partitions, hook_dimension, kostka
 from kronlab.permutations import (
     all_perms,
+    compose,
     cycle_type,
-    from_cycles,
     full_group,
     wreath_product,
     young_subgroup,
 )
-from kronlab.ratlinalg import identity_matrix, mat_eq, mat_trace
-from kronlab.specht import DEFAULT_DIM_BOUND, build_seminormal, check_coxeter, invariant_dim
+from kronlab.specht import (
+    DEFAULT_DIM_BOUND,
+    build_seminormal,
+    check_coxeter,
+    class_trace,
+    invariant_dim,
+)
 
 
-def class_representative(rho):
-    cycles = []
-    start = 1
-    for part in rho:
-        cycles.append(tuple(range(start, start + part)))
-        start += part
-    return from_cycles(sum(rho), cycles)
+def dense_matrix(rep, pi):
+    """Dense matrix of pi: bubble-sort pi into a word, then apply the word
+    to each basis row vector."""
+    # sort pi to the identity by right-multiplying adjacent swaps:
+    # pi * s_{a1} * ... * s_{am} = id  =>  pi = s_{am} * ... * s_{a1}
+    word, q = [], list(pi)
+    for _ in q:
+        for i in range(len(q) - 1):
+            if q[i] > q[i + 1]:
+                q[i], q[i + 1] = q[i + 1], q[i]
+                word.append(i)
+    rows = [rep.apply({t: Fraction(1)}, reversed(word)) for t in range(rep.dim)]
+    return [[row.get(s, 0) for s in range(rep.dim)] for row in rows]
+
+
+def trace(m):
+    return sum(m[i][i] for i in range(len(m)))
 
 
 class TestSeminormalForm:
@@ -32,10 +47,10 @@ class TestSeminormalForm:
         for n in (2, 3, 4, 5):
             triv = build_seminormal((n,))
             sign = build_seminormal((1,) * n)
-            for m in triv.generators:
-                assert m == [[Fraction(1)]]
-            for m in sign.generators:
-                assert m == [[Fraction(-1)]]
+            for rows in triv.generators:
+                assert rows == [{0: 1}]
+            for rows in sign.generators:
+                assert rows == [{0: -1}]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_coxeter_relations(self, n):
@@ -44,7 +59,7 @@ class TestSeminormalForm:
 
     def test_identity_matrix(self):
         rep = build_seminormal((2, 1))
-        assert mat_eq(rep.matrix((1, 2, 3)), identity_matrix(2))
+        assert dense_matrix(rep, (1, 2, 3)) == [[1, 0], [0, 1]]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_traces_match_characters(self, n):
@@ -52,16 +67,14 @@ class TestSeminormalForm:
         for lam in enumerate_partitions(n):
             rep = build_seminormal(lam)
             for rho in table.classes:
-                pi = class_representative(rho)
-                assert mat_trace(rep.matrix(pi)) == table.chi(lam, rho), (lam, rho)
+                assert class_trace(rep, rho) == table.chi(lam, rho), (lam, rho)
 
     def test_traces_match_characters_n6(self):
         table = character_table(6)
         for lam in enumerate_partitions(6):
             rep = build_seminormal(lam)
             for rho in table.classes:
-                pi = class_representative(rho)
-                assert mat_trace(rep.matrix(pi)) == table.chi(lam, rho), (lam, rho)
+                assert class_trace(rep, rho) == table.chi(lam, rho), (lam, rho)
 
     def test_traces_class_constant(self):
         for n in (3, 4):
@@ -69,24 +82,25 @@ class TestSeminormalForm:
                 rep = build_seminormal(lam)
                 by_class = {}
                 for pi in all_perms(n):
-                    by_class.setdefault(cycle_type(pi), set()).add(mat_trace(rep.matrix(pi)))
+                    by_class.setdefault(cycle_type(pi), set()).add(trace(dense_matrix(rep, pi)))
                 assert all(len(vals) == 1 for vals in by_class.values())
 
     def test_specific_trace(self):
         rep = build_seminormal((2, 1))
-        assert mat_trace(rep.matrix(from_cycles(3, [(1, 2, 3)]))) == -1
+        assert class_trace(rep, (3,)) == -1
 
     def test_homomorphism_property(self):
         rep = build_seminormal((3, 1))
-        from kronlab.permutations import compose
-        from kronlab.ratlinalg import mat_mul
-
         elems = all_perms(4)
         for a in elems[::5]:
+            ma = dense_matrix(rep, a)
             for b in elems[::7]:
-                assert mat_eq(
-                    rep.matrix(compose(a, b)), mat_mul(rep.matrix(a), rep.matrix(b))
-                )
+                mb = dense_matrix(rep, b)
+                product = [
+                    [sum(x * mb[k][j] for k, x in enumerate(row)) for j in range(rep.dim)]
+                    for row in ma
+                ]
+                assert dense_matrix(rep, compose(a, b)) == product
 
 
 class TestInvariantDimensions:
@@ -121,11 +135,20 @@ class TestInvariantDimensions:
                 assert invariant_dim(reps, full_group(n)) == (1 if lam == mu else 0)
 
     def test_mutated_generator_is_caught(self):
-        # a doubled generator breaks s^2 = 1: the group it generates is not S_n
+        # a doubled block entry breaks s^2 = 1: the group it generates is not S_n
         rep = build_seminormal((2, 1))
-        rep.generators[0] = [[2 * x for x in row] for row in rep.generators[0]]
+        rep.generators[0][0][0] *= 2
         with pytest.raises(ConsistencyError):
             invariant_dim([rep, build_seminormal((2, 1))], full_group(3))
+
+    def test_braid_breaking_mutation_is_caught(self):
+        # negating the 1x1 entry of s_1 at tableau 0 of (2,1) makes s_1 = -I:
+        # s_1^2 = 1 still holds, but s_1 s_2 s_1 = s_2 != -I = s_2 s_1 s_2
+        rep = build_seminormal((2, 1))
+        assert rep.generators[0] == [{0: 1}, {1: -1}]
+        rep.generators[0][0][0] = -rep.generators[0][0][0]
+        with pytest.raises(ConsistencyError, match="braid"):
+            check_coxeter(rep)
 
     def test_subgroup_must_be_generated_by_adjacent_transpositions(self):
         # S_2 wr S_2 contains s_1 and s_3 but not the block swap (13)(24)
