@@ -11,10 +11,11 @@ integer numerators over a running denominator; they are carried in
 float64 arrays purely for speed, with an l1-norm bound asserted below
 2^53 before every stage so every intermediate is exactly representable.
 The projector-algebra checks push basis vectors through it.  The dense
-trace reads one diagonal entry per orbit of the translations every stage
-commutes with (simultaneous left translation by the left stages' common
-subgroup, right translation on each factor by its right stages' common
-subgroup), weighted by the orbit size.  It splits the stages at the
+trace reads one diagonal entry per orbit of the translations the composed
+stages commute with (simultaneous left translation by the x commuting
+with each factor's composed left averages between orbit stages, right
+translation on each factor by the y commuting with its composed right
+averages), weighted by the orbit size.  It splits the stages at the
 multi-factor ones: the single-factor stages before them act on the basis
 ket and those after them on the basis bra, one factor at a time, so only
 the middle stages run on full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
@@ -68,9 +69,9 @@ from .permutations import (
 FLOAT_EXACT_LIMIT = 1 << 53  # float64 holds integers exactly below this
 DENSE_DIM_LIMIT = 24**3  # 13824; one factor never exceeds 6! = 720
 DENSE_FACTOR_LIMIT = 720
-# basis rows per dense-trace chunk: a warm n = 4 Kronecker trace took 57 ms
-# at 2 MB, against 66 ms at 1 MB and 90 ms at 8 MB (best of five runs, one
-# thread, 2-core host)
+# rows per dense-trace chunk, bounding its memory: an 868-row n = 4 trace took
+# 162 ms at 2 MB, 196 ms at 1 MB and 142 ms at 8 MB (best of five, one thread,
+# 2-core host); an n = 4 Kronecker trace has at most 12 rows, 18 fit in one
 DENSE_CHUNK_BYTES = 1 << 21
 # largest n whose collapsed first call stays within 10 s and 500 MB peak RSS
 # on a 2-core host: n = 9 took 0.8 s and 54 MB, n = 10 took 14.3 s and 279 MB
@@ -480,51 +481,68 @@ def _exact_int_array(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _commuting_translations(p: Pipeline) -> tuple[frozenset, tuple[frozenset, ...]]:
-    """The groups whose members every stage commutes with: the groups of
-    the single-factor left stages, whose intersection may act by
-    simultaneous left translation on all factors, and per factor the
-    groups of its right stages, whose intersection may act by right
-    translation on that factor.  An average over G commutes with
-    translation by any member of G on its own side and with every
-    translation on the other side; isotypic stages are central, and the
-    full-group orbit stage (the one multi-factor stage BatchEvaluator
-    admits) commutes with simultaneous left and any right translation."""
-    left: set[SubgroupDescriptor] = set()
-    right: list[set[SubgroupDescriptor]] = [set() for _ in range(p.k)]
+@lru_cache(maxsize=256)
+def _centraliser(n: int, runs: tuple[tuple[SubgroupDescriptor, ...], ...]) -> tuple[int, ...]:
+    """Ranks of the x in S_n with x v x^-1 = v for each nonempty run's
+    product v of group sums, from the member vectors (integers >= 0, exact
+    in float64 under the dense l1 bound).  Conjugation is a bijection and
+    v >= 0, so x fixes v once v(x h x^-1) = v(h) on v's support."""
+    space = perm_index(n)
+    xs = np.arange(space.nf)
+    for groups in filter(None, runs):
+        v = _member_vector(n, groups[0])
+        for group in groups[1:]:
+            a, b = np.flatnonzero(v), np.flatnonzero(_member_vector(n, group))
+            v = np.bincount(space.mult[np.ix_(a, b)].ravel(), np.repeat(v[a], len(b)), space.nf)
+        h = np.flatnonzero(v)
+        conj = space.mult[space.mult[xs[:, None], h], space.inv[xs, None]]  # x h x^-1
+        xs = xs[(v[conj] == v[h]).all(axis=1)]
+    return tuple(xs.tolist())
+
+
+def _commuting_translations(p: Pipeline) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Ranks of the translations the composed stages commute with: x by
+    simultaneous left translation, and y_f by right translation on factor
+    f.  Isotypic stages are central, and the orbit stage (the one
+    multi-factor stage BatchEvaluator admits) commutes with both kinds.
+    Between orbit stages a factor's left averages compose to left
+    multiplication by the product v of their group sums, which x fixes
+    when x v x^-1 = v; all its right averages commute with every left
+    action and compose to one such product for y_f.  Reversing a product
+    is its image under g -> g^-1, which commutes with conjugation, so its
+    order does not matter.  This can exceed every stage's own group: the
+    block Young and block-permutation averages compose to S_m wr S_d's."""
+    runs: list[list[list[SubgroupDescriptor]]] = [[[] for _ in range(p.k)]]  # [segment][factor]
+    right: list[list[SubgroupDescriptor]] = [[] for _ in range(p.k)]
     for stage in p.stages:
-        if isinstance(stage, InvariantAverage) and len(stage.actions) == 1:
-            f, side = stage.actions[0]
-            (left if side == "L" else right[f]).add(stage.group)
-    return frozenset(left), tuple(frozenset(groups) for groups in right)
+        if isinstance(stage, InvariantAverage) and len(stage.actions) > 1:
+            runs.append([[] for _ in range(p.k)])
+        elif isinstance(stage, InvariantAverage):
+            ((f, side),) = stage.actions
+            (runs[-1][f] if side == "L" else right[f]).append(stage.group)
+    left = tuple(tuple(run) for segment in runs for run in segment)
+    return _centraliser(p.n, left), tuple(_centraliser(p.n, (tuple(g),)) for g in right)
 
 
 @lru_cache(maxsize=64)
 def _trace_orbits(
-    n: int, k: int, left: frozenset, right: tuple[frozenset, ...]
+    n: int, k: int, left: tuple[int, ...], right: tuple[tuple[int, ...], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the basis under (sigma_f) -> (x sigma_f y_f), x in the
-    intersection of the left groups and y_f in that of factor f's right
-    groups (all of S_n where there are none): the smallest flat index of
-    each orbit, ascending, and the orbit sizes.  Right translations move
-    each digit within its right coset, so the tuples of coset minima stand
-    for equally many basis vectors each, and the smallest flat index over
-    the right translations takes each digit's coset minimum.  Left and
-    right translations commute, so one pass over the left group then maps
-    each tuple of coset minima to its orbit's minimum."""
+    left group and y_f in factor f's right group, both given as ranks: the
+    smallest flat index of each orbit, ascending, and the orbit sizes.
+    Right translations move each digit within its right coset, so the
+    tuples of coset minima stand for equally many basis vectors each, and
+    the smallest flat index over the right translations takes each digit's
+    coset minimum.  Left and right translations commute, so one pass over
+    the left group then maps each tuple of coset minima to its orbit's
+    minimum."""
     space = perm_index(n)
     nf, dim = space.nf, space.nf**k
-
-    def members(groups) -> np.ndarray:
-        mask = np.ones(nf, dtype=bool)
-        for group in groups:
-            mask &= _member_vector(n, group) > 0
-        return np.flatnonzero(mask)
-
-    lowest = [space.mult[:, members(groups)].min(axis=1) for groups in right]
+    lowest = [space.mult[:, list(ys)].min(axis=1) for ys in right]
     minima = np.meshgrid(*(np.flatnonzero(low == np.arange(nf)) for low in lowest), indexing="ij")
     rep = np.full(minima[0].size, dim, dtype=np.int64)
-    for x in members(left):
+    for x in left:
         moved = [lowest[f][space.mult[x, minima[f].ravel()]] for f in range(k)]
         np.minimum(rep, np.ravel_multi_index(moved, (nf,) * k), out=rep)
     sizes = np.bincount(rep, minlength=dim)
@@ -551,13 +569,13 @@ def pipeline_trace_dense(p: Pipeline) -> int:
     vectors e_c of e_c^T (trailing stages)(middle stages)(leading stages) e_c,
     every stage applied in pipeline order.
 
-    The diagonal is constant on orbits of the translations every stage
-    commutes with (`_commuting_translations`): if P commutes with a
+    The diagonal is constant on orbits of the translations the composed
+    stages commute with (`_commuting_translations`): if P commutes with a
     permutation matrix Q, then e_Qc^T P e_Qc = e_c^T Q^T P Q e_c =
     e_c^T P e_c.  So only one basis vector per orbit, its smallest flat
     index, is pushed through the stages, and its diagonal entry is
-    weighted by the orbit size: 14 of 576 rows for a Kronecker trace at
-    n = 4, one for a truncated one.
+    weighted by the orbit size: 4 of 576 rows for `kron 3,1 2,2 2,1,1`,
+    one for a truncated Kronecker trace, 2 of 720 for `pleth 2 3 4,2`.
 
     The kernels are split at the multi-factor stages.  The single-factor
     stages before the first one act on the ket: per factor, the images of
@@ -756,9 +774,12 @@ class AlgebraReport:
 
 def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     """Verify per stage: idempotence and symmetry; and for every stage
-    pair: commutation, by applying both orders to basis vectors.  Up to
-    1728 = 12^3 dimensions every basis vector is used; above it a sample
-    of 192 drawn with seed 7 (symmetry then checks the sampled submatrix)."""
+    pair: commutation, comparing products on basis vectors as exact
+    integer-valued float64 arrays.  Up to 1728 = 12^3 dimensions every
+    basis vector is used, and two stages shown symmetric commute when
+    S_j S_i equals its transpose S_i S_j; otherwise both orders are
+    applied.  Above it a sample of 192 drawn with seed 7 (symmetry then
+    checks the sampled submatrix)."""
     ev = BatchEvaluator(p)
     dim = p.dim
     if dim <= 1728:
@@ -798,8 +819,13 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     for i in range(num_stages):
         for j in range(i + 1, num_stages):
             ij, _ = ev.apply_stages(once[i], [j], start_max_abs=ev.kernels[i].l1)
-            ji, _ = ev.apply_stages(once[j], [i], start_max_abs=ev.kernels[j].l1)
-            same = bool(np.array_equal(_exact_int_array(ij), _exact_int_array(ji)))
+            if mode == "exhaustive" and symmetric[i] and symmetric[j]:
+                ji = ij.T  # row c of ij is S_j S_i e_c
+            else:
+                ji, _ = ev.apply_stages(once[j], [i], start_max_abs=ev.kernels[j].l1)
+            same = bool(np.array_equal(_exact_int_array(ij), ji))
+            if not same:
+                _exact_int_array(ji)  # drift raises, not reads as a failure
             pair_commutes[(i, j)] = same
             if not same:
                 failures.append(f"stages {i} and {j} do not commute")

@@ -146,11 +146,11 @@ DEFAULT_DIM_BOUND = 5000
 # dimension does not: the Coxeter check applies about n^2 short words to
 # each of the d basis vectors of a factor, and the trace average applies
 # a word of up to n - 1 generators to each basis vector once per cycle
-# type, about p(n) n d^2 Fraction operations per factor.  Measured on a
-# 2-core host, one fresh process each: (21,1),(21,1),(22) took 8.9 s, 6.5 s
-# of it class traces over the p(22) = 1002 cycle types, and
+# type, about p(n) n d^2 Fraction operations per distinct shape.  Measured
+# on a 2-core host, one fresh process each: (21,1),(21,1),(22) took 4.0-5.7 s,
+# mostly class traces over the p(22) = 1002 cycle types, and
 # (10,1,1),(12),(12) (d = 55) 0.8 s.  Past the limits, timed in-process:
-# (24,1),(25),(25) 9.2 s and (40),(40),(40) 19 s, almost all class traces,
+# (24,1),(25),(25) 11.2 s and (40),(40),(40) 7.5 s, almost all class traces,
 # and (9,3),(12),(12) (d = 154) 1.9 s
 SPECHT_DEGREE_LIMIT = 22
 SPECHT_FACTOR_DIM_LIMIT = 64
@@ -165,10 +165,10 @@ def invariant_dim(reps: list[SpechtRep], subgroup: SubgroupDescriptor) -> int:
     their common fixed space, the kernel of the integer rows of
     L (A_k x B_k x ... - I), built from the generator blocks and reduced
     one generator at a time.  Two checks share no code with that
-    elimination: the Coxeter relations on every factor, and the trace
-    average (1/|G|) sum_g prod_r tr rho_r(g) by class_trace, summed over
-    the subgroup's closed-form cycle-type census, which must be an
-    integer equal to the nullity.
+    elimination: the Coxeter relations on each distinct shape (repeated
+    shapes must have equal generators), and the trace average
+    (1/|G|) sum_g prod_r tr rho_r(g) by class_trace over the subgroup's
+    closed-form cycle-type census, which must equal the nullity.
     """
     if not reps:
         raise InputError("need at least one representation")
@@ -194,7 +194,10 @@ def invariant_dim(reps: list[SpechtRep], subgroup: SubgroupDescriptor) -> int:
         raise InputError(
             f"{subgroup.label()} is not generated by the adjacent transpositions it contains"
         )
-    for r in reps:
+    shapes = {r.shape: r for r in reps}  # a repeated shape is checked and traced once
+    if any(r.generators != shapes[r.shape].generators for r in reps):
+        raise ConsistencyError("two representations of one shape have different generators")
+    for r in shapes.values():
         check_coxeter(r)
     held: list[list[int]] = []
     for k in gens:
@@ -224,7 +227,8 @@ def invariant_dim(reps: list[SpechtRep], subgroup: SubgroupDescriptor) -> int:
     # taken at its consecutive-cycle word (which need not lie in the subgroup)
     total = Fraction(0)
     for rho, count in class_census(subgroup).items():
-        total += count * prod(class_trace(r, rho) for r in reps)
+        traces = {shape: class_trace(r, rho) for shape, r in shapes.items()}
+        total += count * prod(traces[r.shape] for r in reps)
     average = total / subgroup.order()
     if average != nullity:
         raise ConsistencyError(

@@ -11,10 +11,13 @@ from kronlab.oracles import kron_char, kron_invariant_def, pleth_wreath
 from kronlab.permutations import cycle_type_census
 from kronlab.projectors import (
     StateVector,
+    _centraliser,
     _factor_contraction,
     _left_census,
+    _member_vector,
     _shifted_class_counts,
     _stage_kernel_cached,
+    _trace_orbits,
     apply_pipeline,
     kron_pipeline,
     perm_index,
@@ -55,6 +58,9 @@ def cold_route_caches():
         _factor_contraction,
         _shifted_class_counts,
         _stage_kernel_cached,
+        _centraliser,
+        _trace_orbits,
+        _member_vector,
         perm_index,
         cycle_type_census,
     ):
@@ -102,6 +108,20 @@ def test_dense_borrows_nothing_from_collapsed(pipeline):
     for name in ("_shifted_class_counts", "_factor_contraction", "_left_census"):
         assert ("projectors", name) not in seen
     assert ("permutations", "class_census") not in seen
+
+
+def test_dense_finds_the_wreath_symmetry_from_member_vectors():
+    # the plethysm's block Young and block-permutation averages compose to
+    # the S_2 wr S_2 average; the dense trace finds that symmetry from the
+    # stages' member vectors, not from the collapsed route's template table
+    seen = reached(pipeline_trace_dense, pleth_pipeline(2, 2, (2, 2)))
+    assert {("projectors", "_centraliser"), ("projectors", "_member_vector")} <= seen
+    for module, name in (
+        ("permutations", "wreath_product"),
+        ("permutations", "class_census"),
+        ("projectors", "_left_census"),
+    ):
+        assert (module, name) not in seen
 
 
 def test_shared_reads():

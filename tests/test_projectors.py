@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from collapsed_reference import reference_index_tables, reference_shifted_class_counts
-from groupsum_reference import apply_action, reference_pipeline, reference_stage, state_of
+from algebra_reference import reference_algebra
+from groupsum_reference import apply_action, reference_orbit_sizes, reference_pipeline, reference_stage, state_of
 
+from kronlab import projectors
 from kronlab.characters import cache_settings
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
@@ -15,7 +17,6 @@ from kronlab.partitions import enumerate_partitions, hook_dimension
 from kronlab.permutations import (
     all_perms,
     block_permutations,
-    compose,
     enumerate_subgroup,
     from_cycles,
     full_group,
@@ -40,6 +41,7 @@ from kronlab.projectors import (
     pleth_pipeline,
     truncated_kron_pipeline,
     truncated_kron_trace,
+    _FactorKernel,
     _basis_batch,
     _commuting_translations,
     _exact_int_array,
@@ -192,37 +194,21 @@ class TestPipelineConstruction:
 
 class TestDenseTrace:
     @pytest.mark.parametrize(
-        "p, left, right, rows",
+        "p, rows",
         [
-            (kron_pipeline((2, 1), (2, 1), (3,)), (), [[young_subgroup(s)] for s in ((2, 1), (2, 1), (3,))], 2),
-            (truncated_kron_pipeline((2, 1), (2, 1), (3,)), (), [[], [], []], 1),
-            (
-                kron_pipeline((3, 1), (2, 2), (2, 1, 1)),
-                (),
-                [[young_subgroup(s)] for s in ((3, 1), (2, 2), (2, 1, 1))],
-                14,
-            ),
-            (
-                pleth_pipeline(2, 2, (2, 2)),
-                (young_subgroup((2, 2)), block_permutations(2, 2)),
-                [[young_subgroup((2, 2))]],
-                6,
-            ),
-            (
-                pleth_pipeline(2, 3, (4, 2)),
-                (young_subgroup((3, 3)), block_permutations(3, 2)),
-                [[young_subgroup((4, 2))]],
-                15,
-            ),
+            (kron_pipeline((2, 1), (2, 1), (3,)), 2),
+            (truncated_kron_pipeline((2, 1), (2, 1), (3,)), 1),
+            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), 4),
+            (pleth_pipeline(2, 2, (2, 2)), 2),
+            (pleth_pipeline(2, 3, (4, 2)), 2),
         ],
         ids=["kron", "truncated", "kron-n4", "pleth", "pleth-n6"],
     )
-    def test_basis_rows_applied(self, p, left, right, rows, monkeypatch):
-        # one row per orbit of the translations every stage commutes with,
-        # counted as it passes the middle stages (none, for plethysm): the
-        # expected orbits are listed by brute force from the groups of the
-        # left stages and, per factor, of the right stages
-        expected = _brute_force_orbit_sizes(p.n, p.k, left, right)
+    def test_basis_rows_applied(self, p, rows, monkeypatch):
+        # one row per orbit of the translations the composed stages commute
+        # with, counted as it passes the middle stages (none, for
+        # plethysm): the expected orbits are listed by brute force
+        expected = reference_orbit_sizes(p)
         assert len(expected) == rows
         reps, sizes = _trace_orbits(p.n, p.k, *_commuting_translations(p))
         assert sorted(sizes.tolist()) == expected and sum(expected) == p.dim
@@ -293,10 +279,11 @@ class TestDenseTrace:
                     assert np.array_equal(a, _right_translation_batch(space, f, h, b, p.k))
 
     def test_right_groups_on_one_factor_intersect(self):
-        # two right averages on one factor: only their intersection
-        # S_(3,1) & S_(2,2) = {id, (1 2)} commutes with both.  Neither
-        # group alone is a symmetry here, and each alone would make one of
-        # the fractional traces below integral
+        # two right averages on one factor: only {id, (1 2)}, their
+        # intersection, commutes with the product of their group sums.
+        # Neither group alone is a symmetry here, and each alone would make
+        # one of the fractional traces below integral.  On the left,
+        # <(1 2), (3 4)> normalises S_(2,1,1) and so commutes with its sum
         def left(shape):
             return InvariantAverage(young_subgroup(shape), ((0, "L"),))
 
@@ -308,14 +295,41 @@ class TestDenseTrace:
 
         p = Pipeline(4, 1, (Isotypic(0, (4,)), left((2, 1, 1)), right((3, 1)), right((2, 2))), "intersect")
         reps, _ = _trace_orbits(4, 1, *_commuting_translations(p))
-        groups = [[young_subgroup((3, 1)), young_subgroup((2, 2))]]
-        assert len(reps) == len(_brute_force_orbit_sizes(4, 1, [young_subgroup((2, 1, 1))], groups)) == 7
+        assert len(reps) == len(reference_orbit_sizes(p)) == 4
         assert pipeline_trace_dense(p) == reference_trace(p) == 1
         for shape, expected in (((2, 1, 1), Fraction(5, 3)), ((3, 1), Fraction(4, 3))):
             q = Pipeline(4, 1, (left(shape), right((3, 1)), right((2, 2))), "fractional")
             assert reference_trace(q) == expected
             with pytest.raises(ConsistencyError):
                 pipeline_trace_dense(q)
+
+    def test_runs_split_at_orbit_stages_and_products_fixed_by_value(self):
+        # Left averages on one factor on either side of an orbit stage are
+        # separate runs: S_(2,2) and the block permutations compose to the
+        # S_2 wr S_2 average, but with the orbit stage between them only
+        # what fixes each counts, and the wider group makes this trace of 1
+        # read 5/6.  And x must fix a product's values, not only its
+        # support: S_(3,1) S_(2,2) S_(3,1) has support S_4, and taking all
+        # of S_4 turns this trace of 5/3 into 2.
+        def avg(group, f, side):
+            return InvariantAverage(group, ((f, side),))
+
+        orbit = InvariantAverage(full_group(4), ((0, "L"), (1, "L")))
+        right31 = [avg(young_subgroup((3, 1)), f, "R") for f in (0, 1)]
+        split = Pipeline(
+            4, 2, (avg(young_subgroup((2, 2)), 0, "L"), orbit, avg(block_permutations(2, 2), 0, "L"), *right31), "split"
+        )
+        right = [avg(young_subgroup(s), 0, "R") for s in ((3, 1), (2, 2), (3, 1))]
+        composed = Pipeline(4, 1, (avg(young_subgroup((2, 1, 1)), 0, "L"), *right), "composed")
+        for p, trace in ((split, 1), (composed, Fraction(5, 3))):
+            ev = BatchEvaluator(p)
+            full = _exact_int_array(ev.apply(_basis_batch(p.dim, np.arange(p.dim))))
+            assert Fraction(int(np.trace(full)), ev.denominator) == trace
+            reps, _ = _trace_orbits(p.n, p.k, *_commuting_translations(p))
+            assert len(reps) == len(reference_orbit_sizes(p))
+        assert pipeline_trace_dense(split) == 1
+        with pytest.raises(ConsistencyError):
+            pipeline_trace_dense(composed)
 
     def test_pleth_dense_matches_oracle(self):
         for lam in enumerate_partitions(4):
@@ -484,31 +498,6 @@ def _right_translation_batch(space, f, h, batch, k):
     return out
 
 
-def _brute_force_orbit_sizes(n, k, left, right):
-    """Sorted orbit sizes of the k-tuples of S_n under
-    (s_f) -> (x s_f y_f), x in every group of left and y_f in every group
-    of right[f] (all of S_n where none is listed), each orbit listed."""
-
-    def common(groups):
-        elements = set(all_perms(n))
-        for g in groups:
-            elements &= set(enumerate_subgroup(g))
-        return elements
-
-    xs, ys = common(left), [common(groups) for groups in right]
-    seen, sizes = set(), []
-    for key in itertools.product(all_perms(n), repeat=k):
-        if key not in seen:
-            orbit = {
-                tuple(compose(compose(x, s), y) for s, y in zip(key, yy))
-                for x in xs
-                for yy in itertools.product(*ys)
-            }
-            seen |= orbit
-            sizes.append(len(orbit))
-    return sorted(sizes)
-
-
 class TestCollapsedTrace:
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_dense_kron(self, n):
@@ -635,6 +624,14 @@ class TestTruncatedPipeline:
         assert pipeline_trace_dense(kron_pipeline(lam, lam, lam)) == 1
 
 
+def _mutated_pipeline():
+    # negative control: a left-acting average over a non-normal subgroup
+    # on one factor cannot commute with the simultaneous left average
+    base = kron_pipeline((2, 1), (2, 1), (2, 1))
+    stage = InvariantAverage(young_subgroup((2, 1)), ((0, "L"),))
+    return Pipeline(3, 3, base.stages[:4] + (stage,) + base.stages[5:], "mutated")
+
+
 class TestProjectorAlgebra:
     def test_all_checks_pass_exhaustively_n3(self):
         report = check_projector_algebra(kron_pipeline((2, 1), (2, 1), (2, 1)))
@@ -660,17 +657,48 @@ class TestProjectorAlgebra:
         assert report.ok
 
     def test_mutated_pipeline_fails_commutation(self):
-        # negative control: a left-acting average over a non-normal
-        # subgroup on one factor cannot commute with the simultaneous
-        # left average
-        base = kron_pipeline((2, 1), (2, 1), (2, 1))
-        mutated_stage = InvariantAverage(young_subgroup((2, 1)), ((0, "L"),))
-        stages = base.stages[:4] + (mutated_stage,) + base.stages[5:]
-        mutated = Pipeline(3, 3, stages, "mutated")
-        report = check_projector_algebra(mutated)
+        report = check_projector_algebra(_mutated_pipeline())
         assert not report.ok
         bad_pairs = [pair for pair, ok in report.pair_commutes.items() if not ok]
         assert (3, 4) in bad_pairs  # the left average vs the mutated stage
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pleth_pipeline(2, 2, (2, 2)),
+            kron_pipeline((3, 1), (2, 2), (2, 1, 1)),
+            kron_pipeline((2, 1, 1), (2, 1, 1), (2, 1, 1)),
+            _mutated_pipeline(),
+        ],
+        ids=["pleth", "sampled-n4", "sampled-n4-211", "mutated"],
+    )
+    def test_report_matches_both_orders_reference(self, p):
+        assert check_projector_algebra(p) == reference_algebra(p)
+
+    def test_report_matches_both_orders_reference_n3(self):
+        parts = enumerate_partitions(3)
+        for triple in itertools.product(parts, repeat=3):
+            p = kron_pipeline(*triple)
+            assert check_projector_algebra(p) == reference_algebra(p), triple
+
+    def test_asymmetric_kernel_applies_both_orders(self, monkeypatch):
+        # one right-average kernel made asymmetric: its pairs fall back to
+        # applying both orders, and the report still equals the reference
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        kernel = _stage_kernel_cached(3, p.stages[4], 3)
+        ints = kernel._ints.copy()
+        ints[0, 1] += 1
+        skewed = _FactorKernel(kernel.factor, ints, kernel.den)
+        cached = projectors._stage_kernel_cached
+
+        def kernels(n, stage, k):
+            return skewed if stage == p.stages[4] else cached(n, stage, k)
+
+        monkeypatch.setattr(projectors, "_stage_kernel_cached", kernels)
+        report = check_projector_algebra(p)
+        assert report == reference_algebra(p)
+        assert report.mode == "exhaustive" and not report.stage_symmetric[4]
+        assert not all(ok for (i, j), ok in report.pair_commutes.items() if 4 in (i, j))
 
     def test_stage_order_irrelevant_for_composition(self):
         # commuting stages: shuffled application orders give the same

@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from groupsum_reference import reference_pipeline, reference_stage, state_of
+from groupsum_reference import reference_orbit_sizes, reference_pipeline, reference_stage, state_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rref_reference import kernel, rref
@@ -17,12 +17,14 @@ from rref_reference import kernel, rref
 from kronlab.errors import ConsistencyError
 from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
-from kronlab.permutations import all_perms, full_group, young_subgroup
+from kronlab.permutations import all_perms, block_permutations, full_group, wreath_product, young_subgroup
 from kronlab.projectors import (
     InvariantAverage,
     Isotypic,
     Pipeline,
     StateVector,
+    _commuting_translations,
+    _trace_orbits,
     apply_pipeline,
     kron_pipeline,
     pipeline_trace_collapsed,
@@ -63,21 +65,25 @@ def test_every_stage_matches_group_sums(data, triple):
 
 
 @st.composite
-def mixed_pipelines(draw):
-    """Pipelines at n = 2, 3 made of single-factor isotypic, left and right
-    Young stages placed before, between and after up to two full-left
-    orbit stages; k = 1 pipelines and some k = 2, 3 ones have none.  At
-    n <= 3 the single-factor stages on one factor all commute, so k = 1
-    pipelines also run at n = 4, where S_(2,2) and S_(3,1) averages do not
-    and the per-factor kernel products are not symmetric."""
-    n, k = draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))))
+def mixed_pipelines(draw, sizes=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))):
+    """Pipelines of the given (n, k) made of single-factor isotypic stages
+    and left and right averages (Young subgroups; at n = 4 also S_2 wr S_2
+    and its block permutations), placed before, between and after up to
+    two full-left orbit stages; k = 1 pipelines and some k = 2, 3 ones have
+    none.  At n <= 3 the single-factor stages on one factor all commute, so
+    k = 1 pipelines also run at n = 4, where S_(2,2) and S_(3,1) averages
+    do not and the per-factor kernel products are not symmetric."""
+    n, k = draw(st.sampled_from(sizes))
     shapes, factors = st.sampled_from(enumerate_partitions(n)), st.integers(0, k - 1)
+    groups = st.builds(young_subgroup, shapes)
+    if n == 4:  # with m = 1 or d = 1 these are S_n or trivial
+        groups = st.one_of(groups, st.sampled_from((block_permutations(2, 2), wreath_product(2, 2))))
     single = st.one_of(
         st.builds(Isotypic, factors, shapes),
         st.builds(
-            lambda f, shape, side: InvariantAverage(young_subgroup(shape), ((f, side),)),
+            lambda f, group, side: InvariantAverage(group, ((f, side),)),
             factors,
-            shapes,
+            groups,
             st.sampled_from("LR"),
         ),
     )
@@ -88,11 +94,12 @@ def mixed_pipelines(draw):
     return Pipeline(n, k, tuple(stages) or (orbit,), "mixed")
 
 
-@given(p=mixed_pipelines())
-@SETTINGS
-def test_dense_trace_matches_group_sums_on_every_basis_vector(p):
+def _check_dense_trace(p):
     # stages that do not commute can make the trace fractional or
-    # negative, and the dense trace must then refuse it rather than round
+    # negative, and the dense trace must then refuse it rather than round;
+    # its orbits are those of the symmetry group found by brute force
+    _, sizes = _trace_orbits(p.n, p.k, *_commuting_translations(p))
+    assert sorted(sizes.tolist()) == reference_orbit_sizes(p)
     expected = Fraction(0)
     for key in itertools.product(all_perms(p.n), repeat=p.k):
         expected += reference_pipeline(p, {key: Fraction(1)}).get(key, Fraction(0))
@@ -101,6 +108,20 @@ def test_dense_trace_matches_group_sums_on_every_basis_vector(p):
     else:
         with pytest.raises(ConsistencyError):
             pipeline_trace_dense(p)
+
+
+@given(p=mixed_pipelines())
+@SETTINGS
+def test_dense_trace_matches_group_sums_on_every_basis_vector(p):
+    _check_dense_trace(p)
+
+
+@given(p=mixed_pipelines(sizes=((4, 1),)))
+@SETTINGS
+def test_dense_trace_over_composed_symmetries_at_n4(p):
+    # S_(2,2) and block-permutation averages compose to the S_2 wr S_2
+    # average, whose symmetry neither stage has alone
+    _check_dense_trace(p)
 
 
 @st.composite

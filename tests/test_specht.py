@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kronlab import specht
 from kronlab.characters import character_table
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.partitions import enumerate_partitions, hook_dimension, kostka
@@ -140,6 +141,24 @@ class TestInvariantDimensions:
         rep.generators[0][0][0] *= 2
         with pytest.raises(ConsistencyError):
             invariant_dim([rep, build_seminormal((2, 1))], full_group(3))
+
+    def test_repeated_shape_checked_and_traced_once(self, monkeypatch):
+        # (2,1) given twice is Coxeter-checked and traced once per class,
+        # so two representations of one shape must have equal generators
+        calls = []
+
+        def counted(rep, rho):
+            calls.append(rep.shape)
+            return class_trace(rep, rho)
+
+        monkeypatch.setattr(specht, "class_trace", counted)
+        rep = build_seminormal((2, 1))
+        assert invariant_dim([rep, build_seminormal((2, 1)), build_seminormal((3,))], full_group(3)) == 1
+        assert sorted(calls) == [(2, 1)] * 3 + [(3,)] * 3
+        other = build_seminormal((2, 1))
+        other.generators[0][0][0] *= 2
+        with pytest.raises(ConsistencyError, match="different generators"):
+            invariant_dim([other, rep], full_group(3))
 
     def test_braid_breaking_mutation_is_caught(self):
         # negating the 1x1 entry of s_1 at tableau 0 of (2,1) makes s_1 = -I:
