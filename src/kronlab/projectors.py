@@ -10,7 +10,7 @@ orbit sum made of two index gathers.  Amplitudes stay
 integer numerators over a running denominator; they are carried in
 float64 arrays purely for speed, with an l1-norm bound asserted below
 2^53 before every stage so every intermediate is exactly representable.
-The projector-algebra checks push basis vectors through it.  The dense
+The projector-algebra check compares it with every stage's kernel.  The dense
 trace reads one diagonal entry per orbit of the translations the composed
 stages commute with (simultaneous left translation by the x commuting
 with each factor's composed left averages between orbit stages, right
@@ -41,6 +41,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
@@ -773,60 +774,78 @@ class AlgebraReport:
 
 
 def check_projector_algebra(p: Pipeline) -> AlgebraReport:
-    """Verify per stage: idempotence and symmetry; and for every stage
-    pair: commutation, comparing products on basis vectors as exact
-    integer-valued float64 arrays.  Up to 1728 = 12^3 dimensions every
-    basis vector is used, and two stages shown symmetric commute when
-    S_j S_i equals its transpose S_i S_j; otherwise both orders are
-    applied.  Above it a sample of 192 drawn with seed 7 (symmetry then
-    checks the sampled submatrix)."""
+    """Idempotence and symmetry of every stage and commutation of every
+    stage pair, decided on the stage kernels.  `mode` names the basis
+    vectors the evaluator applies each stage to once: all of them up to
+    1728 = 12^3 dimensions, else 192 drawn with seed 7.  Those rows must
+    equal the stage's lift built without the evaluator, I (x) K (x) I from
+    a factor stage's integer kernel K or the orbit sum from PermIndex.mult;
+    a mismatch is drift and raises ConsistencyError.  Over its denominator
+    den, a factor stage is idempotent when K K = den K and symmetric when
+    K = K^T; stages on one factor commute when K_i K_j = K_j K_i, and on
+    different factors always.  The orbit stage sum_g L_g (x) ... (x) L_g
+    commutes with K exactly when K[g t, g s] = K[t, s] for every g, since
+    the L_g^(x)(k-1) of distinct g have disjoint supports.  Its own
+    idempotence and symmetry, and a pair of two orbit stages, are checked
+    on evaluator rows.  So in sampled mode too the factor-stage algebra is
+    decided on whole kernels, not on a sampled submatrix."""
     ev = BatchEvaluator(p)
-    dim = p.dim
-    if dim <= 1728:
-        mode = "exhaustive"
-        cols = np.arange(dim, dtype=np.int64)
-    else:
-        mode = "sampled"
-        cols = np.sort(np.random.default_rng(7).choice(dim, size=192, replace=False))
+    dim, k, nf, mult = p.dim, p.k, ev.space.nf, ev.space.mult
+    mode = "exhaustive" if dim <= 1728 else "sampled"
+    rng = np.random.default_rng(7)
+    cols = np.arange(dim) if dim <= 1728 else np.sort(rng.choice(dim, size=192, replace=False))
+    # float64 is exact: a kernel product's terms total at most l1^2, and den K <= 720 l1
+    if max(kern.l1 for kern in ev.kernels) ** 2 >= FLOAT_EXACT_LIMIT:
+        raise BoundExceededError(f"integer amplitudes for {p.label} would exceed exact float64 range")
     base = _basis_batch(dim, cols)
+    rows, digits = np.arange(len(cols)), np.unravel_index(cols, (nf,) * k)
     failures: list[str] = []
-    num_stages = len(p.stages)
-
-    once: list[np.ndarray] = []
     idempotent: list[bool] = []
     symmetric: list[bool] = []
-    for i in range(num_stages):
-        out1, den = ev.apply_stages(base, [i])
-        out2, _ = ev.apply_stages(out1, [i], start_max_abs=ev.kernels[i].l1)
-        a = _exact_int_array(out2)  # stage applied twice, over den^2
-        b = _exact_int_array(out1)  # stage applied once, over den
-        # S^2 = S  <=>  a / den^2 == b / den  <=>  a == b * den
-        if int(np.abs(b).max(initial=0)) * den >= 2**62:
+    mats: dict[int, np.ndarray] = {}  # factor stages' kernels
+    orbit_rows: dict[int, np.ndarray] = {}  # the orbit stages' evaluator rows
+    for i, kern in enumerate(ev.kernels):
+        out, den = ev.apply_stages(base, [i])
+        lift = np.zeros(out.shape)
+        if isinstance(kern, _FactorKernel):
+            post = nf ** (k - kern.factor - 1)  # lift viewed as (rows, pre, nf, post)
+            view = lift.reshape(len(cols), -1, nf, post)
+            view[rows, cols // (nf * post), :, cols % post] = kern._ints[:, digits[kern.factor]].T
+        else:
+            lift[rows, np.ravel_multi_index([mult[:, d] for d in digits], (nf,) * k)] = 1
+        if not np.array_equal(out, lift):
+            raise ConsistencyError(f"stage {i} of {p.label}: the evaluator differs from its kernel")
+        if int(np.abs(out).max(initial=0)) * den >= 2**62:
             raise BoundExceededError("idempotence comparison would overflow int64")
-        idem = bool(np.array_equal(a, b * np.int64(den)))
-        idempotent.append(idem)
-        if not idem:
+        if isinstance(kern, _FactorKernel):
+            kernel = mats[i] = kern.kernel
+            idempotent.append(bool(np.array_equal(kernel @ kernel, den * kernel)))
+            symmetric.append(bool(np.array_equal(kernel, kernel.T)))
+        else:
+            twice, _ = ev.apply_stages(out, [i], start_max_abs=kern.l1)
+            idempotent.append(bool(np.array_equal(_exact_int_array(twice), out * den)))
+            sub = out[:, cols]  # sub[r, r'] = S[cols[r'], cols[r]]
+            symmetric.append(bool(np.array_equal(sub, sub.T)))
+            orbit_rows[i] = out
+        if not idempotent[i]:
             failures.append(f"stage {i} not idempotent")
-        # rows of out1 are stage columns: out1[r, t] = S[t, cols[r]]
-        sub = b[:, cols]  # sub[r, r'] = S[cols[r'], cols[r]]
-        sym = bool(np.array_equal(sub, sub.T))
-        symmetric.append(sym)
-        if not sym:
+        if not symmetric[i]:
             failures.append(f"stage {i} not symmetric")
-        once.append(out1)
 
     pair_commutes: dict[tuple[int, int], bool] = {}
-    for i in range(num_stages):
-        for j in range(i + 1, num_stages):
-            ij, _ = ev.apply_stages(once[i], [j], start_max_abs=ev.kernels[i].l1)
-            if mode == "exhaustive" and symmetric[i] and symmetric[j]:
-                ji = ij.T  # row c of ij is S_j S_i e_c
-            else:
-                ji, _ = ev.apply_stages(once[j], [i], start_max_abs=ev.kernels[j].l1)
-            same = bool(np.array_equal(_exact_int_array(ij), ji))
-            if not same:
-                _exact_int_array(ji)  # drift raises, not reads as a failure
-            pair_commutes[(i, j)] = same
-            if not same:
-                failures.append(f"stages {i} and {j} do not commute")
+    for i, j in combinations(range(len(ev.kernels)), 2):
+        if i in orbit_rows and j in orbit_rows:
+            ij, _ = ev.apply_stages(orbit_rows[i], [j], start_max_abs=ev.kernels[i].l1)
+            ji, _ = ev.apply_stages(orbit_rows[j], [i], start_max_abs=ev.kernels[j].l1)
+            same = np.array_equal(_exact_int_array(ij), _exact_int_array(ji))
+        elif i in orbit_rows or j in orbit_rows:
+            kernel = mats[i] if j in orbit_rows else mats[j]  # nf <= 24, as k >= 2
+            same = (kernel[mult[:, :, None], mult[:, None, :]] == kernel).all()
+        elif ev.kernels[i].factor == ev.kernels[j].factor:
+            same = np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
+        else:
+            same = True  # (A (x) I)(I (x) B) = A (x) B = (I (x) B)(A (x) I)
+        pair_commutes[(i, j)] = bool(same)
+        if not same:
+            failures.append(f"stages {i} and {j} do not commute")
     return AlgebraReport(p.label, mode, idempotent, symmetric, pair_commutes, failures)

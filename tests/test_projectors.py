@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import tracemalloc
@@ -632,6 +633,26 @@ def _mutated_pipeline():
     return Pipeline(3, 3, base.stages[:4] + (stage,) + base.stages[5:], "mutated")
 
 
+def _two_orbit_pipeline():
+    # no template repeats the orbit stage, but the evaluator admits it
+    base = kron_pipeline((2, 1), (2, 1), (2, 1))
+    return Pipeline(3, 3, base.stages + (base.stages[3],), "two-orbit")
+
+
+def _replace_kernel(monkeypatch, stage, kernel):
+    cached = projectors._stage_kernel_cached
+    monkeypatch.setattr(
+        projectors, "_stage_kernel_cached", lambda n, s, k: kernel if s == stage else cached(n, s, k)
+    )
+
+
+def _skewed_kernel(p, index):
+    kernel = _stage_kernel_cached(p.n, p.stages[index], p.k)
+    ints = kernel._ints.astype(np.int64)
+    ints[0, 1] += 1
+    return _FactorKernel(kernel.factor, ints, kernel.den)
+
+
 class TestProjectorAlgebra:
     def test_all_checks_pass_exhaustively_n3(self):
         report = check_projector_algebra(kron_pipeline((2, 1), (2, 1), (2, 1)))
@@ -669,8 +690,10 @@ class TestProjectorAlgebra:
             kron_pipeline((3, 1), (2, 2), (2, 1, 1)),
             kron_pipeline((2, 1, 1), (2, 1, 1), (2, 1, 1)),
             _mutated_pipeline(),
+            _two_orbit_pipeline(),
+            pleth_pipeline(2, 3, (4, 2)),
         ],
-        ids=["pleth", "sampled-n4", "sampled-n4-211", "mutated"],
+        ids=["pleth", "sampled-n4", "sampled-n4-211", "mutated", "two-orbit", "pleth-n6"],
     )
     def test_report_matches_both_orders_reference(self, p):
         assert check_projector_algebra(p) == reference_algebra(p)
@@ -682,8 +705,8 @@ class TestProjectorAlgebra:
             assert check_projector_algebra(p) == reference_algebra(p), triple
 
     def test_asymmetric_kernel_applies_both_orders(self, monkeypatch):
-        # one right-average kernel made asymmetric: its pairs fall back to
-        # applying both orders, and the report still equals the reference
+        # one right-average kernel made asymmetric: the kernel-level
+        # criteria still give the both-orders reference's report
         p = kron_pipeline((2, 1), (2, 1), (2, 1))
         kernel = _stage_kernel_cached(3, p.stages[4], 3)
         ints = kernel._ints.copy()
@@ -699,6 +722,73 @@ class TestProjectorAlgebra:
         assert report == reference_algebra(p)
         assert report.mode == "exhaustive" and not report.stage_symmetric[4]
         assert not all(ok for (i, j), ok in report.pair_commutes.items() if 4 in (i, j))
+
+    @pytest.mark.parametrize(
+        "p, calls",
+        [
+            # each stage once, and the orbit stage (3) once more for idempotence
+            (kron_pipeline((2, 1), (2, 1), (2, 1)), [[0], [1], [2], [3], [3], [4], [5], [6]]),
+            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), [[0], [1], [2], [3], [3], [4], [5], [6]]),
+            (pleth_pipeline(2, 2, (2, 2)), [[0], [1], [2], [3]]),
+            # two orbit stages: their pair is applied in both orders
+            (_two_orbit_pipeline(), [[0], [1], [2], [3], [3], [4], [5], [6], [7], [7], [7], [3]]),
+        ],
+        ids=["n3", "sampled-n4", "pleth", "two-orbit"],
+    )
+    def test_one_evaluator_pass_per_stage(self, monkeypatch, p, calls):
+        seen = []
+        apply_stages = BatchEvaluator.apply_stages
+
+        def counted(self, x, stage_indices, **kwargs):
+            seen.append(list(stage_indices))
+            return apply_stages(self, x, stage_indices, **kwargs)
+
+        monkeypatch.setattr(BatchEvaluator, "apply_stages", counted)
+        assert check_projector_algebra(p).ok
+        assert seen == calls
+
+    def test_factor_stage_on_wrong_factor_raises(self, monkeypatch):
+        # every stage kernel still forms a commuting projector family, so
+        # only comparing the evaluator with the kernel's lift sees this
+        apply = _FactorKernel.apply
+
+        def wrong_factor(self, x, k, nf):
+            moved = copy.copy(self)
+            moved.factor = (self.factor + 1) % k
+            return apply(moved, x, k, nf)
+
+        monkeypatch.setattr(_FactorKernel, "apply", wrong_factor)
+        with pytest.raises(ConsistencyError, match="differs from its kernel"):
+            check_projector_algebra(kron_pipeline((2, 1), (2, 1), (2, 1)))
+
+    @pytest.mark.parametrize(
+        "p, index", [(kron_pipeline((2, 1), (2, 1), (2, 1)), 6), (pleth_pipeline(2, 2, (2, 2)), 3)]
+    )
+    def test_factor_stage_with_untransposed_kernel_raises(self, monkeypatch, p, index):
+        # all template kernels are symmetric, so one is skewed first; the
+        # skewed pipeline alone reports failures but raises nothing
+        _replace_kernel(monkeypatch, p.stages[index], _skewed_kernel(p, index))
+        assert not check_projector_algebra(p).ok
+
+        def untransposed(self, x, k, nf):
+            post = nf ** (k - self.factor - 1)
+            return np.matmul(self.kernel.T, x.reshape(-1, nf, post)).reshape(x.shape)
+
+        monkeypatch.setattr(_FactorKernel, "apply", untransposed)
+        with pytest.raises(ConsistencyError, match=f"stage {index} .* differs from its kernel"):
+            check_projector_algebra(p)
+
+    @pytest.mark.parametrize("array", ["back", "gather"])
+    def test_corrupted_orbit_kernel_raises(self, monkeypatch, array):
+        # swap two entries that belong to different orbits
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        orbit = copy.copy(_stage_kernel_cached(3, p.stages[3], 3))
+        index = getattr(orbit, array).copy()
+        index.flat[[0, 1]] = index.flat[[1, 0]]
+        setattr(orbit, array, index)
+        _replace_kernel(monkeypatch, p.stages[3], orbit)
+        with pytest.raises(ConsistencyError, match="stage 3 .* differs from its kernel"):
+            check_projector_algebra(p)
 
     def test_stage_order_irrelevant_for_composition(self):
         # commuting stages: shuffled application orders give the same

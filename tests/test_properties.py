@@ -7,13 +7,17 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from unittest import mock
 
+import numpy as np
 import pytest
+from algebra_reference import reference_algebra
 from groupsum_reference import reference_orbit_sizes, reference_pipeline, reference_stage, state_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rref_reference import kernel, rref
 
+from kronlab import projectors
 from kronlab.errors import ConsistencyError
 from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
@@ -24,8 +28,11 @@ from kronlab.projectors import (
     Pipeline,
     StateVector,
     _commuting_translations,
+    _FactorKernel,
+    _stage_kernel_cached,
     _trace_orbits,
     apply_pipeline,
+    check_projector_algebra,
     kron_pipeline,
     pipeline_trace_collapsed,
     pipeline_trace_dense,
@@ -122,6 +129,32 @@ def test_dense_trace_over_composed_symmetries_at_n4(p):
     # S_(2,2) and block-permutation averages compose to the S_2 wr S_2
     # average, whose symmetry neither stage has alone
     _check_dense_trace(p)
+
+
+@given(data=st.data(), triple=kron_triples())
+@SETTINGS
+def test_perturbed_kernel_algebra_matches_reference(data, triple):
+    # one entry of one factor-stage kernel moved by 1 to 3 either way: each
+    # kernel-level criterion agrees with applying every pair in both orders
+    p = kron_pipeline(*triple)
+    kernels = [_stage_kernel_cached(p.n, stage, p.k) for stage in p.stages]
+    i = data.draw(st.sampled_from([i for i, kern in enumerate(kernels) if isinstance(kern, _FactorKernel)]))
+    ints = kernels[i]._ints.astype(np.int64)
+    entry = data.draw(st.tuples(*[st.integers(0, len(ints) - 1)] * 2))
+    ints[entry] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    perturbed = _FactorKernel(kernels[i].factor, ints, kernels[i].den)
+    cached = projectors._stage_kernel_cached
+    with mock.patch.object(
+        projectors, "_stage_kernel_cached", lambda n, s, k: perturbed if s == p.stages[i] else cached(n, s, k)
+    ):
+        assert check_projector_algebra(p) == reference_algebra(p)
+
+
+@given(p=mixed_pipelines())
+@SETTINGS
+def test_mixed_pipeline_algebra_matches_reference(p):
+    # stages on one factor that do not commute, and up to two orbit stages
+    assert check_projector_algebra(p) == reference_algebra(p)
 
 
 @st.composite
