@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import product
 
 from . import characters
 from .errors import BoundExceededError, InputError, KronlabError
@@ -35,7 +36,7 @@ from .projectors import (
     pipeline_trace_collapsed,
     pipeline_trace_dense,
     pleth_pipeline,
-    truncated_kron_trace,
+    truncated_kron_pipeline,
 )
 from .protocol import run_verifier, sample_witness, witness_spaces
 
@@ -85,94 +86,68 @@ def _resolve_format(args) -> str:
     return "pretty" if sys.stdout.isatty() else "json"
 
 
-def _run_kron_method(method: str, lam, mu, nu) -> int:
-    if method == "char":
-        return kron_char(lam, mu, nu).value
-    if method == "dense":
-        return pipeline_trace_dense(kron_pipeline(lam, mu, nu))
-    if method == "collapsed":
-        return pipeline_trace_collapsed(kron_pipeline(lam, mu, nu))
-    if method == "specht":
-        return kron_invariant_def(lam, mu, nu).value
-    raise InputError(f"unknown method {method!r}")
+# Each command's routes, in --all-methods order; the first is the default.
+# Every entry looks its functions up at call time, so wrappers installed on
+# the module (bench/tracer.py) see the calls.
+KRON_ROUTES = {
+    "char": lambda lam, mu, nu: kron_char(lam, mu, nu).value,
+    "dense": lambda *shapes: pipeline_trace_dense(kron_pipeline(*shapes)),
+    "collapsed": lambda *shapes: pipeline_trace_collapsed(kron_pipeline(*shapes)),
+    "specht": lambda lam, mu, nu: kron_invariant_def(lam, mu, nu).value,
+}
+PLETH_ROUTES = {
+    "wreath": lambda d, m, lam: pleth_wreath(d, m, lam).value,
+    "dense": lambda *dml: pipeline_trace_dense(pleth_pipeline(*dml)),
+    "collapsed": lambda *dml: pipeline_trace_collapsed(pleth_pipeline(*dml)),
+}
+TRACES = {
+    "dense": lambda p: pipeline_trace_dense(p),
+    "collapsed": lambda p: pipeline_trace_collapsed(p),
+}
 
 
-def _run_pleth_method(method: str, d: int, m: int, lam) -> int:
-    if method == "wreath":
-        return pleth_wreath(d, m, lam).value
-    if method == "dense":
-        return pipeline_trace_dense(pleth_pipeline(d, m, lam))
-    if method == "collapsed":
-        return pipeline_trace_collapsed(pleth_pipeline(d, m, lam))
-    raise InputError(f"unknown method {method!r}")
+def _text(lam) -> str:
+    return ",".join(map(str, lam))
 
 
-def _collect_methods(methods, runner, all_methods: bool) -> tuple[dict, list[str]]:
-    """Run each backend; under --all-methods a backend whose size bound is
-    exceeded is reported as skipped instead of aborting the command, unless
-    every backend is refused."""
+def _status(ok: bool) -> str:
+    return "ok" if ok else "MISMATCH"
+
+
+def cmd_coefficient(args, out) -> int:
+    """kron and pleth: one route, or under --all-methods every route of the
+    command's table, where a route whose size bound is exceeded is reported
+    as skipped instead of aborting the command, unless every route is
+    refused."""
+    given = {name: getattr(args, name) for name in args.inputs}
+    inputs = {name: parse_partition(v) if isinstance(v, str) else v for name, v in given.items()}
     values: dict[str, int] = {}
     refusals: dict[str, str] = {}
-    for m in methods:
-        if all_methods:
-            try:
-                values[m] = runner(m)
-            except BoundExceededError as exc:
-                refusals[m] = str(exc)
-        else:
-            values[m] = runner(m)
+    for m in args.routes if args.all_methods else [args.method]:
+        try:
+            values[m] = args.routes[m](*inputs.values())
+        except BoundExceededError as exc:
+            if not args.all_methods:
+                raise
+            refusals[m] = str(exc)
     if not values:
         raise BoundExceededError("; ".join(f"{m}: {why}" for m, why in refusals.items()))
-    return values, list(refusals)
-
-
-def cmd_kron(args, out) -> int:
-    lam, mu, nu = map(parse_partition, (args.lam, args.mu, args.nu))
-    methods = ["char", "dense", "collapsed", "specht"] if args.all_methods else [args.method]
-    values, skipped = _collect_methods(
-        methods, lambda m: _run_kron_method(m, lam, mu, nu), args.all_methods
-    )
     agree = len(set(values.values())) == 1
     payload = {
-        "command": "kron",
-        "inputs": {"lam": list(lam), "mu": list(mu), "nu": list(nu)},
+        "command": args.command,
+        "inputs": {name: list(v) if isinstance(v, tuple) else v for name, v in inputs.items()},
         "values": values,
-        "skipped": skipped,
+        "skipped": list(refusals),
         "agree": agree,
     }
-    rows = [
-        {"method": m, "value": v, "lam": args.lam, "mu": args.mu, "nu": args.nu}
-        for m, v in values.items()
-    ]
-    _emit(payload, rows, _resolve_format(args), out)
-    return EXIT_OK if agree else EXIT_MISMATCH
-
-
-def cmd_pleth(args, out) -> int:
-    lam = parse_partition(args.lam)
-    methods = ["wreath", "dense", "collapsed"] if args.all_methods else [args.method]
-    values, skipped = _collect_methods(
-        methods, lambda m: _run_pleth_method(m, args.d, args.m, lam), args.all_methods
-    )
-    agree = len(set(values.values())) == 1
-    payload = {
-        "command": "pleth",
-        "inputs": {"d": args.d, "m": args.m, "lam": list(lam)},
-        "values": values,
-        "skipped": skipped,
-        "agree": agree,
-    }
-    rows = [
-        {"method": m, "value": v, "d": args.d, "m": args.m, "lam": args.lam}
-        for m, v in values.items()
-    ]
+    rows = [{"method": m, "value": v, **given} for m, v in values.items()]
     _emit(payload, rows, _resolve_format(args), out)
     return EXIT_OK if agree else EXIT_MISMATCH
 
 
 def cmd_scaledkron(args, out) -> int:
     lam, mu, nu = map(parse_partition, (args.lam, args.mu, args.nu))
-    truncated = truncated_kron_trace(lam, mu, nu, method=args.method)
+    truncated = TRACES[args.method](truncated_kron_pipeline(lam, mu, nu))
     expected = scaled_kron(lam, mu, nu)
     payload = {
         "command": "scaledkron",
@@ -188,109 +163,75 @@ def cmd_scaledkron(args, out) -> int:
             "nu": args.nu,
             "truncated_trace": truncated,
             "scaled_oracle": expected,
-            "status": "ok" if truncated == expected else "MISMATCH",
+            "status": _status(truncated == expected),
         }
     ]
     _emit(payload, rows, _resolve_format(args), out)
     return EXIT_OK if truncated == expected else EXIT_MISMATCH
 
 
+# Verify suites: one row per case, its "status" "ok" when the case passed.
+# Each row runs its bounded route first, so a sweep beyond a size bound is
+# refused before any character table is computed or cached.
+
+
+def _compared(row: dict, expected: int, got: int) -> dict:
+    return {**row, "oracle": expected, "pipeline": got, "status": _status(got == expected)}
+
+
+def _kron_all_rows(args):
+    parts = enumerate_partitions(args.n)
+    trace = TRACES["dense" if math.factorial(args.n) ** 3 <= DENSE_DIM_LIMIT else "collapsed"]
+    for lam, mu, nu in product(parts, repeat=3):
+        got = trace(kron_pipeline(lam, mu, nu))
+        row = {"lam": _text(lam), "mu": _text(mu), "nu": _text(nu)}
+        yield _compared(row, kron_char(lam, mu, nu).value, got)
+
+
+def _pleth_all_rows(args):
+    d, m = args.d, args.m
+    for lam in enumerate_partitions(d * m):
+        got = pipeline_trace_dense(pleth_pipeline(d, m, lam))
+        yield _compared({"d": d, "m": m, "lam": _text(lam)}, pleth_wreath(d, m, lam).value, got)
+
+
+def _algebra_rows(args):
+    for shapes in product(enumerate_partitions(args.n), repeat=3):
+        report = check_projector_algebra(kron_pipeline(*shapes))
+        status = "ok" if report.ok else "; ".join(report.failures)
+        yield {"pipeline": report.pipeline_label, "mode": report.mode, "status": status}
+
+
+def _protocol_rows(args):
+    seed = args.seed
+    for shapes in product(enumerate_partitions(args.n), repeat=3):
+        p = kron_pipeline(*shapes)
+        ws = witness_spaces(p)
+        expected = kron_char(*shapes).value
+        ok = ws.dim_accept == expected
+        detail = f"dimA={ws.dim_accept}"
+        if ws.dim_accept:
+            w = sample_witness(ws, "accept", seed)
+            pa = run_verifier(p, w, "single_shot")
+            ok = ok and pa == 1
+            detail += f" p_accept={pa}"
+            mc = run_verifier(p, w, "monte_carlo", seed=seed, shots=args.shots)
+            ok = ok and mc.accepts == mc.shots
+        if ws.dim_reject:
+            w = sample_witness(ws, "reject", seed + 1)
+            pr = run_verifier(p, w, "single_shot")
+            ok = ok and pr == 0
+            detail += f" p_reject={pr}"
+        yield {"pipeline": p.label, "oracle": expected, "detail": detail, "status": _status(ok)}
+
+
 def cmd_verify(args, out) -> int:
-    sub = args.suite
-    rows: list[dict] = []
-    failures = 0
-    if sub == "kron-all":
-        n = args.n
-        parts = enumerate_partitions(n)
-        use_dense = math.factorial(n) ** 3 <= DENSE_DIM_LIMIT
-        for lam in parts:
-            for mu in parts:
-                for nu in parts:
-                    expected = kron_char(lam, mu, nu).value
-                    p = kron_pipeline(lam, mu, nu)
-                    got = pipeline_trace_dense(p) if use_dense else pipeline_trace_collapsed(p)
-                    ok = got == expected
-                    failures += not ok
-                    rows.append(
-                        {
-                            "lam": ",".join(map(str, lam)),
-                            "mu": ",".join(map(str, mu)),
-                            "nu": ",".join(map(str, nu)),
-                            "oracle": expected,
-                            "pipeline": got,
-                            "status": "ok" if ok else "MISMATCH",
-                        }
-                    )
-    elif sub == "pleth-all":
-        d, m = args.d, args.m
-        for lam in enumerate_partitions(d * m):
-            expected = pleth_wreath(d, m, lam).value
-            got = pipeline_trace_dense(pleth_pipeline(d, m, lam))
-            ok = got == expected
-            failures += not ok
-            rows.append(
-                {
-                    "d": d,
-                    "m": m,
-                    "lam": ",".join(map(str, lam)),
-                    "oracle": expected,
-                    "pipeline": got,
-                    "status": "ok" if ok else "MISMATCH",
-                }
-            )
-    elif sub == "algebra":
-        n = args.n
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
-                for nu in enumerate_partitions(n):
-                    report = check_projector_algebra(kron_pipeline(lam, mu, nu))
-                    ok = report.ok
-                    failures += not ok
-                    rows.append(
-                        {
-                            "pipeline": report.pipeline_label,
-                            "mode": report.mode,
-                            "status": "ok" if ok else "; ".join(report.failures),
-                        }
-                    )
-    elif sub == "protocol":
-        n = args.n
-        rng_seed = args.seed
-        for lam in enumerate_partitions(n):
-            for mu in enumerate_partitions(n):
-                for nu in enumerate_partitions(n):
-                    p = kron_pipeline(lam, mu, nu)
-                    expected = kron_char(lam, mu, nu).value
-                    ws = witness_spaces(p)
-                    ok = ws.dim_accept == expected
-                    detail = f"dimA={ws.dim_accept}"
-                    if ws.dim_accept:
-                        w = sample_witness(ws, "accept", rng_seed)
-                        pa = run_verifier(p, w, "single_shot")
-                        ok = ok and pa == 1
-                        detail += f" p_accept={pa}"
-                        mc = run_verifier(p, w, "monte_carlo", seed=rng_seed, shots=args.shots)
-                        ok = ok and mc.accepts == mc.shots
-                    if ws.dim_reject:
-                        w = sample_witness(ws, "reject", rng_seed + 1)
-                        pr = run_verifier(p, w, "single_shot")
-                        ok = ok and pr == 0
-                        detail += f" p_reject={pr}"
-                    failures += not ok
-                    rows.append(
-                        {
-                            "pipeline": p.label,
-                            "oracle": expected,
-                            "detail": detail,
-                            "status": "ok" if ok else "MISMATCH",
-                        }
-                    )
-    else:
-        raise InputError(f"unknown verify suite {sub!r}")
+    rows = list(args.suite_rows(args))
+    failures = sum(row["status"] != "ok" for row in rows)
     passed = len(rows) - failures
     payload = {
         "command": "verify",
-        "suite": sub,
+        "suite": args.suite,
         "cases": rows,
         "passed": passed,
         "failed": failures,
@@ -307,9 +248,9 @@ def cmd_chartable(args, out) -> int:
     payload = table.to_json()
     rows = []
     for lam in table.partitions:
-        row = {"partition": ",".join(map(str, lam))}
+        row = {"partition": _text(lam)}
         for rho, value in zip(table.classes, table.row(lam)):
-            row[",".join(map(str, rho))] = value
+            row[_text(rho)] = value
         rows.append(row)
     _emit(payload, rows, _resolve_format(args), out)
     return EXIT_OK
@@ -317,10 +258,7 @@ def cmd_chartable(args, out) -> int:
 
 def cmd_dims(args, out) -> int:
     parts = enumerate_partitions(args.n)
-    rows = [
-        {"partition": ",".join(map(str, lam)), "dimension": hook_dimension(lam)}
-        for lam in parts
-    ]
+    rows = [{"partition": _text(lam), "dimension": hook_dimension(lam)} for lam in parts]
     total = sum(r["dimension"] ** 2 for r in rows)
     payload = {
         "command": "dims",
@@ -337,8 +275,6 @@ def cmd_dims(args, out) -> int:
 
 def cmd_kostka(args, out) -> int:
     lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-    if sum(lam) != sum(mu):
-        raise InputError(f"|lam| = {sum(lam)} but |mu| = {sum(mu)}")
     value = kostka(lam, mu)
     payload = {
         "command": "kostka",
@@ -383,21 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kron", parents=[common], help="Kronecker coefficient k(lam, mu, nu)")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("--method", choices=["char", "dense", "collapsed", "specht"], default="char")
-    p.add_argument("--all-methods", action="store_true")
-    p.set_defaults(func=cmd_kron)
-
-    p = sub.add_parser("pleth", parents=[common], help="plethysm coefficient a_lam(d, m)")
-    p.add_argument("d", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("lam")
-    p.add_argument("--method", choices=["wreath", "dense", "collapsed"], default="wreath")
-    p.add_argument("--all-methods", action="store_true")
-    p.set_defaults(func=cmd_pleth)
+    for name, routes, inputs, help_text in (
+        ("kron", KRON_ROUTES, {"lam": str, "mu": str, "nu": str}, "Kronecker coefficient k(lam, mu, nu)"),
+        ("pleth", PLETH_ROUTES, {"d": int, "m": int, "lam": str}, "plethysm coefficient a_lam(d, m)"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg, kind in inputs.items():
+            p.add_argument(arg, type=kind)
+        p.add_argument("--method", choices=list(routes), default=next(iter(routes)))
+        p.add_argument("--all-methods", action="store_true")
+        p.set_defaults(func=cmd_coefficient, routes=routes, inputs=tuple(inputs))
 
     p = sub.add_parser(
         "scaledkron",
@@ -407,26 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("--method", choices=["dense", "collapsed"], default="dense")
+    p.add_argument("--method", choices=list(TRACES), default=next(iter(TRACES)))
     p.set_defaults(func=cmd_scaledkron)
 
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
     vsub = p.add_subparsers(dest="suite", required=True)
-    v = vsub.add_parser("kron-all", parents=[common], help="all Kronecker triples at degree n")
-    v.add_argument("n", type=int)
-    v.set_defaults(func=cmd_verify)
-    v = vsub.add_parser("pleth-all", parents=[common], help="all plethysm shapes for (d, m)")
-    v.add_argument("d", type=int)
-    v.add_argument("m", type=int)
-    v.set_defaults(func=cmd_verify)
-    v = vsub.add_parser("algebra", parents=[common], help="idempotence/symmetry/commutation at degree n")
-    v.add_argument("n", type=int)
-    v.set_defaults(func=cmd_verify)
-    v = vsub.add_parser("protocol", parents=[common], help="witness spaces and verifier runs at degree n")
-    v.add_argument("n", type=int)
+    for name, suite_rows, degrees, help_text in (
+        ("kron-all", _kron_all_rows, ["n"], "all Kronecker triples at degree n"),
+        ("pleth-all", _pleth_all_rows, ["d", "m"], "all plethysm shapes for (d, m)"),
+        ("algebra", _algebra_rows, ["n"], "idempotence/symmetry/commutation at degree n"),
+        ("protocol", _protocol_rows, ["n"], "witness spaces and verifier runs at degree n"),
+    ):
+        v = vsub.add_parser(name, parents=[common], help=help_text)
+        for arg in degrees:
+            v.add_argument(arg, type=int)
+        v.set_defaults(func=cmd_verify, suite_rows=suite_rows)
+    # v is the last suite's parser: only protocol samples and shoots
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--shots", type=int, default=1000)
-    v.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chartable", parents=[common], help="character table of S_n")
     p.add_argument("n", type=int)

@@ -126,36 +126,6 @@ def decode_diagram(bits: str) -> Partition:
     return lam
 
 
-def is_semistandard(tab: Tableau) -> bool:
-    """Rows weakly increase left to right, columns strictly increase downward."""
-    for row in tab:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for i in range(1, len(tab)):
-        if len(tab[i]) > len(tab[i - 1]):
-            return False
-        if any(tab[i][j] <= tab[i - 1][j] for j in range(len(tab[i]))):
-            return False
-    return True
-
-
-def is_standard(tab: Tableau) -> bool:
-    n = sum(len(row) for row in tab)
-    entries = sorted(x for row in tab for x in row)
-    return entries == list(range(1, n + 1)) and is_semistandard(tab)
-
-
-def content(tab: Tableau) -> tuple[int, ...]:
-    """Occurrence counts of 1, 2, ..., max entry."""
-    counts: dict[int, int] = {}
-    for row in tab:
-        for x in row:
-            counts[x] = counts.get(x, 0) + 1
-    if not counts:
-        return ()
-    return tuple(counts.get(i, 0) for i in range(1, max(counts) + 1))
-
-
 def row_word(tab: Tableau) -> tuple[int, ...]:
     return tuple(x for row in tab for x in row)
 

@@ -50,15 +50,6 @@ def inverse(a: Perm) -> Perm:
     return tuple(inv)
 
 
-def from_cycles(n: int, cycles) -> Perm:
-    """Build a permutation of S_n from disjoint cycles, e.g. [(1,2),(3,4)]."""
-    images = list(range(1, n + 1))
-    for cyc in cycles:
-        for k in range(len(cyc)):
-            images[cyc[k] - 1] = cyc[(k + 1) % len(cyc)]
-    return check_perm(images)
-
-
 def cycle_type(pi: Perm) -> Partition:
     """Sorted cycle lengths, as a partition of the degree."""
     n = len(pi)

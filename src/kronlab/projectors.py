@@ -56,7 +56,6 @@ from .permutations import (
     all_perms,
     block_permutations,
     centralizer_order,
-    check_perm,
     class_census,
     class_indices,
     enumerate_subgroup,
@@ -124,6 +123,8 @@ def kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise InputError(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
+    if n < 1:
+        raise InputError("Kronecker pipeline needs n >= 1")
     stages: tuple[Stage, ...] = (
         Isotypic(0, lam),
         Isotypic(1, mu),
@@ -214,14 +215,6 @@ class StateVector:
         g = gcd(*self.nums.values(), self.den) * (1 if self.den > 0 else -1)
         self.nums = {f: v // g for f, v in self.nums.items() if v}
         self.den //= g
-
-    @staticmethod
-    def basis_state(n: int, perms: tuple[Perm, ...]) -> "StateVector":
-        if any(len(check_perm(p)) != n for p in perms):
-            raise InputError(f"basis state needs permutations of degree {n}")
-        ranks = perm_ranks(np.array(perms, dtype=np.int64).reshape(len(perms), n) - 1).tolist()
-        flat = sum(r * factorial(n) ** i for i, r in enumerate(reversed(ranks)))
-        return StateVector(n, len(perms), {flat: 1})
 
     @staticmethod
     def zero(n: int, k: int) -> "StateVector":
@@ -742,17 +735,10 @@ def pipeline_trace_collapsed(p: Pipeline) -> int:
     return int(value)
 
 
-def truncated_kron_trace(
-    lam: Partition, mu: Partition, nu: Partition, *, method: str = "dense"
-) -> int:
-    """Trace of the Kronecker pipeline without the right refinements;
+def truncated_kron_trace(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Dense trace of the Kronecker pipeline without the right refinements;
     equals d(lam) d(mu) d(nu) k(lam, mu, nu)."""
-    p = truncated_kron_pipeline(lam, mu, nu)
-    if method == "dense":
-        return pipeline_trace_dense(p)
-    if method == "collapsed":
-        return pipeline_trace_collapsed(p)
-    raise InputError(f"unknown method {method!r}")
+    return pipeline_trace_dense(truncated_kron_pipeline(lam, mu, nu))
 
 
 # ---------------------------------------------------------------------------

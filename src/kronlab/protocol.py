@@ -78,10 +78,6 @@ class MonteCarloRun:
     seed: int
     p_accept_exact: Fraction
 
-    @property
-    def frequency(self) -> float:
-        return self.accepts / self.shots
-
 
 def _part_str(lam: Partition) -> str:
     return ",".join(map(str, lam))

@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+from helpers import basis_state
 from kronlab.characters import character_table
 from kronlab.errors import InputError
 from kronlab.partitions import hook_dimension
@@ -20,7 +21,7 @@ def state_of(n, k, amps):
     from basis states only."""
     out = StateVector.zero(n, k)
     for key, amp in amps.items():
-        out = out.plus(StateVector.basis_state(n, key).scaled(amp))
+        out = out.plus(basis_state(n, key).scaled(amp))
     return out
 
 

@@ -11,6 +11,36 @@ def shape_of(tab):
     return tuple(len(row) for row in tab)
 
 
+def is_semistandard(tab) -> bool:
+    """Rows weakly increase left to right, columns strictly increase downward."""
+    for row in tab:
+        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for i in range(1, len(tab)):
+        if len(tab[i]) > len(tab[i - 1]):
+            return False
+        if any(tab[i][j] <= tab[i - 1][j] for j in range(len(tab[i]))):
+            return False
+    return True
+
+
+def is_standard(tab) -> bool:
+    n = sum(len(row) for row in tab)
+    entries = sorted(x for row in tab for x in row)
+    return entries == list(range(1, n + 1)) and is_semistandard(tab)
+
+
+def content(tab) -> tuple[int, ...]:
+    """Occurrence counts of 1, 2, ..., max entry."""
+    counts: dict[int, int] = {}
+    for row in tab:
+        for x in row:
+            counts[x] = counts.get(x, 0) + 1
+    if not counts:
+        return ()
+    return tuple(counts.get(i, 0) for i in range(1, max(counts) + 1))
+
+
 def enumerate_ssyt(lam, mu):
     """Semistandard tableaux of shape lam and content mu.
 

@@ -271,8 +271,8 @@ def test_criterion_09_verifier_perfection():
         mc = run_verifier(p, mix, "monte_carlo", seed=seed, shots=10_000)
         p_exact = float(mc.p_accept_exact)
         sigma = math.sqrt(p_exact * (1 - p_exact) / mc.shots)
-        if abs(mc.frequency - p_exact) > 4 * sigma:
-            failures.append((seed, mc.frequency, p_exact))
+        if abs(mc.accepts / mc.shots - p_exact) > 4 * sigma:
+            failures.append((seed, mc.accepts / mc.shots, p_exact))
         mc_checked += 1
     pure = sample_witness(ws, "accept", 5)
     mc = run_verifier(p, pure, "monte_carlo", seed=9, shots=10_000)

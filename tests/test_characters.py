@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import from_cycles
 
 from kronlab.characters import (
     TABLE_DEGREE_LIMIT,
@@ -24,7 +25,6 @@ from kronlab.permutations import (
     centralizer_order,
     class_size,
     cycle_type,
-    from_cycles,
 )
 
 

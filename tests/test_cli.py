@@ -194,6 +194,28 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert code == EXIT_OK and doc["failed"] == 0
 
+    @pytest.mark.parametrize(
+        "suite", [["kron-all", "10"], ["kron-all", "16"], ["protocol", "16"], ["pleth-all", "7", "1"]]
+    )
+    def test_sweep_refused_before_any_table(self, suite, tmp_path):
+        # each case runs its bounded route before its oracle: a sweep
+        # beyond the bound computes and caches no character table (S_16's
+        # alone takes over a second)
+        start = time.perf_counter()
+        code, out = run_cli(["verify", *suite, "--cache-dir", str(tmp_path), "--format", "json"])
+        assert (code, out) == (EXIT_BOUND, "")
+        assert list(tmp_path.iterdir()) == []
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "algebra", "0"], ["verify", "kron-all", "0"], ["verify", "protocol", "0"],
+         ["kron", "", "", "", "--method", "dense"], ["scaledkron", "", "", ""]],
+    )  # fmt: skip
+    def test_degree_zero_is_a_usage_error(self, argv):
+        code, out = run_cli(argv + ["--format", "json", "--no-cache"])
+        assert (code, out) == (EXIT_USAGE, "")
+
 
 class TestTables:
     def test_chartable_json(self):

@@ -6,11 +6,11 @@ assertions keep that design rule from being only prose."""
 import sys
 
 import pytest
+from helpers import basis_state
 
 from kronlab.oracles import kron_char, kron_invariant_def, pleth_wreath
 from kronlab.permutations import cycle_type_census
 from kronlab.projectors import (
-    StateVector,
     _centraliser,
     _factor_contraction,
     _left_census,
@@ -91,7 +91,7 @@ def test_specht_route_reads_no_characters():
 
 def test_state_vectors_and_dense_trace_share_the_batch_engine():
     p = kron_pipeline(*TRIPLE)
-    state = StateVector.basis_state(3, ((1, 2, 3), (2, 1, 3), (3, 1, 2)))
+    state = basis_state(3, ((1, 2, 3), (2, 1, 3), (3, 1, 2)))
     assert ("projectors", "apply_stages") in reached(apply_pipeline, p, state)
     assert ("projectors", "apply_stages") in reached(pipeline_trace_dense, p)
 

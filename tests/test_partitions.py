@@ -1,22 +1,19 @@
 from math import comb, factorial
 
 import pytest
-from ssyt_reference import enumerate_ssyt, shape_of
+from ssyt_reference import content, enumerate_ssyt, is_semistandard, is_standard, shape_of
 
 from kronlab.errors import BoundExceededError, InputError
 from kronlab.partitions import (
     KOSTKA_WORK_LIMIT,
     check_partition,
     contains,
-    content,
     decode_diagram,
     encode_diagram,
     enumerate_partitions,
     enumerate_syt,
     hook_dimension,
     is_horizontal_strip,
-    is_semistandard,
-    is_standard,
     kostka,
     row_word,
     schur_dim_gl,

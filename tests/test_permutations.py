@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import from_cycles
 
 from kronlab.errors import InputError
 from kronlab.partitions import enumerate_partitions
@@ -22,7 +23,6 @@ from kronlab.permutations import (
     decode_permutation,
     encode_permutation,
     enumerate_subgroup,
-    from_cycles,
     SubgroupDescriptor,
     full_group,
     identity,

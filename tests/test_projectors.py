@@ -9,6 +9,7 @@ import pytest
 from collapsed_reference import reference_index_tables, reference_shifted_class_counts
 from algebra_reference import reference_algebra
 from groupsum_reference import apply_action, reference_orbit_sizes, reference_pipeline, reference_stage, state_of
+from helpers import basis_state, from_cycles
 
 from kronlab import projectors
 from kronlab.characters import cache_settings
@@ -19,7 +20,6 @@ from kronlab.permutations import (
     all_perms,
     block_permutations,
     enumerate_subgroup,
-    from_cycles,
     full_group,
     identity,
     young_subgroup,
@@ -77,7 +77,7 @@ def _sample_keys(n, k, rng, density):
 
 class TestActions:
     def test_identity_action(self):
-        sv = StateVector.basis_state(3, (from_cycles(3, [(1, 2)]),))
+        sv = basis_state(3, (from_cycles(3, [(1, 2)]),))
         assert apply_action(sv, 0, "L", identity(3)).amps == sv.amps
 
     def test_left_inverse_cancels(self):
@@ -87,7 +87,7 @@ class TestActions:
         assert out.amps == sv.amps
 
     def test_left_right_commute(self):
-        sv = StateVector.basis_state(3, (from_cycles(3, [(1, 2, 3)]),))
+        sv = basis_state(3, (from_cycles(3, [(1, 2, 3)]),))
         a = from_cycles(3, [(1, 2)])
         b = from_cycles(3, [(2, 3)])
         lr = apply_action(apply_action(sv, 0, "L", a), 0, "R", b)
@@ -102,7 +102,7 @@ class TestActions:
 
 class TestIsotypicProjector:
     def test_trivial_shape_gives_uniform(self):
-        sv = StateVector.basis_state(3, (from_cycles(3, [(1, 2)]),))
+        sv = basis_state(3, (from_cycles(3, [(1, 2)]),))
         out = apply_isotypic(sv, 0, (3,))
         assert set(out.amps.values()) == {Fraction(1, 6)}
         assert len(out.amps) == 6
@@ -145,7 +145,7 @@ class TestIsotypicProjector:
 
 class TestInvariantAverageProjector:
     def test_full_left_average_is_uniform(self):
-        sv = StateVector.basis_state(3, (from_cycles(3, [(1, 3)]),))
+        sv = basis_state(3, (from_cycles(3, [(1, 3)]),))
         stage = InvariantAverage(full_group(3), ((0, "L"),))
         out = apply_invariant_average(sv, stage)
         assert set(out.amps.values()) == {Fraction(1, 6)}
@@ -617,7 +617,7 @@ class TestTruncatedPipeline:
                     assert truncated_kron_trace(lam, mu, nu) == scaled_kron(lam, mu, nu)
 
     def test_collapsed_method(self):
-        assert truncated_kron_trace((2, 1), (2, 1), (2, 1), method="collapsed") == 8
+        assert pipeline_trace_collapsed(truncated_kron_pipeline((2, 1), (2, 1), (2, 1))) == 8
 
     def test_rescaling_gap(self):
         lam = (2, 1)
@@ -893,7 +893,7 @@ class TestStateVectorEngine:
         # (5!)^3 = 1.7M basis states: refused before any kernel, index
         # table or batch row is built
         p = kron_pipeline((3, 1, 1), (3, 1, 1), (3, 1, 1))
-        state = StateVector.basis_state(5, (identity(5),) * 3)
+        state = basis_state(5, (identity(5),) * 3)
         tracemalloc.start()
         try:
             with pytest.raises(BoundExceededError):
@@ -916,12 +916,12 @@ class TestStateVectorEngine:
 
     def test_pipeline_and_state_degree_must_match(self):
         with pytest.raises(InputError):
-            apply_pipeline(kron_pipeline((2, 1), (2, 1), (2, 1)), StateVector.basis_state(2, (identity(2),) * 3))
+            apply_pipeline(kron_pipeline((2, 1), (2, 1), (2, 1)), basis_state(2, (identity(2),) * 3))
 
     @pytest.mark.parametrize("perms", [((1, 2),), ((1, 2, 3), (1, 1, 3)), ((1, 2, 3, 4),)])
     def test_basis_state_refuses_wrong_permutations(self, perms):
         with pytest.raises(InputError):
-            StateVector.basis_state(3, perms)
+            basis_state(3, perms)
 
     def test_zero_denominator_refused(self):
         with pytest.raises(InputError):
