@@ -45,6 +45,7 @@ from .oracles import (
     scaled_kron,
 )
 from .projectors import (
+    DiagonalAverage,
     InvariantAverage,
     Isotypic,
     Pipeline,

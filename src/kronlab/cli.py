@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import product
 
 from . import characters
 from .errors import BoundExceededError, InputError, KronlabError
@@ -26,6 +25,7 @@ from .partitions import (
     encode_diagram,
     enumerate_partitions,
     hook_dimension,
+    iter_partitions,
     kostka,
 )
 from .permutations import check_perm, encode_permutation
@@ -172,31 +172,38 @@ def cmd_scaledkron(args, out) -> int:
 
 # Verify suites: one row per case, its "status" "ok" when the case passed.
 # Each row runs its bounded route first, so a sweep beyond a size bound is
-# refused before any character table is computed or cached.
+# refused on its first case, before any table or partition list is built.
 
 
 def _compared(row: dict, expected: int, got: int) -> dict:
     return {**row, "oracle": expected, "pipeline": got, "status": _status(got == expected)}
 
 
+def _triples(n: int):
+    """Every triple of partitions of n in itertools.product order, listed lazily."""
+    for lam in iter_partitions(n):
+        for mu in iter_partitions(n):
+            for nu in iter_partitions(n):
+                yield lam, mu, nu
+
+
 def _kron_all_rows(args):
-    parts = enumerate_partitions(args.n)
-    trace = TRACES["dense" if math.factorial(args.n) ** 3 <= DENSE_DIM_LIMIT else "collapsed"]
-    for lam, mu, nu in product(parts, repeat=3):
-        got = trace(kron_pipeline(lam, mu, nu))
+    for lam, mu, nu in _triples(args.n):
+        p = kron_pipeline(lam, mu, nu)
+        got = TRACES["dense" if p.dim <= DENSE_DIM_LIMIT else "collapsed"](p)
         row = {"lam": _text(lam), "mu": _text(mu), "nu": _text(nu)}
         yield _compared(row, kron_char(lam, mu, nu).value, got)
 
 
 def _pleth_all_rows(args):
     d, m = args.d, args.m
-    for lam in enumerate_partitions(d * m):
+    for lam in iter_partitions(d * m):
         got = pipeline_trace_dense(pleth_pipeline(d, m, lam))
         yield _compared({"d": d, "m": m, "lam": _text(lam)}, pleth_wreath(d, m, lam).value, got)
 
 
 def _algebra_rows(args):
-    for shapes in product(enumerate_partitions(args.n), repeat=3):
+    for shapes in _triples(args.n):
         report = check_projector_algebra(kron_pipeline(*shapes))
         status = "ok" if report.ok else "; ".join(report.failures)
         yield {"pipeline": report.pipeline_label, "mode": report.mode, "status": status}
@@ -204,7 +211,7 @@ def _algebra_rows(args):
 
 def _protocol_rows(args):
     seed = args.seed
-    for shapes in product(enumerate_partitions(args.n), repeat=3):
+    for shapes in _triples(args.n):
         p = kron_pipeline(*shapes)
         ws = witness_spaces(p)
         expected = kron_char(*shapes).value

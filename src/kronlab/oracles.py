@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import factorial
 
 from .characters import character_table
-from .errors import BoundExceededError, ConsistencyError, InputError
-from .partitions import Partition, check_partition, hook_dimension
+from .errors import BoundExceededError, ConsistencyError
+from .partitions import Partition, check_plethysm, check_triple, hook_dimension
 from .permutations import cycle_type_census, full_group, wreath_product
 from .specht import SPECHT_DEGREE_LIMIT, SPECHT_FACTOR_DIM_LIMIT, build_seminormal, invariant_dim
 
@@ -38,10 +38,8 @@ def _exact_int(x: Fraction, what: str) -> int:
 def kron_char(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
     """Kronecker coefficient as the normalized character product sum
     (1/n!) sum over classes of |class| * chi_lam * chi_mu * chi_nu."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    lam, mu, nu = check_triple(lam, mu, nu)
     n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        raise InputError(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
     table = character_table(n)
     total = 0
     for rho, size in zip(table.classes, table.class_sizes):
@@ -63,11 +61,7 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
     wreath product S_m wr S_d, enumerated explicitly inside S_{md}.
     Refused before anything is built when |S_m wr S_d| = m!^d d! exceeds
     WREATH_ORDER_LIMIT."""
-    lam = check_partition(lam)
-    if d < 1 or m < 1:
-        raise InputError("d and m must be positive")
-    if sum(lam) != m * d:
-        raise InputError(f"|lam| = {sum(lam)} but md = {m * d}")
+    lam = check_plethysm(d, m, lam)
     if factorial(m) ** d * factorial(d) > WREATH_ORDER_LIMIT:
         raise BoundExceededError(
             f"S_{m} wr S_{d} has more than {WREATH_ORDER_LIMIT} elements to enumerate"
@@ -89,10 +83,8 @@ def kron_invariant_def(lam: Partition, mu: Partition, nu: Partition) -> Coeffici
     transpositions on explicit Specht matrices.  Refused before any matrix
     is built for n > SPECHT_DEGREE_LIMIT or a factor of dimension above
     SPECHT_FACTOR_DIM_LIMIT."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    lam, mu, nu = check_triple(lam, mu, nu)
     n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        raise InputError(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
     if n > SPECHT_DEGREE_LIMIT:
         raise BoundExceededError(f"Specht matrices at degree {n}: n exceeds {SPECHT_DEGREE_LIMIT}")
     dims = [hook_dimension(shape) for shape in (lam, mu, nu)]

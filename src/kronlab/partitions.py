@@ -47,6 +47,24 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def check_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
+    """Validate a Kronecker triple: three partitions of one size."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    if not sum(lam) == sum(mu) == sum(nu):
+        raise InputError(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
+    return lam, mu, nu
+
+
+def check_plethysm(d: int, m: int, lam) -> Partition:
+    """Validate plethysm inputs: positive d and m, and lam a partition of md."""
+    lam = check_partition(lam)
+    if d < 1 or m < 1:
+        raise InputError("d and m must be positive")
+    if sum(lam) != m * d:
+        raise InputError(f"|lam| = {sum(lam)} but md = {m * d}")
+    return lam
+
+
 def transpose(lam: Partition) -> Partition:
     """Transpose partition: column lengths of the Young diagram."""
     if not lam:
@@ -55,13 +73,18 @@ def transpose(lam: Partition) -> Partition:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order, for
-    n <= PARTITION_DEGREE_LIMIT."""
+    """All partitions of n as a list, in iter_partitions order."""
+    return list(iter_partitions(n))
+
+
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of n in reverse-lexicographic order, one at a time,
+    for n <= PARTITION_DEGREE_LIMIT (checked at the call)."""
     if n < 0:
         raise InputError("n must be nonnegative")
     if n > PARTITION_DEGREE_LIMIT:
         raise BoundExceededError(f"partitions of {n}: n exceeds {PARTITION_DEGREE_LIMIT}")
-    return list(_partitions_bounded(n, n))
+    return _partitions_bounded(n, n)
 
 
 def _partitions_bounded(n: int, largest: int) -> Iterator[Partition]:

@@ -2,23 +2,25 @@
 algebra of S_n, composed into the pipelines whose image dimensions are
 the Kronecker and plethysm coefficients.
 
-Every stage has one implementation, an integer kernel (`_stage_kernel`)
-applied by `BatchEvaluator` to batches of vectors: a single-factor stage
-is an nf x nf matrix multiplied into its factor, and the simultaneous
-left average over S_n, the one stage acting on several factors, is an
-orbit sum made of two index gathers.  Amplitudes stay
-integer numerators over a running denominator; they are carried in
-float64 arrays purely for speed, with an l1-norm bound asserted below
-2^53 before every stage so every intermediate is exactly representable.
-The projector-algebra check compares it with every stage's kernel.  The dense
-trace reads one diagonal entry per orbit of the translations the composed
-stages commute with (simultaneous left translation by the x commuting
-with each factor's composed left averages between orbit stages, right
-translation on each factor by the y commuting with its composed right
-averages), weighted by the orbit size.  It splits the stages at the
-multi-factor ones: the single-factor stages before them act on the basis
-ket and those after them on the basis bra, one factor at a time, so only
-the middle stages run on full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
+A stage is `Isotypic` (weak Fourier sampling on one factor),
+`InvariantAverage` (a subgroup average on one factor from one side) or
+`DiagonalAverage` (phase estimation: the left S_n average on all k >= 2
+factors at once).  Each has one implementation, an integer kernel
+(`_stage_kernel`) applied by `BatchEvaluator` to batches of vectors: a
+single-factor stage is an nf x nf matrix multiplied into its factor, and
+the diagonal average is an orbit sum made of two index gathers.
+Amplitudes stay integer numerators over a running denominator, carried
+in float64 arrays for speed under an l1-norm bound asserted below 2^53
+before every stage.  The projector-algebra check compares the evaluator
+with every stage's kernel.  The dense trace reads one diagonal entry per
+orbit of the translations the composed stages commute with (simultaneous
+left translation by the x commuting with each factor's composed left
+averages between diagonal averages, right translation on each factor by
+the y commuting with its composed right averages), weighted by the orbit
+size.  It splits the stages at the diagonal averages: the single-factor
+stages before them act on the basis ket and those after them on the
+basis bra, one factor at a time, so only the middle stages run on
+full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
 verifier protocol) are stored in the same format: integer numerators
 keyed by flat basis index over one denominator.  Numerators too large
 for the bound are split into base-2^b limbs (one batch row each) and
@@ -49,7 +51,7 @@ import numpy as np
 
 from .characters import character_table
 from .errors import BoundExceededError, ConsistencyError, InputError
-from .partitions import Partition, check_partition, enumerate_partitions, hook_dimension
+from .partitions import Partition, check_partition, check_plethysm, check_triple, enumerate_partitions, hook_dimension
 from .permutations import (
     Perm,
     SubgroupDescriptor,
@@ -93,14 +95,21 @@ class Isotypic:
 
 @dataclass(frozen=True)
 class InvariantAverage:
-    """Average over a subgroup of the given one-sided actions,
-    (1/|G|) sum_g prod of the listed (factor, side) actions of g."""
+    """Average over a subgroup acting on one tensor factor from one side,
+    (1/|G|) sum_g L_g (side 'L') or R_g (side 'R') on that factor."""
 
+    factor: int
+    side: str  # 'L' or 'R'
     group: SubgroupDescriptor
-    actions: tuple[tuple[int, str], ...]  # (factor index, 'L' or 'R')
 
 
-Stage = Isotypic | InvariantAverage
+@dataclass(frozen=True)
+class DiagonalAverage:
+    """(1/n!) sum_g L_g (x) ... (x) L_g over S_n on all k >= 2 factors; at
+    k = 1 the same operator is InvariantAverage(0, 'L', full_group(n))."""
+
+
+Stage = Isotypic | InvariantAverage | DiagonalAverage
 
 
 @dataclass(frozen=True)
@@ -110,29 +119,30 @@ class Pipeline:
     stages: tuple[Stage, ...]
     label: str
 
+    def __post_init__(self):
+        if self.k == 1 and DiagonalAverage() in self.stages:
+            raise InputError(f"{self.label}: a diagonal average needs k >= 2 factors")
+
     @property
     def dim(self) -> int:
         return factorial(self.n) ** self.k
 
 
 def kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
-    """Isotypic projections on the three factors, the simultaneous-left
-    invariant average over all of S_n, then one right Young-subgroup
-    average per factor."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    """Isotypic projections on the three factors, the diagonal average,
+    then one right Young-subgroup average per factor."""
+    lam, mu, nu = check_triple(lam, mu, nu)
     n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        raise InputError(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
     if n < 1:
         raise InputError("Kronecker pipeline needs n >= 1")
     stages: tuple[Stage, ...] = (
         Isotypic(0, lam),
         Isotypic(1, mu),
         Isotypic(2, nu),
-        InvariantAverage(full_group(n), ((0, "L"), (1, "L"), (2, "L"))),
-        InvariantAverage(young_subgroup(lam), ((0, "R"),)),
-        InvariantAverage(young_subgroup(mu), ((1, "R"),)),
-        InvariantAverage(young_subgroup(nu), ((2, "R"),)),
+        DiagonalAverage(),
+        InvariantAverage(0, "R", young_subgroup(lam)),
+        InvariantAverage(1, "R", young_subgroup(mu)),
+        InvariantAverage(2, "R", young_subgroup(nu)),
     )
     label = "kron(%s|%s|%s)" % (
         ",".join(map(str, lam)),
@@ -153,19 +163,14 @@ def pleth_pipeline(d: int, m: int, lam: Partition) -> Pipeline:
     """Single-factor pipeline: isotypic projection, left averages over the
     block Young subgroup and over block permutations (together: the
     wreath product), and the right Young-subgroup average."""
-    lam = check_partition(lam)
-    n = m * d
-    if d < 1 or m < 1:
-        raise InputError("d and m must be positive")
-    if sum(lam) != n:
-        raise InputError(f"|lam| = {sum(lam)} but md = {n}")
+    lam = check_plethysm(d, m, lam)
     stages: tuple[Stage, ...] = (
         Isotypic(0, lam),
-        InvariantAverage(young_subgroup((m,) * d), ((0, "L"),)),
-        InvariantAverage(block_permutations(m, d), ((0, "L"),)),
-        InvariantAverage(young_subgroup(lam), ((0, "R"),)),
+        InvariantAverage(0, "L", young_subgroup((m,) * d)),
+        InvariantAverage(0, "L", block_permutations(m, d)),
+        InvariantAverage(0, "R", young_subgroup(lam)),
     )
-    return Pipeline(n, 1, stages, f"pleth({d},{m}|{','.join(map(str, lam))})")
+    return Pipeline(m * d, 1, stages, f"pleth({d},{m}|{','.join(map(str, lam))})")
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +263,8 @@ def apply_isotypic(state: StateVector, factor: int, lam: Partition) -> StateVect
     return _apply_stages(state, (Isotypic(factor, lam),), f"isotypic({factor})")
 
 
-def apply_invariant_average(state: StateVector, stage: InvariantAverage) -> StateVector:
-    """(1/|G|) sum over the subgroup of the product of the stage's
-    one-sided actions."""
+def apply_invariant_average(state: StateVector, stage: InvariantAverage | DiagonalAverage) -> StateVector:
+    """(1/|G|) sum over the stage's group of its action on the state."""
     return _apply_stages(state, (stage,), "invariant_average")
 
 
@@ -358,11 +362,10 @@ class _FactorKernel:
 
 
 class _OrbitKernel:
-    """The simultaneous left action of all of S_n on all k factors.  In
-    the coordinates (s_1, s_1^-1 s_2, ..., s_1^-1 s_k) it moves only s_1,
-    so the unnormalised sum over the group adds up each orbit.  back[r] is
-    the orbit of flat index r, and gather[i, o] is the one member of orbit
-    o whose first factor is perm i."""
+    """The diagonal average's kernel.  In the coordinates (s_1, s_1^-1 s_2,
+    ..., s_1^-1 s_k) it moves only s_1, so the unnormalised sum over the
+    group adds up each orbit.  back[r] is the orbit of flat index r, and
+    gather[i, o] is the one member of orbit o whose first factor is perm i."""
 
     def __init__(self, space: PermIndex, k: int):
         flat = np.arange(space.nf**k, dtype=np.int64)
@@ -377,50 +380,23 @@ class _OrbitKernel:
         return x[:, self.gather].sum(axis=1)[:, self.back]
 
 
-def _is_full_left(stage: InvariantAverage, n: int, k: int) -> bool:
-    """True for the average over all of S_n acting on the left of every
-    one of the k factors."""
-    return (
-        stage.group == full_group(n)
-        and all(side == "L" for _, side in stage.actions)
-        and sorted(f for f, _ in stage.actions) == list(range(k))
-    )
-
-
 @lru_cache(maxsize=256)
-def _stage_kernel_cached(n: int, stage: Stage, k: int):
-    """Kernels depend only on (n, k, stage), so pipelines sharing stages
-    (every pipeline at one degree shares the left average, for instance)
-    reuse them."""
-    return _stage_kernel(perm_index(n), stage, k)
-
-
-def _stage_kernel(space: PermIndex, stage: Stage, k: int):
+def _stage_kernel(n: int, stage: Stage, k: int):
+    """A stage's integer kernel.  Kernels depend only on (n, stage, k), so
+    pipelines sharing stages (every Kronecker pipeline at one degree shares
+    the diagonal average, for instance) reuse them."""
+    space = perm_index(n)
+    if isinstance(stage, DiagonalAverage):
+        return _OrbitKernel(space, k)
     if isinstance(stage, Isotypic):
-        table = character_table(space.n)
-        chi = np.array(
-            [table.chi(stage.shape, rho) for rho in space.classes], dtype=np.float64
-        )
-        d = hook_dimension(stage.shape)
+        table = character_table(n)
+        chi = np.array([table.chi(stage.shape, rho) for rho in space.classes], dtype=np.float64)
         ts = space.mult[:, space.inv]  # ts[t, s] = index of perm_t o perm_s^-1
-        kernel = d * chi[space.type_index[ts]]
-        return _FactorKernel(stage.factor, kernel, factorial(space.n))
-    if len(stage.actions) == 1:
-        (f, side) = stage.actions[0]
-        member = _member_vector(space.n, stage.group)
-        if side == "L":
-            ts = space.mult[:, space.inv]  # kernel[t, s] = [t o s^-1 in G]
-            kernel = member[ts]
-        else:
-            st = space.mult[space.inv, :]  # st[s, t] = s^-1 o t
-            kernel = member[st].T  # kernel[t, s] = [s^-1 o t in G]
-        return _FactorKernel(f, kernel, stage.group.order())
-    if not _is_full_left(stage, space.n, k):
-        raise InputError(
-            "the only stage acting on several factors is the average over "
-            f"S_{space.n} on the left of all {k}, not {stage}"
-        )
-    return _OrbitKernel(space, k)
+        kernel = hook_dimension(stage.shape) * chi[space.type_index[ts]]
+        return _FactorKernel(stage.factor, kernel, factorial(n))
+    # kernel[t, s] = [t o s^-1 in G] on the left, [s^-1 o t in G] on the right
+    ts = space.mult[:, space.inv] if stage.side == "L" else space.mult[space.inv, :].T
+    return _FactorKernel(stage.factor, _member_vector(n, stage.group)[ts], stage.group.order())
 
 
 class BatchEvaluator:
@@ -435,7 +411,7 @@ class BatchEvaluator:
                 f"dense evaluation bound exceeded for {p.label}: dim {p.dim}"
             )
         self.space = perm_index(p.n)  # refuses n! > DENSE_FACTOR_LIMIT
-        self.kernels = [_stage_kernel_cached(p.n, s, p.k) for s in p.stages]
+        self.kernels = [_stage_kernel(p.n, s, p.k) for s in p.stages]
         self.denominator = prod(kern.den for kern in self.kernels)
 
     def apply(self, x: np.ndarray, *, start_max_abs: int = 1) -> np.ndarray:
@@ -497,23 +473,21 @@ def _centraliser(n: int, runs: tuple[tuple[SubgroupDescriptor, ...], ...]) -> tu
 def _commuting_translations(p: Pipeline) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Ranks of the translations the composed stages commute with: x by
     simultaneous left translation, and y_f by right translation on factor
-    f.  Isotypic stages are central, and the orbit stage (the one
-    multi-factor stage BatchEvaluator admits) commutes with both kinds.
-    Between orbit stages a factor's left averages compose to left
-    multiplication by the product v of their group sums, which x fixes
-    when x v x^-1 = v; all its right averages commute with every left
-    action and compose to one such product for y_f.  Reversing a product
-    is its image under g -> g^-1, which commutes with conjugation, so its
-    order does not matter.  This can exceed every stage's own group: the
-    block Young and block-permutation averages compose to S_m wr S_d's."""
+    f.  Isotypic stages are central, and the diagonal average commutes
+    with both kinds.  Between diagonal averages a factor's left averages
+    compose to left multiplication by the product v of their group sums,
+    which x fixes when x v x^-1 = v; all its right averages commute with
+    every left action and compose to one such product for y_f.  A reversed
+    product is its image under g -> g^-1, which commutes with conjugation,
+    so order does not matter.  This can exceed every stage's own group:
+    the block Young and block-permutation averages compose to S_m wr S_d's."""
     runs: list[list[list[SubgroupDescriptor]]] = [[[] for _ in range(p.k)]]  # [segment][factor]
     right: list[list[SubgroupDescriptor]] = [[] for _ in range(p.k)]
     for stage in p.stages:
-        if isinstance(stage, InvariantAverage) and len(stage.actions) > 1:
+        if isinstance(stage, DiagonalAverage):
             runs.append([[] for _ in range(p.k)])
         elif isinstance(stage, InvariantAverage):
-            ((f, side),) = stage.actions
-            (runs[-1][f] if side == "L" else right[f]).append(stage.group)
+            (runs[-1][stage.factor] if stage.side == "L" else right[stage.factor]).append(stage.group)
     left = tuple(tuple(run) for segment in runs for run in segment)
     return _centraliser(p.n, left), tuple(_centraliser(p.n, (tuple(g),)) for g in right)
 
@@ -571,20 +545,20 @@ def pipeline_trace_dense(p: Pipeline) -> int:
     weighted by the orbit size: 4 of 576 rows for `kron 3,1 2,2 2,1,1`,
     one for a truncated Kronecker trace, 2 of 720 for `pleth 2 3 4,2`.
 
-    The kernels are split at the multi-factor stages.  The single-factor
+    The kernels are split at the diagonal averages.  The single-factor
     stages before the first one act on the ket: per factor, the images of
     the unit vectors the representatives use, and a ket row is the outer
     product of those images.  Only the middle stages run on full-width
-    rows.  The single-factor stages after the last multi-factor stage act
+    rows.  The single-factor stages after the last diagonal average act
     on the bra, e_c^T times that factor's kernels, and the diagonal entry
     is the contraction of the middle output with the bra rows, one factor
-    at a time.  A pipeline with no multi-factor stage splits its stages
+    at a time.  A pipeline with no diagonal average splits its stages
     into two halves around an empty middle.
     """
     ev = BatchEvaluator(p)
     dim, k, nf = p.dim, p.k, ev.space.nf
-    multi = [i for i, kern in enumerate(ev.kernels) if not isinstance(kern, _FactorKernel)]
-    lo, hi = (multi[0], multi[-1] + 1) if multi else (len(ev.kernels) // 2,) * 2
+    diagonal = [i for i, stage in enumerate(p.stages) if isinstance(stage, DiagonalAverage)]
+    lo, hi = (diagonal[0], diagonal[-1] + 1) if diagonal else (len(ev.kernels) // 2,) * 2
     middle = range(lo, hi)
     # Entries of the ket are at most the product of the leading kernels'
     # row l1 norms, and the bra's l1 norm is at most that of the trailing
@@ -658,14 +632,13 @@ def _collapsed_template(p: Pipeline):
             if stage.factor in iso:
                 raise InputError("two isotypic stages on one factor")
             iso[stage.factor] = stage.shape
-        elif all(side == "R" for _, side in stage.actions) and len(stage.actions) == 1:
-            f = stage.actions[0][0]
-            if f in right:
+        elif isinstance(stage, DiagonalAverage):
+            left.append(full_group(p.n))
+        elif stage.side == "R":
+            if stage.factor in right:
                 raise InputError("two right averages on one factor")
-            right[f] = stage.group
-        elif all(side == "L" for _, side in stage.actions) and sorted(
-            f for f, _ in stage.actions
-        ) == list(range(p.k)):
+            right[stage.factor] = stage.group
+        elif stage.side == "L" and p.k == 1:
             left.append(stage.group)
         else:
             raise InputError(f"stage {stage} does not fit the collapsed template")
@@ -769,12 +742,12 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     a mismatch is drift and raises ConsistencyError.  Over its denominator
     den, a factor stage is idempotent when K K = den K and symmetric when
     K = K^T; stages on one factor commute when K_i K_j = K_j K_i, and on
-    different factors always.  The orbit stage sum_g L_g (x) ... (x) L_g
-    commutes with K exactly when K[g t, g s] = K[t, s] for every g, since
-    the L_g^(x)(k-1) of distinct g have disjoint supports.  Its own
-    idempotence and symmetry, and a pair of two orbit stages, are checked
-    on evaluator rows.  So in sampled mode too the factor-stage algebra is
-    decided on whole kernels, not on a sampled submatrix."""
+    different factors always.  The diagonal average sum_g L_g (x) ... (x)
+    L_g commutes with K exactly when K[g t, g s] = K[t, s] for every g,
+    since the L_g^(x)(k-1) of distinct g have disjoint supports.  Its own
+    idempotence and symmetry, and a pair of two diagonal averages, are
+    checked on evaluator rows.  So in sampled mode too the factor-stage
+    algebra is decided on whole kernels, not on a sampled submatrix."""
     ev = BatchEvaluator(p)
     dim, k, nf, mult = p.dim, p.k, ev.space.nf, ev.space.mult
     mode = "exhaustive" if dim <= 1728 else "sampled"
@@ -789,7 +762,7 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     idempotent: list[bool] = []
     symmetric: list[bool] = []
     mats: dict[int, np.ndarray] = {}  # factor stages' kernels
-    orbit_rows: dict[int, np.ndarray] = {}  # the orbit stages' evaluator rows
+    orbit_rows: dict[int, np.ndarray] = {}  # the diagonal averages' evaluator rows
     for i, kern in enumerate(ev.kernels):
         out, den = ev.apply_stages(base, [i])
         lift = np.zeros(out.shape)

@@ -22,6 +22,7 @@ from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, enumerate_partitions
 from .projectors import (
     BatchEvaluator,
+    DiagonalAverage,
     InvariantAverage,
     Isotypic,
     Pipeline,
@@ -105,7 +106,7 @@ def weak_fourier_sample(
 
 
 def gpe_accept_probability(
-    state: StateVector, stage: InvariantAverage
+    state: StateVector, stage: InvariantAverage | DiagonalAverage
 ) -> tuple[Fraction, StateVector, StateVector]:
     """Binary invariant-average measurement: returns (accept probability,
     accept post-state, reject post-state), all exact and unnormalized."""
@@ -151,6 +152,8 @@ def run_verifier(
         raise InputError("witness must be nonzero")
     if mode == "single_shot":
         return acceptance_probability(p, witness)
+    if mode == "monte_carlo" and shots < 0:
+        raise InputError(f"shots must be nonnegative, got {shots}")
     branches, spine, p_accept = _branch_distribution(p, witness)
     if mode == "exact":
         return branches

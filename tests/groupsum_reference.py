@@ -13,7 +13,7 @@ from kronlab.characters import character_table
 from kronlab.errors import InputError
 from kronlab.partitions import hook_dimension
 from kronlab.permutations import all_perms, compose, cycle_type, enumerate_subgroup, identity, inverse
-from kronlab.projectors import Isotypic, StateVector
+from kronlab.projectors import DiagonalAverage, Isotypic, StateVector
 
 
 def state_of(n, k, amps):
@@ -45,18 +45,19 @@ def apply_action(state, factor, side, g):
     return state_of(state.n, state.k, _act(state.amps, ((factor, side),), g))
 
 
-def reference_stage(amps, stage):
-    """sum over the stage's group of coeff(g) * (its actions of g) amps."""
+def reference_stage(amps, stage, n, k):
+    """sum over the stage's group of coeff(g) * (its actions of g) amps, on
+    k-tuples of permutations of degree n."""
     if isinstance(stage, Isotypic):
-        n = sum(stage.shape)
         chi = character_table(n).chi
         c = Fraction(hook_dimension(stage.shape), factorial(n))
         terms = [(c * chi(stage.shape, cycle_type(g)), g) for g in all_perms(n)]
         actions = ((stage.factor, "L"),)
     else:
-        elements = enumerate_subgroup(stage.group)
+        diagonal = isinstance(stage, DiagonalAverage)
+        elements = all_perms(n) if diagonal else enumerate_subgroup(stage.group)
         terms = [(Fraction(1, len(elements)), g) for g in elements]
-        actions = stage.actions
+        actions = tuple((f, "L") for f in range(k)) if diagonal else ((stage.factor, stage.side),)
     out = {}
     for coeff, g in terms:
         for key, amp in _act(amps, actions, g).items():
@@ -66,7 +67,7 @@ def reference_stage(amps, stage):
 
 def reference_pipeline(p, amps):
     for stage in p.stages:
-        amps = reference_stage(amps, stage)
+        amps = reference_stage(amps, stage, p.n, p.k)
     return amps
 
 
@@ -97,17 +98,14 @@ def reference_orbit_sizes(p):
     """Sorted orbit sizes of the k-tuples of S_n under the translations
     (s_f) -> (x s_f y_f), each orbit listed.  The groups are found by brute
     force: x commutes with the composed left averages of every factor
-    between full-left orbit stages, and y_f with factor f's composed right
+    between diagonal averages, and y_f with factor f's composed right
     averages, each product composed element by element."""
     runs, right = [[[] for _ in range(p.k)]], [[] for _ in range(p.k)]
     for stage in p.stages:
-        if isinstance(stage, Isotypic):
-            continue
-        if len(stage.actions) > 1:
+        if isinstance(stage, DiagonalAverage):
             runs.append([[] for _ in range(p.k)])
-            continue
-        ((f, side),) = stage.actions
-        (runs[-1][f] if side == "L" else right[f]).append(stage.group)
+        elif not isinstance(stage, Isotypic):
+            (runs[-1][stage.factor] if stage.side == "L" else right[stage.factor]).append(stage.group)
     xs = _centralising([_composed_sum(run, p.n) for segment in runs for run in segment], p.n)
     ys = [_centralising([_composed_sum(groups, p.n)], p.n) for groups in right]
     seen, sizes = set(), []

@@ -155,7 +155,7 @@ def test_criterion_06_projector_algebra():
     mutated = Pipeline(
         3,
         3,
-        base.stages[:4] + (InvariantAverage(young_subgroup((2, 1)), ((0, "L"),)),) + base.stages[5:],
+        base.stages[:4] + (InvariantAverage(0, "L", young_subgroup((2, 1))),) + base.stages[5:],
         "mutated-control",
     )
     control = check_projector_algebra(mutated)

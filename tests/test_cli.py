@@ -195,17 +195,26 @@ class TestVerifyCommand:
         assert code == EXIT_OK and doc["failed"] == 0
 
     @pytest.mark.parametrize(
-        "suite", [["kron-all", "10"], ["kron-all", "16"], ["protocol", "16"], ["pleth-all", "7", "1"]]
-    )
+        "suite",
+        [["kron-all", "10"], ["kron-all", "16"], ["protocol", "16"], ["pleth-all", "7", "1"],
+         ["kron-all", "45"], ["algebra", "45"], ["protocol", "45"], ["pleth-all", "5", "9"]],
+    )  # fmt: skip
     def test_sweep_refused_before_any_table(self, suite, tmp_path):
-        # each case runs its bounded route before its oracle: a sweep
-        # beyond the bound computes and caches no character table (S_16's
-        # alone takes over a second)
+        # each case runs its bounded route before its oracle, and every case
+        # shares the first case's bound: a sweep beyond the bound computes
+        # and caches no character table (S_16's alone takes over a second)
+        # and lists no partitions (p(45) = 89,134 took about 0.6 s)
         start = time.perf_counter()
-        code, out = run_cli(["verify", *suite, "--cache-dir", str(tmp_path), "--format", "json"])
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["verify", *suite, "--cache-dir", str(tmp_path), "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert (code, out) == (EXIT_BOUND, "")
         assert list(tmp_path.iterdir()) == []
         assert time.perf_counter() - start < 0.5
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "argv",
@@ -390,7 +399,7 @@ def refused_invocation(draw):
     """(argv, documented exit code) for an invocation that must be refused:
     2 for malformed or mismatched input, 3 for a size beyond a bound."""
     kind = draw(st.sampled_from(
-        ["malformed", "permutation", "mismatch", "kron", "specht", "pleth", "scaledkron", "verify", "sizes"]
+        ["malformed", "permutation", "mismatch", "kron", "specht", "pleth", "scaledkron", "verify", "shots", "sizes"]
     ))  # fmt: skip
     kron_flags = st.sampled_from([["--all-methods"], ["--method", "char"], ["--method", "dense"],
                                   ["--method", "collapsed"], ["--method", "specht"]])  # fmt: skip
@@ -431,6 +440,8 @@ def refused_invocation(draw):
         method = draw(st.sampled_from(["dense", "collapsed"]))
         n = draw(st.integers(5 if method == "dense" else 10, 30))
         return ["scaledkron", *(_text(draw(partition_of(n))) for _ in range(3)), "--method", method], EXIT_BOUND
+    if kind == "shots":  # a negative shot count is an input error, not a failed check
+        return ["verify", "protocol", "2", "--shots", str(draw(st.integers(-1000, -1)))], EXIT_USAGE
     if kind == "verify":
         return draw(st.sampled_from([
             ["verify", "kron-all", str(draw(st.integers(17, 200)))],

@@ -16,7 +16,7 @@ from kronlab.projectors import (
     _left_census,
     _member_vector,
     _shifted_class_counts,
-    _stage_kernel_cached,
+    _stage_kernel,
     _trace_orbits,
     apply_pipeline,
     kron_pipeline,
@@ -57,7 +57,7 @@ def cold_route_caches():
         _left_census,
         _factor_contraction,
         _shifted_class_counts,
-        _stage_kernel_cached,
+        _stage_kernel,
         _centraliser,
         _trace_orbits,
         _member_vector,

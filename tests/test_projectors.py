@@ -27,6 +27,7 @@ from kronlab.permutations import (
 from kronlab.projectors import (
     COLLAPSED_DEGREE_LIMIT,
     BatchEvaluator,
+    DiagonalAverage,
     InvariantAverage,
     Isotypic,
     PermIndex,
@@ -48,7 +49,7 @@ from kronlab.projectors import (
     _exact_int_array,
     _left_census,
     _shifted_class_counts,
-    _stage_kernel_cached,
+    _stage_kernel,
     _trace_orbits,
 )
 
@@ -125,7 +126,7 @@ class TestIsotypicProjector:
             nf = perm_index(n).nf
             acc = np.zeros((nf, nf))
             for lam in enumerate_partitions(n):
-                acc += _stage_kernel_cached(n, Isotypic(0, lam), 1).kernel
+                acc += _stage_kernel(n, Isotypic(0, lam), 1).kernel
             assert np.array_equal(acc, float(factorial(n)) * np.eye(nf))
 
     def test_idempotent_sparse(self):
@@ -138,7 +139,7 @@ class TestIsotypicProjector:
         # diagonal of the kernel sums to d(lam)^2 * n! / n!
         for n in (2, 3, 4, 5):
             for lam in enumerate_partitions(n):
-                kern = _stage_kernel_cached(n, Isotypic(0, lam), 1)
+                kern = _stage_kernel(n, Isotypic(0, lam), 1)
                 trace = Fraction(int(np.trace(kern.kernel)), kern.den)
                 assert trace == hook_dimension(lam) ** 2, (n, lam)
 
@@ -146,22 +147,22 @@ class TestIsotypicProjector:
 class TestInvariantAverageProjector:
     def test_full_left_average_is_uniform(self):
         sv = basis_state(3, (from_cycles(3, [(1, 3)]),))
-        stage = InvariantAverage(full_group(3), ((0, "L"),))
+        stage = InvariantAverage(0, "L", full_group(3))
         out = apply_invariant_average(sv, stage)
         assert set(out.amps.values()) == {Fraction(1, 6)}
 
     def test_trivial_young_subgroup_is_identity(self):
         sv = random_rational_state(4, 1, seed=5)
-        stage = InvariantAverage(young_subgroup((1, 1, 1, 1)), ((0, "L"),))
+        stage = InvariantAverage(0, "L", young_subgroup((1, 1, 1, 1)))
         assert apply_invariant_average(sv, stage).amps == sv.amps
 
     def test_right_young_average_trace(self):
         # each diagonal entry is 1/|G|; over n! basis states: n!/|G|
-        kern = _stage_kernel_cached(3, InvariantAverage(young_subgroup((2, 1)), ((0, "R"),)), 1)
+        kern = _stage_kernel(3, InvariantAverage(0, "R", young_subgroup((2, 1))), 1)
         assert Fraction(int(np.trace(kern.kernel)), kern.den) == 3
 
     def test_invariance_of_output(self):
-        stage = InvariantAverage(young_subgroup((2, 2)), ((0, "R"),))
+        stage = InvariantAverage(0, "R", young_subgroup((2, 2)))
         psi = random_rational_state(4, 1, seed=7)
         out = apply_invariant_average(psi, stage)
         for g in (from_cycles(4, [(1, 2)]), from_cycles(4, [(3, 4)])):
@@ -173,24 +174,32 @@ class TestPipelineConstruction:
         p = kron_pipeline((2, 1), (2, 1), (3,))
         assert p.k == 3 and p.n == 3 and len(p.stages) == 7
         kinds = [type(s).__name__ for s in p.stages]
-        assert kinds == ["Isotypic"] * 3 + ["InvariantAverage"] * 4
-        assert p.stages[3].group.kind == "full"
-        assert p.stages[3].actions == ((0, "L"), (1, "L"), (2, "L"))
-        assert p.stages[4].group.shape == (2, 1)
-        assert p.stages[4].actions == ((0, "R"),)
+        assert kinds == ["Isotypic"] * 3 + ["DiagonalAverage"] + ["InvariantAverage"] * 3
+        assert [s.factor for s in p.stages[:3]] == [0, 1, 2]
+        assert [(s.factor, s.side) for s in p.stages[4:]] == [(0, "R"), (1, "R"), (2, "R")]
+        assert [s.group.shape for s in p.stages[4:]] == [(2, 1), (2, 1), (3,)]
 
     def test_pleth_stage_list(self):
         p = pleth_pipeline(2, 3, (4, 2))
         assert p.k == 1 and p.n == 6 and len(p.stages) == 4
+        kinds = [type(s).__name__ for s in p.stages]
+        assert kinds == ["Isotypic"] + ["InvariantAverage"] * 3
+        assert [(s.factor, s.side) for s in p.stages[1:]] == [(0, "L"), (0, "L"), (0, "R")]
         assert p.stages[1].group.kind == "young" and p.stages[1].group.shape == (3, 3)
         assert p.stages[2].group.kind == "block_perms"
-        assert p.stages[3].group.shape == (4, 2) and p.stages[3].actions == ((0, "R"),)
+        assert p.stages[3].group.shape == (4, 2)
 
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             kron_pipeline((2, 1), (2, 1), (2, 2))
         with pytest.raises(InputError):
             pleth_pipeline(2, 2, (3, 2))
+
+    def test_diagonal_average_refused_at_one_factor(self):
+        # the orbit kernel assumes k >= 2; on one factor the same operator
+        # is InvariantAverage(0, "L", full_group(n))
+        with pytest.raises(InputError):
+            Pipeline(3, 1, (Isotypic(0, (2, 1)), DiagonalAverage()), "diagonal-k1")
 
 
 class TestDenseTrace:
@@ -286,10 +295,10 @@ class TestDenseTrace:
         # one of the fractional traces below integral.  On the left,
         # <(1 2), (3 4)> normalises S_(2,1,1) and so commutes with its sum
         def left(shape):
-            return InvariantAverage(young_subgroup(shape), ((0, "L"),))
+            return InvariantAverage(0, "L", young_subgroup(shape))
 
         def right(shape):
-            return InvariantAverage(young_subgroup(shape), ((0, "R"),))
+            return InvariantAverage(0, "R", young_subgroup(shape))
 
         def reference_trace(p):
             return sum(reference_pipeline(p, {(g,): Fraction(1)}).get((g,), 0) for g in all_perms(4))
@@ -313,9 +322,9 @@ class TestDenseTrace:
         # support: S_(3,1) S_(2,2) S_(3,1) has support S_4, and taking all
         # of S_4 turns this trace of 5/3 into 2.
         def avg(group, f, side):
-            return InvariantAverage(group, ((f, side),))
+            return InvariantAverage(f, side, group)
 
-        orbit = InvariantAverage(full_group(4), ((0, "L"), (1, "L")))
+        orbit = DiagonalAverage()
         right31 = [avg(young_subgroup((3, 1)), f, "R") for f in (0, 1)]
         split = Pipeline(
             4, 2, (avg(young_subgroup((2, 2)), 0, "L"), orbit, avg(block_permutations(2, 2), 0, "L"), *right31), "split"
@@ -351,14 +360,14 @@ class TestDenseTrace:
         from kronlab.permutations import block_permutations, wreath_product
 
         for m, d in [(2, 2), (2, 3), (3, 2)]:
-            ky = _stage_kernel_cached(
-                m * d, InvariantAverage(young_subgroup((m,) * d), ((0, "L"),)), 1
+            ky = _stage_kernel(
+                m * d, InvariantAverage(0, "L", young_subgroup((m,) * d)), 1
             )
-            kb = _stage_kernel_cached(
-                m * d, InvariantAverage(block_permutations(m, d), ((0, "L"),)), 1
+            kb = _stage_kernel(
+                m * d, InvariantAverage(0, "L", block_permutations(m, d)), 1
             )
-            kw = _stage_kernel_cached(
-                m * d, InvariantAverage(wreath_product(m, d), ((0, "L"),)), 1
+            kw = _stage_kernel(
+                m * d, InvariantAverage(0, "L", wreath_product(m, d)), 1
             )
             assert ky.den * kb.den == kw.den
             assert np.array_equal(ky.kernel @ kb.kernel, kw.kernel)
@@ -387,14 +396,14 @@ class TestDenseTrace:
         # the bra their rows.  Reading either the other way gives 4/3
         # here, and a fractional trace is refused, not rounded.
         def left(shape):
-            return InvariantAverage(young_subgroup(shape), ((0, "L"),))
+            return InvariantAverage(0, "L", young_subgroup(shape))
 
         def reference_trace(p):
             return sum(reference_pipeline(p, {(g,): Fraction(1)}).get((g,), 0) for g in all_perms(4))
 
         p = Pipeline(4, 1, (left((3, 1)), left((2, 2)), left((2, 2)), left((3, 1))), "non-commuting")
         assert pipeline_trace_dense(p) == reference_trace(p) == 2
-        right = InvariantAverage(young_subgroup((3, 1)), ((0, "R"),))
+        right = InvariantAverage(0, "R", young_subgroup((3, 1)))
         q = Pipeline(4, 1, (left((3, 1)), left((3, 1)), left((2, 2)), right), "fractional")
         assert reference_trace(q) == Fraction(4, 3)
         with pytest.raises(ConsistencyError):
@@ -405,12 +414,12 @@ class TestDenseTrace:
         # in pipeline order: reversing both gives a fractional trace here.
         # The reference applies every stage to every basis vector.
         def left(shape, f):
-            return InvariantAverage(young_subgroup(shape), ((f, "L"),))
+            return InvariantAverage(f, "L", young_subgroup(shape))
 
         stages = (
             left((3, 1), 1),
             left((2, 2), 1),
-            InvariantAverage(full_group(4), ((0, "L"), (1, "L"))),
+            DiagonalAverage(),
             left((2, 2), 0),
             left((3, 1), 1),
         )
@@ -577,6 +586,11 @@ class TestCollapsedTrace:
         with pytest.raises(InputError):
             _left_census(4, groups)
 
+    def test_one_factor_left_average_refused_at_three_factors(self):
+        # the template's left averages act on one factor only when k = 1
+        with pytest.raises(InputError, match="does not fit the collapsed template"):
+            pipeline_trace_collapsed(_mutated_pipeline())
+
 
 class TestVectorisedTables:
     """The numpy-built class counts and index tables against one-call-per-
@@ -629,7 +643,7 @@ def _mutated_pipeline():
     # negative control: a left-acting average over a non-normal subgroup
     # on one factor cannot commute with the simultaneous left average
     base = kron_pipeline((2, 1), (2, 1), (2, 1))
-    stage = InvariantAverage(young_subgroup((2, 1)), ((0, "L"),))
+    stage = InvariantAverage(0, "L", young_subgroup((2, 1)))
     return Pipeline(3, 3, base.stages[:4] + (stage,) + base.stages[5:], "mutated")
 
 
@@ -640,14 +654,14 @@ def _two_orbit_pipeline():
 
 
 def _replace_kernel(monkeypatch, stage, kernel):
-    cached = projectors._stage_kernel_cached
+    cached = projectors._stage_kernel
     monkeypatch.setattr(
-        projectors, "_stage_kernel_cached", lambda n, s, k: kernel if s == stage else cached(n, s, k)
+        projectors, "_stage_kernel", lambda n, s, k: kernel if s == stage else cached(n, s, k)
     )
 
 
 def _skewed_kernel(p, index):
-    kernel = _stage_kernel_cached(p.n, p.stages[index], p.k)
+    kernel = _stage_kernel(p.n, p.stages[index], p.k)
     ints = kernel._ints.astype(np.int64)
     ints[0, 1] += 1
     return _FactorKernel(kernel.factor, ints, kernel.den)
@@ -708,16 +722,16 @@ class TestProjectorAlgebra:
         # one right-average kernel made asymmetric: the kernel-level
         # criteria still give the both-orders reference's report
         p = kron_pipeline((2, 1), (2, 1), (2, 1))
-        kernel = _stage_kernel_cached(3, p.stages[4], 3)
+        kernel = _stage_kernel(3, p.stages[4], 3)
         ints = kernel._ints.copy()
         ints[0, 1] += 1
         skewed = _FactorKernel(kernel.factor, ints, kernel.den)
-        cached = projectors._stage_kernel_cached
+        cached = projectors._stage_kernel
 
         def kernels(n, stage, k):
             return skewed if stage == p.stages[4] else cached(n, stage, k)
 
-        monkeypatch.setattr(projectors, "_stage_kernel_cached", kernels)
+        monkeypatch.setattr(projectors, "_stage_kernel", kernels)
         report = check_projector_algebra(p)
         assert report == reference_algebra(p)
         assert report.mode == "exhaustive" and not report.stage_symmetric[4]
@@ -782,7 +796,7 @@ class TestProjectorAlgebra:
     def test_corrupted_orbit_kernel_raises(self, monkeypatch, array):
         # swap two entries that belong to different orbits
         p = kron_pipeline((2, 1), (2, 1), (2, 1))
-        orbit = copy.copy(_stage_kernel_cached(3, p.stages[3], 3))
+        orbit = copy.copy(_stage_kernel(3, p.stages[3], 3))
         index = getattr(orbit, array).copy()
         index.flat[[0, 1]] = index.flat[[1, 0]]
         setattr(orbit, array, index)
@@ -840,19 +854,7 @@ class TestOrbitKernel:
             for _ in range(6)
         })
         for amps in sources:
-            assert apply_invariant_average(state_of(4, 3, amps), stage).amps == reference_stage(amps, stage)
-
-    @pytest.mark.parametrize(
-        "stage",
-        [
-            InvariantAverage(young_subgroup((2, 1)), ((0, "L"), (1, "L"))),
-            InvariantAverage(full_group(3), ((0, "L"), (1, "L"))),
-            InvariantAverage(full_group(3), ((0, "R"), (1, "R"), (2, "R"))),
-        ],
-    )
-    def test_other_multi_factor_stages_refused(self, stage):
-        with pytest.raises(InputError):
-            BatchEvaluator(Pipeline(3, 3, (stage,), "multi-factor"))
+            assert apply_invariant_average(state_of(4, 3, amps), stage).amps == reference_stage(amps, stage, 4, 3)
 
 
 class TestSparseVsOtherBackends:

@@ -23,13 +23,14 @@ from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
 from kronlab.permutations import all_perms, block_permutations, full_group, wreath_product, young_subgroup
 from kronlab.projectors import (
+    DiagonalAverage,
     InvariantAverage,
     Isotypic,
     Pipeline,
     StateVector,
     _commuting_translations,
     _FactorKernel,
-    _stage_kernel_cached,
+    _stage_kernel,
     _trace_orbits,
     apply_pipeline,
     check_projector_algebra,
@@ -67,7 +68,7 @@ def test_every_stage_matches_group_sums(data, triple):
     state = state_of(p.n, 3, amps)
     for stage in p.stages:
         one_stage = Pipeline(p.n, p.k, (stage,), "one stage")
-        assert apply_pipeline(one_stage, state).amps == reference_stage(amps, stage)
+        assert apply_pipeline(one_stage, state).amps == reference_stage(amps, stage, p.n, p.k)
     assert apply_pipeline(p, state).amps == reference_pipeline(p, amps)
 
 
@@ -76,8 +77,9 @@ def mixed_pipelines(draw, sizes=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
     """Pipelines of the given (n, k) made of single-factor isotypic stages
     and left and right averages (Young subgroups; at n = 4 also S_2 wr S_2
     and its block permutations), placed before, between and after up to
-    two full-left orbit stages; k = 1 pipelines and some k = 2, 3 ones have
-    none.  At n <= 3 the single-factor stages on one factor all commute, so
+    two diagonal averages; k = 1 pipelines and some k = 2, 3 ones have
+    none, and an empty k = 1 list gets the left S_n average, the same
+    operator on one factor.  At n <= 3 the single-factor stages on one factor all commute, so
     k = 1 pipelines also run at n = 4, where S_(2,2) and S_(3,1) averages
     do not and the per-factor kernel products are not symmetric."""
     n, k = draw(st.sampled_from(sizes))
@@ -88,13 +90,13 @@ def mixed_pipelines(draw, sizes=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
     single = st.one_of(
         st.builds(Isotypic, factors, shapes),
         st.builds(
-            lambda f, group, side: InvariantAverage(group, ((f, side),)),
+            lambda f, group, side: InvariantAverage(f, side, group),
             factors,
             groups,
             st.sampled_from("LR"),
         ),
     )
-    orbit = InvariantAverage(full_group(n), tuple((f, "L") for f in range(k)))
+    orbit = DiagonalAverage() if k > 1 else InvariantAverage(0, "L", full_group(n))
     stages = draw(st.lists(single, max_size=4))
     for _ in range(draw(st.integers(0, 2 if k > 1 else 0))):
         stages += [orbit] + draw(st.lists(single, max_size=2))
@@ -137,15 +139,15 @@ def test_perturbed_kernel_algebra_matches_reference(data, triple):
     # one entry of one factor-stage kernel moved by 1 to 3 either way: each
     # kernel-level criterion agrees with applying every pair in both orders
     p = kron_pipeline(*triple)
-    kernels = [_stage_kernel_cached(p.n, stage, p.k) for stage in p.stages]
+    kernels = [_stage_kernel(p.n, stage, p.k) for stage in p.stages]
     i = data.draw(st.sampled_from([i for i, kern in enumerate(kernels) if isinstance(kern, _FactorKernel)]))
     ints = kernels[i]._ints.astype(np.int64)
     entry = data.draw(st.tuples(*[st.integers(0, len(ints) - 1)] * 2))
     ints[entry] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
     perturbed = _FactorKernel(kernels[i].factor, ints, kernels[i].den)
-    cached = projectors._stage_kernel_cached
+    cached = projectors._stage_kernel
     with mock.patch.object(
-        projectors, "_stage_kernel_cached", lambda n, s, k: perturbed if s == p.stages[i] else cached(n, s, k)
+        projectors, "_stage_kernel", lambda n, s, k: perturbed if s == p.stages[i] else cached(n, s, k)
     ):
         assert check_projector_algebra(p) == reference_algebra(p)
 

@@ -63,14 +63,14 @@ class TestWeakFourierSampling:
 class TestGeneralizedPhaseEstimation:
     def test_identity_basis_state(self):
         sv = basis_state(3, (identity(3),))
-        stage = InvariantAverage(full_group(3), ((0, "L"),))
+        stage = InvariantAverage(0, "L", full_group(3))
         p, accept, reject = gpe_accept_probability(sv, stage)
         assert p == Fraction(1, 6)
         assert accept.plus(reject).amps == sv.amps
 
     def test_invariant_state_accepts_surely(self):
         amps = {(p,): Fraction(1) for p in all_perms(3)}
-        stage = InvariantAverage(full_group(3), ((0, "L"),))
+        stage = InvariantAverage(0, "L", full_group(3))
         p, _, reject = gpe_accept_probability(state_of(3, 1, amps), stage)
         assert p == 1 and reject.is_zero()
 
@@ -80,7 +80,7 @@ class TestGeneralizedPhaseEstimation:
             1,
             {(identity(3),): Fraction(1), ((2, 1, 3),): Fraction(-1)},
         )
-        stage = InvariantAverage(full_group(3), ((0, "L"),))
+        stage = InvariantAverage(0, "L", full_group(3))
         p, accept, _ = gpe_accept_probability(sv, stage)
         assert p == 0 and accept.is_zero()
 
