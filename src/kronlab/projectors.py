@@ -23,7 +23,7 @@ basis bra, one factor at a time, so only the middle stages run on
 full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
 verifier protocol) are stored in the same format: integer numerators
 keyed by flat basis index over one denominator.  Numerators too large
-for the bound are split into base-2^b limbs (one batch row each) and
+for the bound are split into signed base-2^b limbs (one batch row each) and
 recombined in Python integers, so any rational amplitude stays exact.
 
 `pipeline_trace_collapsed` is the independent closed-form route: it
@@ -120,6 +120,11 @@ class Pipeline:
     label: str
 
     def __post_init__(self):
+        for s in self.stages:
+            if not isinstance(s, DiagonalAverage) and s.factor not in range(self.k):
+                raise InputError(f"{self.label}: {s} names factor {s.factor}, but k = {self.k}")
+            if isinstance(s, InvariantAverage) and s.side not in ("L", "R"):
+                raise InputError(f"{self.label}: {s} has side {s.side!r}, not 'L' or 'R'")
         if self.k == 1 and DiagonalAverage() in self.stages:
             raise InputError(f"{self.label}: a diagonal average needs k >= 2 factors")
 
@@ -231,7 +236,12 @@ class StateVector:
     def norm_sq(self) -> Fraction:
         return Fraction(sum(v * v for v in self.nums.values()), self.den * self.den)
 
+    def _check_shape(self, other: "StateVector") -> None:
+        if (self.n, self.k) != (other.n, other.k):
+            raise InputError(f"states on (n, k) = {(self.n, self.k)} and {(other.n, other.k)} do not combine")
+
     def inner(self, other: "StateVector") -> Fraction:
+        self._check_shape(other)
         if len(self.nums) > len(other.nums):
             return other.inner(self)
         total = sum(v * other.nums.get(f, 0) for f, v in self.nums.items())
@@ -243,6 +253,7 @@ class StateVector:
         return StateVector(self.n, self.k, nums, self.den * c.denominator)
 
     def plus(self, other: "StateVector") -> "StateVector":
+        self._check_shape(other)
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         out = {f: v * a for f, v in self.nums.items()}
@@ -277,23 +288,26 @@ def apply_pipeline(p: Pipeline, state: StateVector) -> StateVector:
 def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> StateVector:
     """Push a state's numerators through the stage kernels as one batch.
     A numerator too large for the 2^53 guard is split into base-2^b limbs,
-    one batch row per limb, and the rows are recombined in Python ints."""
+    one batch row each, the low ones in [0, 2^b) and the top one signed;
+    the result's nonzero columns are read back and recombined in Python ints."""
     ev = BatchEvaluator(Pipeline(state.n, state.k, stages, label))
     if state.is_zero():
         return StateVector.zero(state.n, state.k)
     cols, nums = list(state.nums), list(state.nums.values())
     headroom = (FLOAT_EXACT_LIMIT - 1) // prod(kern.l1 for kern in ev.kernels)
-    b = max(1, (headroom + 1).bit_length() - 1)  # limbs below 2^b pass the guard
+    b = max(1, headroom.bit_length() - 1)  # limbs in [-2^b, 2^b) pass the guard
     mask = (1 << b) - 1
-    limbs = max(1, -(-max(abs(v) for v in nums).bit_length() // b))
+    limbs = max(1, -(-max(map(abs, nums)).bit_length() // b))
     x = np.zeros((limbs, ev.pipeline.dim), dtype=np.float64)
-    for j in range(limbs):
-        x[j, cols] = [(abs(v) >> (b * j) & mask) * (1 if v > 0 else -1) for v in nums]
-    rows = _exact_int_array(ev.apply(x, start_max_abs=mask)).tolist()
-    out = rows[-1]
-    for row in reversed(rows[:-1]):
+    for j in range(limbs - 1):
+        x[j, cols] = [v >> (b * j) & mask for v in nums]
+    x[-1, cols] = [v >> (b * (limbs - 1)) for v in nums] if limbs > 1 else nums
+    rows = _exact_int_array(ev.apply(x, start_max_abs=1 << b))
+    nonzero = np.flatnonzero(rows.any(axis=0))
+    out = rows[-1, nonzero].tolist()
+    for row in rows[-2::-1, nonzero].tolist():
         out = [(hi << b) + lo for hi, lo in zip(out, row)]
-    return StateVector(state.n, state.k, dict(enumerate(out)), state.den * ev.denominator)
+    return StateVector(state.n, state.k, dict(zip(nonzero.tolist(), out)), state.den * ev.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,10 @@ def witness_spaces(p: Pipeline) -> WitnessSpaces:
     if len(pivots) != expected_rank:
         raise ConsistencyError(f"rank {len(pivots)} != trace {expected_rank}")
     # row i over its pivot entry is row i of the reduced row-echelon form
-    accepting = [StateVector(p.n, p.k, dict(enumerate(row)), row[pc]) for row, pc in zip(rows, pivots)]
+    nonzero = [{j: x for j, x in enumerate(row) if x} for row in rows[: len(pivots)]]
+    accepting = [StateVector(p.n, p.k, nums, row[pc]) for nums, row, pc in zip(nonzero, rows, pivots)]
     kernel, kernel_den = rref_kernel(rows, pivots, dim)
-    rejecting = [StateVector(p.n, p.k, dict(enumerate(vec)), kernel_den) for vec in kernel]
+    rejecting = [StateVector(p.n, p.k, vec, kernel_den) for vec in kernel]
     return WitnessSpaces(p, accepting, rejecting)
 
 

@@ -201,6 +201,19 @@ class TestPipelineConstruction:
         with pytest.raises(InputError):
             Pipeline(3, 1, (Isotypic(0, (2, 1)), DiagonalAverage()), "diagonal-k1")
 
+    @pytest.mark.parametrize("lam", enumerate_partitions(3))
+    def test_stage_on_missing_factor_refused(self, lam):
+        # the dense trace dropped a kernel on a factor the pipeline lacks
+        # and kept only its denominator, giving 1 for every lam
+        with pytest.raises(InputError):
+            pipeline_trace_dense(Pipeline(3, 1, (Isotypic(1, lam),), "bad"))
+
+    def test_unknown_side_refused(self):
+        # the dense kernels applied side 'l' as a right average (trace 3)
+        # while the collapsed trace refused the same pipeline
+        with pytest.raises(InputError):
+            pipeline_trace_dense(Pipeline(3, 1, (InvariantAverage(0, "l", young_subgroup((2, 1))),), "bad"))
+
 
 class TestDenseTrace:
     @pytest.mark.parametrize(
@@ -890,6 +903,21 @@ class TestStateVectorEngine:
                 amps[key] = Fraction(rng.choice([-1, 1]) * rng.randint(1 << 79, 1 << 80), (1 << 61) - 1)
             state = state_of(n, 3, amps)
             assert apply_pipeline(p, state).amps == reference_pipeline(p, amps)
+
+    def test_negative_top_limb_at_its_bound(self):
+        # -(2^m - 1) with m a multiple of the limb width b has top limb
+        # -2^b, one past the low limbs' largest magnitude 2^b - 1
+        p = kron_pipeline((2,), (1, 1), (1, 1))
+        perms = all_perms(2)
+        for m in range(1, 160):
+            amps = {(perms[0],) * 3: Fraction(1 - (1 << m)), (perms[1],) * 3: Fraction(3)}
+            assert apply_pipeline(p, state_of(2, 3, amps)).amps == reference_pipeline(p, amps)
+
+    def test_arithmetic_across_shapes_refused(self):
+        a, b = StateVector(3, 3, {0: 1}), StateVector(2, 2, {0: 1})
+        for op, other in ((a.plus, b), (a.minus, b), (a.inner, b), (b.inner, a)):
+            with pytest.raises(InputError):
+                op(other)
 
     def test_bound_checked_before_allocation(self):
         # (5!)^3 = 1.7M basis states: refused before any kernel, index

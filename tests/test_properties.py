@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from algebra_reference import reference_algebra
 from groupsum_reference import reference_orbit_sizes, reference_pipeline, reference_stage, state_of
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from rref_reference import kernel, rref
 
@@ -244,7 +244,20 @@ def low_rank_matrices(draw):
     return [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] for lrow in left]
 
 
-@given(m=low_rank_matrices())
+@st.composite
+def padded_matrices(draw):
+    """Low-rank matrices with all-zero rows and copies of their own rows
+    spliced in, so the elimination may start with zero rows and clear
+    rows on the way."""
+    m = draw(low_rank_matrices())
+    for _ in range(draw(st.integers(0, 6))):
+        extra = [0] * len(m[0]) if draw(st.booleans()) else list(draw(st.sampled_from(m)))
+        m.insert(draw(st.integers(0, len(m))), extra)
+    return m
+
+
+@given(m=padded_matrices())
+@example(m=[[1, 0], [1, 0], [0, 1], [1, 0]])  # the first pivot clears rows 1 and 3 around live row 2
 @SETTINGS
 def test_echelon_matches_reference_rref(m):
     reduced, ref_pivots = rref(m)
@@ -254,12 +267,14 @@ def test_echelon_matches_reference_rref(m):
     scaled = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(rows, pivots)]
     assert scaled == reduced[: len(pivots)]
     assert not any(any(row) for row in rows[len(pivots):])
+    assert len(rows) == len(m)
     cols = len(m[0])
     vectors, den = rref_kernel(rows, pivots, cols)
     assert len(vectors) == cols - len(pivots)
     for vec in vectors:
-        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in m)
-    assert [[Fraction(x, den) for x in vec] for vec in vectors] == kernel(reduced, pivots, cols)
+        assert all(sum(row[j] * x for j, x in vec.items()) == 0 for row in m)
+    dense = [[Fraction(vec.get(j, 0), den) for j in range(cols)] for vec in vectors]
+    assert dense == kernel(reduced, pivots, cols)
 
 
 @st.composite

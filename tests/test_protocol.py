@@ -96,6 +96,15 @@ class TestWitnessSpaces:
                     assert ws.dim_accept == kron_char(lam, mu, nu).value
                     assert ws.dim_accept + ws.dim_reject == 216
 
+    def test_bases_sparse_and_orthogonal_n3(self):
+        # a kernel vector is its free column plus at most one entry per
+        # pivot; im(E) is orthogonal to ker(E) since E is symmetric
+        for triple in itertools.product(enumerate_partitions(3), repeat=3):
+            ws = witness_spaces(kron_pipeline(*triple))
+            assert all(len(w.nums) <= ws.dim_accept + 1 for w in ws.rejecting_basis)
+            for v in ws.accepting_basis:
+                assert all(v.inner(w) == 0 for w in ws.rejecting_basis)
+
     def test_basis_vectors_are_exact_eigenvectors(self):
         p = kron_pipeline((2, 1), (2, 1), (2, 1))
         ws = witness_spaces(p)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from rref_reference import clear_denominators, rref
+from rref_reference import clear_denominators, kernel, rref
 
 from kronlab.ratlinalg import echelon, rref_kernel
 
@@ -14,9 +14,10 @@ def rank(m):
 
 
 def kernel_basis(m):
+    """rref_kernel's sparse vectors as {column: Fraction} dicts."""
     rows = clear_denominators(m)[0]
     vectors, den = rref_kernel(rows, echelon(rows), len(m[0]))
-    return [[F(x, den) for x in vec] for vec in vectors]
+    return [{j: F(x, den) for j, x in vec.items()} for vec in vectors]
 
 
 class TestRank:
@@ -50,8 +51,11 @@ class TestKernel:
         basis = kernel_basis(m)
         assert len(basis) == 2
         for vec in basis:
-            out = [sum(row[j] * vec[j] for j in range(3)) for row in m]
+            out = [sum(row[j] * x for j, x in vec.items()) for row in m]
             assert all(x == 0 for x in out)
+        reduced, pivots = rref(m)
+        dense = [[vec.get(j, F(0)) for j in range(3)] for vec in basis]
+        assert dense == kernel(reduced, pivots, 3)
 
     def test_projector_image_plus_kernel(self):
         half = F(1, 2)
