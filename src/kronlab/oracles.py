@@ -62,12 +62,12 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
     Refused before anything is built when |S_m wr S_d| = m!^d d! exceeds
     WREATH_ORDER_LIMIT."""
     lam = check_plethysm(d, m, lam)
-    if factorial(m) ** d * factorial(d) > WREATH_ORDER_LIMIT:
+    group = wreath_product(m, d)
+    if group.order() > WREATH_ORDER_LIMIT:
         raise BoundExceededError(
             f"S_{m} wr S_{d} has more than {WREATH_ORDER_LIMIT} elements to enumerate"
         )
     table = character_table(m * d)
-    group = wreath_product(m, d)
     census = cycle_type_census(group)
     total = sum(count * table.chi(lam, rho) for rho, count in census.items())
     value = _exact_int(Fraction(total, group.order()), "wreath average")

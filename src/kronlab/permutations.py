@@ -1,12 +1,15 @@
-"""Permutations, conjugacy classes, Young subgroups and wreath products.
+"""Permutations, conjugacy classes, and the subgroups built from blocks.
 
 A permutation of degree n is a tuple ``images`` of length n with
 ``images[i] = pi(i+1)``, i.e. one-line notation on {1..n}.  Composition
 is ``compose(a, b)(x) = a(b(x))`` everywhere in the package; the
 character-consistency tests pin this convention down.
 
-`perm_array` holds S_n as uint8 rows for numpy passes over the whole group,
-and `class_census` counts a subgroup's cycle types without enumerating it.
+A `SubgroupDescriptor` is a kind and its consecutive blocks: a Young
+subgroup (S_n is the one-block case), the block permutations, or both
+together, a wreath product.  `perm_array` holds S_n as uint8 rows for numpy
+passes over the whole group, and `class_census` counts a subgroup's cycle
+types without enumerating it.
 """
 
 from __future__ import annotations
@@ -143,121 +146,99 @@ def wreath_embed(sigma: Perm, m: int) -> Perm:
 
 @dataclass(frozen=True)
 class SubgroupDescriptor:
-    """A named subgroup of S_degree.
+    """A subgroup of S_n acting on the consecutive blocks of {1..n} whose
+    sizes `shape` lists (a partition of n = degree).
 
     kinds:
-      'full'         all of S_n                        (param: none)
-      'young'        S_mu block subgroup               (param: shape mu)
-      'wreath'       S_m wr S_d inside S_{md}          (param: (m, d))
-      'block_perms'  image of S_d permuting m-blocks   (param: (m, d))
+      'young'        permutes within each block: S_shape, and S_n for shape (n,)
+      'block_perms'  permutes d equal blocks of size m as wholes (S_d in S_{md})
+      'wreath'       both, on d equal blocks: S_m wr S_d inside S_{md}
     """
 
     kind: str
-    degree: int
-    shape: Partition = ()
-    m: int = 0
-    d: int = 0
+    shape: Partition
+
+    def __post_init__(self):
+        if self.kind not in ("young", "block_perms", "wreath"):
+            raise InputError(f"unknown subgroup kind {self.kind!r}")
+        object.__setattr__(self, "shape", check_partition(self.shape))
+        if not self.shape:
+            raise InputError(f"{self.kind} subgroup needs at least one block")
+        if self.kind != "young" and len(set(self.shape)) != 1:
+            raise InputError(f"{self.kind} subgroup needs equal blocks, not {self.shape}")
+
+    @property
+    def degree(self) -> int:
+        return sum(self.shape)
+
+    @property
+    def m(self) -> int:
+        return self.shape[0]
+
+    @property
+    def d(self) -> int:
+        return len(self.shape)
 
     def order(self) -> int:
-        if self.kind == "full":
-            return factorial(self.degree)
-        if self.kind == "young":
-            return prod(factorial(p) for p in self.shape)
-        if self.kind == "wreath":
-            return factorial(self.m) ** self.d * factorial(self.d)
-        if self.kind == "block_perms":
-            return factorial(self.d)
-        raise InputError(f"unknown subgroup kind {self.kind!r}")
+        base = 1 if self.kind == "block_perms" else prod(factorial(b) for b in self.shape)
+        return base * (1 if self.kind == "young" else factorial(self.d))
 
     def label(self) -> str:
-        if self.kind == "full":
-            return f"S{self.degree}"
         if self.kind == "young":
             return "S(" + ",".join(map(str, self.shape)) + ")"
-        if self.kind == "wreath":
-            return f"S{self.m}wrS{self.d}"
-        if self.kind == "block_perms":
-            return f"blocks({self.m}^{self.d})"
-        raise InputError(f"unknown subgroup kind {self.kind!r}")
+        return f"S{self.m}wrS{self.d}" if self.kind == "wreath" else f"blocks({self.m}^{self.d})"
 
     def contains(self, pi: Perm) -> bool:
         """Membership test independent of the enumeration."""
-        if len(pi) != self.degree:
-            return False
-        if self.kind == "full":
-            return True
+        blocks = self._block_map(pi) if len(pi) == self.degree else None
         if self.kind == "young":
-            start = 0
-            for p in self.shape:
-                block = set(range(start + 1, start + p + 1))
-                if any(pi[x - 1] not in block for x in block):
-                    return False
-                start += p
-            return True
-        if self.kind == "wreath":
-            return self._block_map(pi) is not None
-        if self.kind == "block_perms":
-            blocks = self._block_map(pi)
-            if blocks is None:
-                return False
-            return pi == wreath_embed(blocks, self.m)
-        raise InputError(f"unknown subgroup kind {self.kind!r}")
+            return blocks == identity(self.d)
+        return blocks is not None and (self.kind == "wreath" or pi == wreath_embed(blocks, self.m))
 
     def _block_map(self, pi: Perm) -> Perm | None:
-        """Induced permutation of the d size-m blocks, or None if pi does
-        not map blocks onto blocks."""
-        m, d = self.m, self.d
-        images = []
-        for a in range(d):
-            targets = {(pi[a * m + b] - 1) // m for b in range(m)}
-            if len(targets) != 1:
-                return None
-            images.append(targets.pop() + 1)
-        if sorted(images) != list(range(1, d + 1)):
-            return None
-        return tuple(images)
+        """Induced permutation of the blocks, or None if pi does not map
+        blocks onto blocks."""
+        owner = [a for a, b in enumerate(self.shape, 1) for _ in range(b)]  # block of each point
+        starts = itertools.accumulate((0,) + self.shape[:-1])
+        targets = [{owner[x - 1] for x in pi[s : s + b]} for s, b in zip(starts, self.shape)]
+        images = tuple(t.pop() for t in targets if len(t) == 1)
+        return images if sorted(images) == list(range(1, self.d + 1)) else None
 
 
 def full_group(n: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor("full", n)
+    return young_subgroup((n,))
 
 
 def young_subgroup(mu: Partition) -> SubgroupDescriptor:
-    mu = check_partition(mu)
-    return SubgroupDescriptor("young", sum(mu), shape=mu)
+    return SubgroupDescriptor("young", mu)
 
 
 def wreath_product(m: int, d: int) -> SubgroupDescriptor:
-    if m < 1 or d < 1:
-        raise InputError("wreath product needs m, d >= 1")
-    return SubgroupDescriptor("wreath", m * d, m=m, d=d)
+    return SubgroupDescriptor("wreath", (m,) * d)
 
 
 def block_permutations(m: int, d: int) -> SubgroupDescriptor:
-    if m < 1 or d < 1:
-        raise InputError("block permutations need m, d >= 1")
-    return SubgroupDescriptor("block_perms", m * d, m=m, d=d)
+    return SubgroupDescriptor("block_perms", (m,) * d)
 
 
 def enumerate_subgroup(g: SubgroupDescriptor) -> tuple[Perm, ...]:
-    """All elements, each exactly once, in a deterministic order."""
-    n = g.degree
-    if g.kind == "full":
-        return tuple(all_perms(n))
-    if g.kind == "young":  # the blocks are consecutive, so images concatenate
-        starts = itertools.accumulate((0,) + g.shape[:-1])
-        blocks = [itertools.permutations(range(s + 1, s + p + 1)) for s, p in zip(starts, g.shape)]
-        return tuple(sum(pieces, ()) for pieces in itertools.product(*blocks))
+    """All elements, each exactly once, in a deterministic order: the Young
+    base (the blocks' permutations side by side, so all_perms order for
+    S_n), each composed with the block permutations in all_perms order of
+    S_d.  Only a wreath product has both."""
     if g.kind == "block_perms":
-        return tuple(wreath_embed(s, g.m) for s in all_perms(g.d))
-    if g.kind == "wreath":
-        base = enumerate_subgroup(young_subgroup((g.m,) * g.d))
-        tops = enumerate_subgroup(block_permutations(g.m, g.d))
-        out = [compose(y, t) for y in base for t in tops]
-        if len(set(out)) != g.order():
-            raise AssertionError("wreath enumeration produced duplicates")
-        return tuple(out)
-    raise InputError(f"unknown subgroup kind {g.kind!r}")
+        base = [identity(g.degree)]
+    else:  # the blocks are consecutive, so images concatenate
+        starts = itertools.accumulate((0,) + g.shape[:-1])
+        blocks = [itertools.permutations(range(s + 1, s + b + 1)) for s, b in zip(starts, g.shape)]
+        base = [sum(pieces, ()) for pieces in itertools.product(*blocks)]
+        if g.kind == "young":
+            return tuple(base)
+    tops = [wreath_embed(s, g.m) for s in all_perms(g.d)]
+    out = tuple(compose(y, t) for y in base for t in tops)
+    if len(set(out)) != g.order():
+        raise AssertionError(f"{g.label()} enumeration produced duplicates")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -274,22 +255,23 @@ def _disjoint_census(a: dict[Partition, int], b: dict[Partition, int]) -> Counte
     return out
 
 
+def _symmetric_census(p: int) -> dict[Partition, int]:
+    """Census of S_p: p!/z_rho elements of each cycle type rho."""
+    return {rho: class_size(rho) for rho in enumerate_partitions(p)}
+
+
 def class_census(g: SubgroupDescriptor) -> dict[Partition, int]:
-    """cycle_type_census from closed forms: n!/z_rho in S_n, products of
-    those for a Young subgroup, and Polya's Z(S_d)[Z(H)] for H on d blocks
-    permuted by S_d (H = S_m for S_m wr S_d, trivial for block
+    """cycle_type_census from closed forms: a product of S_b censuses over
+    the blocks for a Young subgroup, and Polya's Z(S_d)[Z(H)] for H on d
+    blocks permuted by S_d (H = S_m for S_m wr S_d, trivial for block
     permutations): a cycle of length l whose cycle product in H has type
     tau gives cycles l*tau_i, and each cycle product is hit |H|^(l-1) times."""
-    if g.kind == "full":
-        return {rho: class_size(rho) for rho in enumerate_partitions(g.degree)}
     if g.kind == "young":
-        return reduce(_disjoint_census, (class_census(full_group(p)) for p in g.shape), {(): 1})
-    if g.kind not in ("wreath", "block_perms"):
-        raise InputError(f"unknown subgroup kind {g.kind!r}")
-    base = class_census(full_group(g.m)) if g.kind == "wreath" else {(1,) * g.m: 1}
+        return reduce(_disjoint_census, map(_symmetric_census, g.shape), {(): 1})
+    base = _symmetric_census(g.m) if g.kind == "wreath" else {(1,) * g.m: 1}
     h = sum(base.values())
     out: Counter = Counter()
-    for pi, count in class_census(full_group(g.d)).items():
+    for pi, count in _symmetric_census(g.d).items():
         cycles = (
             {tuple(ell * t for t in tau): h ** (ell - 1) * c for tau, c in base.items()} for ell in pi
         )

@@ -92,6 +92,9 @@ class Isotypic:
     factor: int
     shape: Partition
 
+    def __post_init__(self):
+        object.__setattr__(self, "shape", check_partition(self.shape))
+
 
 @dataclass(frozen=True)
 class InvariantAverage:
@@ -121,10 +124,17 @@ class Pipeline:
 
     def __post_init__(self):
         for s in self.stages:
-            if not isinstance(s, DiagonalAverage) and s.factor not in range(self.k):
+            if isinstance(s, DiagonalAverage):
+                continue
+            if s.factor not in range(self.k):
                 raise InputError(f"{self.label}: {s} names factor {s.factor}, but k = {self.k}")
-            if isinstance(s, InvariantAverage) and s.side not in ("L", "R"):
+            if isinstance(s, Isotypic):
+                if sum(s.shape) != self.n:
+                    raise InputError(f"{self.label}: {s} names no partition of {self.n}")
+            elif s.side not in ("L", "R"):
                 raise InputError(f"{self.label}: {s} has side {s.side!r}, not 'L' or 'R'")
+            elif s.group.degree != self.n:
+                raise InputError(f"{self.label}: {s.group.label()} is not a subgroup of S_{self.n}")
         if self.k == 1 and DiagonalAverage() in self.stages:
             raise InputError(f"{self.label}: a diagonal average needs k >= 2 factors")
 
@@ -268,9 +278,6 @@ class StateVector:
 def apply_isotypic(state: StateVector, factor: int, lam: Partition) -> StateVector:
     """Weak-Fourier-sampling projector on one factor:
     (d(lam)/n!) sum_g chi_lam(g) L_g."""
-    lam = check_partition(lam)
-    if sum(lam) != state.n:
-        raise InputError(f"|lam| = {sum(lam)} but degree is {state.n}")
     return _apply_stages(state, (Isotypic(factor, lam),), f"isotypic({factor})")
 
 
@@ -293,7 +300,9 @@ def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> 
     ev = BatchEvaluator(Pipeline(state.n, state.k, stages, label))
     if state.is_zero():
         return StateVector.zero(state.n, state.k)
-    cols, nums = list(state.nums), list(state.nums.values())
+    cols, nums = np.fromiter(state.nums, np.int64, len(state.nums)), list(state.nums.values())
+    if cols.min() < 0 or cols.max() >= ev.pipeline.dim:
+        raise InputError(f"{label}: a basis index lies outside range({ev.pipeline.dim})")
     headroom = (FLOAT_EXACT_LIMIT - 1) // prod(kern.l1 for kern in ev.kernels)
     b = max(1, headroom.bit_length() - 1)  # limbs in [-2^b, 2^b) pass the guard
     mask = (1 << b) - 1

@@ -9,7 +9,7 @@ import pytest
 from helpers import basis_state
 
 from kronlab.oracles import kron_char, kron_invariant_def, pleth_wreath
-from kronlab.permutations import cycle_type_census
+from kronlab.permutations import class_census, cycle_type_census, full_group, young_subgroup
 from kronlab.projectors import (
     _centraliser,
     _factor_contraction,
@@ -76,9 +76,16 @@ def test_collapsed_counts_groups_by_closed_forms(pipeline):
     assert ("characters", "character_table") in seen
 
 
+@pytest.mark.parametrize("group", [full_group(8), young_subgroup((4, 3, 1))], ids=lambda g: g.label())
+def test_closed_form_census_enumerates_nothing(group):
+    seen = reached(class_census, group)
+    assert ("permutations", "enumerate_subgroup") not in seen
+    assert ("permutations", "all_perms") not in seen
+
+
 def test_wreath_oracle_enumerates():
     seen = reached(pleth_wreath, 2, 2, (2, 2))
-    assert ("permutations", "cycle_type_census") in seen
+    assert {("permutations", "cycle_type_census"), ("permutations", "enumerate_subgroup")} <= seen
     assert ("permutations", "class_census") not in seen
 
 

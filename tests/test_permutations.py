@@ -234,6 +234,48 @@ class TestFullGroup:
         assert len(enumerate_subgroup(g)) == 24 == g.order()
         assert all_perms(3)[0] == identity(3)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_one_block_young_subgroup(self, n):
+        assert full_group(n) == young_subgroup((n,))
+        assert enumerate_subgroup(full_group(n)) == tuple(all_perms(n))
+
+
+class TestSubgroupDescriptor:
+    @pytest.mark.parametrize("kind, shape", [("young", ()), ("wreath", (2, 1)), ("block_perms", (3, 1, 1))])
+    def test_bad_blocks_refused_at_construction(self, kind, shape):
+        with pytest.raises(InputError):
+            SubgroupDescriptor(kind, shape)
+
+    @pytest.mark.parametrize("make", [wreath_product, block_permutations])
+    @pytest.mark.parametrize("m, d", [(0, 2), (2, 0), (-1, 2), (2, -1)])
+    def test_constructors_refuse_empty_blocks(self, make, m, d):
+        with pytest.raises(InputError):
+            make(m, d)
+
+    def test_sizes_read_off_the_blocks(self):
+        cases = (
+            (young_subgroup([3, 2, 1]), (3, 2, 1), 6, 3, 3, 12),
+            (wreath_product(3, 2), (3, 3), 6, 3, 2, 72),
+            (block_permutations(3, 2), (3, 3), 6, 3, 2, 2),
+        )
+        for g, shape, degree, m, d, order in cases:
+            assert (g.shape, g.degree, g.m, g.d, g.order()) == (shape, degree, m, d, order)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            young_subgroup((3, 2, 1)),
+            young_subgroup((2, 2, 1, 1)),
+            wreath_product(2, 3),
+            wreath_product(3, 2),
+            block_permutations(2, 3),
+            block_permutations(1, 5),
+        ],
+        ids=lambda g: g.label(),
+    )
+    def test_membership_matches_enumeration(self, g):
+        assert {pi for pi in all_perms(g.degree) if g.contains(pi)} == set(enumerate_subgroup(g))
+
 
 class TestPermArrays:
     """The numpy helpers against all_perms and cycle_type, for every n <= 7."""
@@ -281,4 +323,4 @@ class TestClassCensus:
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            class_census(SubgroupDescriptor("cyclic", 3))
+            SubgroupDescriptor("cyclic", (3,))

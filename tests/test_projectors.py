@@ -208,6 +208,34 @@ class TestPipelineConstruction:
         with pytest.raises(InputError):
             pipeline_trace_dense(Pipeline(3, 1, (Isotypic(1, lam),), "bad"))
 
+    @pytest.mark.parametrize(
+        "index, stage",
+        [
+            (4, InvariantAverage(0, "R", young_subgroup((1, 1)))),
+            (4, InvariantAverage(0, "R", young_subgroup((2, 2)))),
+            (0, Isotypic(0, (2, 2))),
+        ],
+    )
+    def test_stage_of_another_degree_refused(self, index, stage):
+        # with an S_2 average in place of stage 4 the dense trace read S_2
+        # ranks as S_3 ranks and gave 2 (the pipeline's trace is 1), and
+        # the collapsed trace raised KeyError; degree 4 raised IndexError
+        stages = list(kron_pipeline((2, 1), (2, 1), (2, 1)).stages)
+        stages[index] = stage
+        for trace in (pipeline_trace_dense, pipeline_trace_collapsed):
+            with pytest.raises(InputError):
+                trace(Pipeline(3, 3, tuple(stages), "bad"))
+
+    def test_isotypic_stage_refuses_a_non_partition(self):
+        # the character table has no row (1, 2): KeyError on every route
+        with pytest.raises(InputError):
+            Isotypic(0, (1, 2))
+
+    def test_one_factor_average_of_another_degree_refused(self):
+        # the S_2 ranks were read as ranks in S_3: dense trace 3
+        with pytest.raises(InputError):
+            pipeline_trace_dense(Pipeline(3, 1, (InvariantAverage(0, "L", young_subgroup((2,))),), "bad"))
+
     def test_unknown_side_refused(self):
         # the dense kernels applied side 'l' as a right average (trace 3)
         # while the collapsed trace refused the same pipeline
@@ -952,6 +980,13 @@ class TestStateVectorEngine:
     def test_basis_state_refuses_wrong_permutations(self, perms):
         with pytest.raises(InputError):
             basis_state(3, perms)
+
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_basis_index_outside_the_space_refused(self, index):
+        # numpy wrapped -1 to flat index 5; 6 raised a bare IndexError
+        state = StateVector(3, 1, {index: 1})
+        with pytest.raises(InputError):
+            apply_isotypic(state, 0, (2, 1))
 
     def test_zero_denominator_refused(self):
         with pytest.raises(InputError):

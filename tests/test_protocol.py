@@ -10,7 +10,7 @@ from rref_reference import kernel, rref
 from kronlab.errors import BoundExceededError, InputError
 from kronlab.oracles import kron_char, pleth_wreath
 from kronlab.partitions import enumerate_partitions
-from kronlab.permutations import all_perms, full_group, identity
+from kronlab.permutations import all_perms, full_group, identity, young_subgroup
 from kronlab.projectors import (
     InvariantAverage,
     Pipeline,
@@ -83,6 +83,12 @@ class TestGeneralizedPhaseEstimation:
         stage = InvariantAverage(0, "L", full_group(3))
         p, accept, _ = gpe_accept_probability(sv, stage)
         assert p == 0 and accept.is_zero()
+
+    def test_average_of_another_degree_refused(self):
+        # an S_2 average on an S_3 state gave acceptance probability 1/2
+        stage = InvariantAverage(0, "L", young_subgroup((2,)))
+        with pytest.raises(InputError):
+            gpe_accept_probability(StateVector(3, 1, {0: 1}), stage)
 
 
 class TestWitnessSpaces:
