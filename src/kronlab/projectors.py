@@ -8,7 +8,9 @@ A stage is `Isotypic` (weak Fourier sampling on one factor),
 factors at once).  Each has one implementation, an integer kernel
 (`_stage_kernel`) applied by `BatchEvaluator` to batches of vectors: a
 single-factor stage is an nf x nf matrix multiplied into its factor, and
-the diagonal average is an orbit sum made of two index gathers.
+the diagonal average is an orbit sum made of two index gathers.  Each
+single-factor kernel is one gather of per-element values (d chi_lam, or a
+subgroup's int8 indicator) at the quotient tables `PermIndex` builds once.
 Amplitudes stay integer numerators over a running denominator, carried
 in float64 arrays for speed under an l1-norm bound asserted below 2^53
 before every stage.  The projector-algebra check compares the evaluator
@@ -159,11 +161,7 @@ def kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
         InvariantAverage(1, "R", young_subgroup(mu)),
         InvariantAverage(2, "R", young_subgroup(nu)),
     )
-    label = "kron(%s|%s|%s)" % (
-        ",".join(map(str, lam)),
-        ",".join(map(str, mu)),
-        ",".join(map(str, nu)),
-    )
+    label = "kron(%s)" % "|".join(",".join(map(str, shape)) for shape in (lam, mu, nu))
     return Pipeline(n, 3, stages, label)
 
 
@@ -211,6 +209,8 @@ class _AmpsView(Mapping):
     @cached_property
     def _amps(self) -> dict[tuple[Perm, ...], Fraction]:
         s, perms = self._state, all_perms(self._state.n)
+        if s.nums and not 0 <= min(s.nums) <= max(s.nums) < len(perms) ** s.k:
+            raise InputError(f"a basis index lies outside range({len(perms) ** s.k})")
         keys = zip(*np.unravel_index(np.fromiter(s.nums, np.int64), (len(perms),) * s.k))
         return {tuple(perms[d] for d in key): Fraction(v, s.den) for key, v in zip(keys, s.nums.values())}
 
@@ -324,8 +324,10 @@ def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> 
 
 
 class PermIndex:
-    """S_n in all_perms order (identity first) as multiplication, inverse
-    and cycle-type index tables."""
+    """S_n in all_perms order (identity first) as multiplication, inverse and
+    cycle-type index tables, and the quotient tables left[t, s] = rank(t o s^-1)
+    and right[t, s] = rank(s^-1 o t).  Ranks are int16 (n! <= 720) and class
+    indices uint8 (p(n) <= 11): read them only as indices, as int16 arithmetic wraps."""
 
     def __init__(self, n: int):
         if factorial(n) > DENSE_FACTOR_LIMIT:
@@ -333,13 +335,14 @@ class PermIndex:
         self.n = n
         self.nf = factorial(n)
         arr = perm_array(n)
-        self.inv = perm_ranks(np.argsort(arr, axis=1))
-        self.mult = np.empty((self.nf, self.nf), dtype=np.int64)
+        self.inv = perm_ranks(np.argsort(arr, axis=1)).astype(np.int16)
+        self.mult = np.empty((self.nf, self.nf), dtype=np.int16)
         rows = max(1, (1 << 21) // (self.nf * n * 8))  # about 2 MB of transient per block
         for i in range(0, self.nf, rows):  # mult[i, j] = index of a_i o a_j
             self.mult[i : i + rows] = perm_ranks(arr[i : i + rows][:, arr])
-        self.classes = enumerate_partitions(n)
-        self.type_index = class_indices(arr)
+        self.type_index = class_indices(arr).astype(np.uint8)
+        self.left = self.mult[:, self.inv]
+        self.right = self.mult[self.inv, :].T
 
 
 @lru_cache(maxsize=None)
@@ -349,16 +352,20 @@ def perm_index(n: int) -> PermIndex:
 
 @lru_cache(maxsize=256)
 def _member_vector(n: int, group: SubgroupDescriptor) -> np.ndarray:
-    """Indicator of the enumerated subgroup over S_n in all_perms order;
-    memoised and read-only."""
-    member = np.zeros(factorial(n), dtype=np.float64)
-    member[perm_ranks(np.array(enumerate_subgroup(group)) - 1)] = 1.0
+    """int8 indicator of the subgroup over S_n in all_perms order; memoised and read-only."""
+    member = np.zeros(factorial(n), dtype=np.int8)
+    member[perm_ranks(np.array(enumerate_subgroup(group)) - 1)] = 1
     member.flags.writeable = False
     return member
 
 
 # ---------------------------------------------------------------------------
 # integer batch evaluator
+
+
+def _narrowest(values: np.ndarray) -> np.ndarray:
+    """Integers in the narrowest signed dtype holding +-max|value|, so abs cannot wrap."""
+    return values.astype(np.min_scalar_type(-int(np.abs(values).max()) - 1), copy=False)
 
 
 class _FactorKernel:
@@ -368,9 +375,9 @@ class _FactorKernel:
 
     def __init__(self, factor: int, kernel: np.ndarray, den: int):
         self.factor = factor
-        self._ints = kernel.astype(np.min_scalar_type(-int(np.abs(kernel).max()) - 1))
+        self._ints = _narrowest(kernel)
         self.den = den
-        self.l1 = int(np.abs(kernel).sum(axis=1).max())
+        self.l1 = int(np.abs(self._ints).sum(axis=1).max())
 
     @property
     def kernel(self) -> np.ndarray:
@@ -393,7 +400,7 @@ class _OrbitKernel:
     def __init__(self, space: PermIndex, k: int):
         flat = np.arange(space.nf**k, dtype=np.int64)
         digits = np.unravel_index(flat, (space.nf,) * k)
-        rel = [space.mult[space.inv[digits[0]], d] for d in digits[1:]]
+        rel = [space.right[d, digits[0]] for d in digits[1:]]  # rank(s_1^-1 o s_f)
         self.back = np.ravel_multi_index(rel, (space.nf,) * (k - 1))
         self.gather = np.empty((space.nf, space.nf ** (k - 1)), dtype=np.int64)
         self.gather[digits[0], self.back] = flat
@@ -411,15 +418,12 @@ def _stage_kernel(n: int, stage: Stage, k: int):
     space = perm_index(n)
     if isinstance(stage, DiagonalAverage):
         return _OrbitKernel(space, k)
-    if isinstance(stage, Isotypic):
-        table = character_table(n)
-        chi = np.array([table.chi(stage.shape, rho) for rho in space.classes], dtype=np.float64)
-        ts = space.mult[:, space.inv]  # ts[t, s] = index of perm_t o perm_s^-1
-        kernel = hook_dimension(stage.shape) * chi[space.type_index[ts]]
-        return _FactorKernel(stage.factor, kernel, factorial(n))
+    if isinstance(stage, Isotypic):  # kernel[t, s] = d chi(t o s^-1): values per class, then per element
+        values = hook_dimension(stage.shape) * np.array(character_table(n).row(stage.shape))
+        return _FactorKernel(stage.factor, _narrowest(values)[space.type_index][space.left], factorial(n))
     # kernel[t, s] = [t o s^-1 in G] on the left, [s^-1 o t in G] on the right
-    ts = space.mult[:, space.inv] if stage.side == "L" else space.mult[space.inv, :].T
-    return _FactorKernel(stage.factor, _member_vector(n, stage.group)[ts], stage.group.order())
+    kernel = _member_vector(n, stage.group)[space.left if stage.side == "L" else space.right]
+    return _FactorKernel(stage.factor, kernel, stage.group.order())
 
 
 class BatchEvaluator:
@@ -430,9 +434,7 @@ class BatchEvaluator:
     def __init__(self, p: Pipeline):
         self.pipeline = p
         if p.dim > DENSE_DIM_LIMIT:
-            raise BoundExceededError(
-                f"dense evaluation bound exceeded for {p.label}: dim {p.dim}"
-            )
+            raise BoundExceededError(f"dense evaluation bound exceeded for {p.label}: dim {p.dim}")
         self.space = perm_index(p.n)  # refuses n! > DENSE_FACTOR_LIMIT
         self.kernels = [_stage_kernel(p.n, s, p.k) for s in p.stages]
         self.denominator = prod(kern.den for kern in self.kernels)
@@ -442,17 +444,13 @@ class BatchEvaluator:
         integer-valued float64 amplitudes over self.denominator."""
         return self.apply_stages(x, range(len(self.kernels)), start_max_abs=start_max_abs)[0]
 
-    def apply_stages(
-        self, x: np.ndarray, stage_indices, *, start_max_abs: int = 1
-    ) -> tuple[np.ndarray, int]:
+    def apply_stages(self, x: np.ndarray, stage_indices, *, start_max_abs: int = 1) -> tuple[np.ndarray, int]:
         """Apply a subset of stages (in the given order); returns the batch
         and the denominator for that subset.  Every l1 bound is at least 1,
         so the subset's product bounds every intermediate."""
         kernels = [self.kernels[i] for i in stage_indices]
         if start_max_abs * prod(kern.l1 for kern in kernels) >= FLOAT_EXACT_LIMIT:
-            raise BoundExceededError(
-                f"integer amplitudes for {self.pipeline.label} would exceed exact float64 range"
-            )
+            raise BoundExceededError(f"integer amplitudes for {self.pipeline.label} would exceed exact float64 range")
         for kern in kernels:
             x = kern.apply(x, self.pipeline.k, self.space.nf)
         return x, prod(kern.den for kern in kernels)
@@ -774,8 +772,8 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     ev = BatchEvaluator(p)
     dim, k, nf, mult = p.dim, p.k, ev.space.nf, ev.space.mult
     mode = "exhaustive" if dim <= 1728 else "sampled"
-    rng = np.random.default_rng(7)
-    cols = np.arange(dim) if dim <= 1728 else np.sort(rng.choice(dim, size=192, replace=False))
+    # numpy.random loads on first touch, so exhaustive mode never imports it
+    cols = np.arange(dim) if dim <= 1728 else np.sort(np.random.default_rng(7).choice(dim, 192, replace=False))
     # float64 is exact: a kernel product's terms total at most l1^2, and den K <= 720 l1
     if max(kern.l1 for kern in ev.kernels) ** 2 >= FLOAT_EXACT_LIMIT:
         raise BoundExceededError(f"integer amplitudes for {p.label} would exceed exact float64 range")
@@ -824,7 +822,8 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
             kernel = mats[i] if j in orbit_rows else mats[j]  # nf <= 24, as k >= 2
             same = (kernel[mult[:, :, None], mult[:, None, :]] == kernel).all()
         elif ev.kernels[i].factor == ev.kernels[j].factor:
-            same = np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i])
+            ij = mats[i] @ mats[j]  # K_j K_i = (K_i K_j)^T when both are symmetric
+            same = np.array_equal(ij, ij.T if symmetric[i] and symmetric[j] else mats[j] @ mats[i])
         else:
             same = True  # (A (x) I)(I (x) B) = A (x) B = (I (x) B)(A (x) I)
         pair_commutes[(i, j)] = bool(same)

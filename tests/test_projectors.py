@@ -1,8 +1,14 @@
 import copy
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +17,9 @@ from algebra_reference import reference_algebra
 from groupsum_reference import apply_action, reference_orbit_sizes, reference_pipeline, reference_stage, state_of
 from helpers import basis_state, from_cycles
 
+import kronlab
 from kronlab import projectors
-from kronlab.characters import cache_settings
+from kronlab.characters import cache_settings, character_table
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
 from kronlab.partitions import enumerate_partitions, hook_dimension
@@ -644,14 +651,22 @@ class TestVectorisedTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_perm_index_tables(self, n):
         space = PermIndex(n)
-        mult, inv, type_index = reference_index_tables(n)
+        mult, inv, type_index = _reference_tables(n)
         assert np.array_equal(space.mult, mult)
         assert np.array_equal(space.inv, inv)
         assert np.array_equal(space.type_index, type_index)
+        assert np.array_equal(space.left, mult[:, inv])
+        assert np.array_equal(space.right, mult[inv, :].T)
+
+    def test_perm_index_dtypes(self):
+        # ranks fit int16 (n! <= 720) and class indices uint8 (p(n) <= 11)
+        space = projectors.perm_index(6)
+        assert (space.mult.dtype, space.inv.dtype, space.type_index.dtype) == (np.int16, np.int16, np.uint8)
+        assert (space.left.dtype, space.right.dtype) == (np.int16, np.int16)
 
     def test_perm_index_transient(self):
         # mult is built in row blocks: beyond the tables it keeps (the
-        # 720 x 720 int64 mult is 4.1 MB), at most 2 MB is live at once
+        # 720 x 720 int16 mult is 1.0 MB), at most 2 MB is live at once
         tracemalloc.start()
         try:
             space = PermIndex(6)
@@ -660,6 +675,63 @@ class TestVectorisedTables:
             tracemalloc.stop()
         assert space.mult.nbytes < kept
         assert peak - kept < 2 << 20
+
+
+@lru_cache(maxsize=None)
+def _reference_tables(n):
+    return reference_index_tables(n)
+
+
+def _reference_kernel(n, stage):
+    """A single-factor stage's kernel from the scalar index tables: d chi
+    at the class of t o s^-1, or the subgroup indicator at t o s^-1 (left)
+    or s^-1 o t (right)."""
+    mult, inv, type_index = _reference_tables(n)
+    if isinstance(stage, Isotypic):
+        table = character_table(n)
+        chi = np.array([table.chi(stage.shape, rho) for rho in enumerate_partitions(n)])
+        return hook_dimension(stage.shape) * chi[type_index[mult[:, inv]]]
+    index = {g: i for i, g in enumerate(all_perms(n))}
+    member = np.zeros(factorial(n), dtype=np.int64)
+    member[[index[g] for g in enumerate_subgroup(stage.group)]] = 1
+    return member[mult[:, inv] if stage.side == "L" else mult[inv, :].T]
+
+
+def _single_factor_stages(n):
+    """(k, stage) for the single-factor stages of every Kronecker pipeline at
+    degree n <= 4 and every plethysm pipeline with md = n <= 6."""
+    pipelines = [kron_pipeline(*t) for t in itertools.product(enumerate_partitions(n), repeat=3) if n <= 4]
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    pipelines += [pleth_pipeline(d, n // d, lam) for d in divisors for lam in enumerate_partitions(n)]
+    return {(p.k, s) for p in pipelines for s in p.stages if not isinstance(s, DiagonalAverage)}
+
+
+class TestStageKernels:
+    """Kernels gathered from the per-degree quotient tables against kernels
+    built from the scalar reference tables."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_kernels_match_reference(self, n):
+        for k, stage in _single_factor_stages(n):
+            kern = _stage_kernel(n, stage, k)
+            expected = _reference_kernel(n, stage)
+            assert np.array_equal(kern._ints, expected), stage
+            assert kern._ints.dtype == np.min_scalar_type(-int(np.abs(expected).max()) - 1), stage
+            assert kern.l1 == np.abs(expected).sum(axis=1).max(), stage
+
+    def test_isotypic_kernel_transient(self):
+        # one narrow gather from the degree-6 tables: no 720 x 720 int64 or
+        # float64 intermediate (4.1 MB each), which took the peak to 12.9 MB
+        stage = Isotypic(0, (3, 2, 1))
+        _stage_kernel(6, stage, 1)  # builds the tables and the character table
+        tracemalloc.start()
+        try:
+            kern = _stage_kernel.__wrapped__(6, stage, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kern._ints.dtype == np.int16
+        assert peak < 6_000_000
 
 
 class TestTruncatedPipeline:
@@ -777,6 +849,31 @@ class TestProjectorAlgebra:
         assert report == reference_algebra(p)
         assert report.mode == "exhaustive" and not report.stage_symmetric[4]
         assert not all(ok for (i, j), ok in report.pair_commutes.items() if 4 in (i, j))
+
+    def test_symmetric_kernel_that_does_not_commute(self, monkeypatch):
+        # a symmetric perturbation keeps both kernels symmetric, so the
+        # pair is decided by one product against its transpose
+        p = pleth_pipeline(2, 2, (2, 2))
+        kernel = _stage_kernel(4, p.stages[3], 1)
+        ints = kernel._ints.astype(np.int64)
+        ints[0, 1] += 1
+        ints[1, 0] += 1
+        _replace_kernel(monkeypatch, p.stages[3], _FactorKernel(kernel.factor, ints, kernel.den))
+        report = check_projector_algebra(p)
+        assert report == reference_algebra(p)
+        assert report.stage_symmetric[3] and not all(report.pair_commutes.values())
+
+    def test_exhaustive_mode_never_imports_numpy_random(self):
+        # numpy loads numpy.random on first touch; only sampled mode draws
+        code = (
+            "import sys, kronlab\n"
+            "from kronlab.projectors import check_projector_algebra, kron_pipeline\n"
+            "assert check_projector_algebra(kron_pipeline((2, 1), (2, 1), (2, 1))).mode == 'exhaustive'\n"
+            "print('numpy.random' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(kronlab.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "False"
 
     @pytest.mark.parametrize(
         "p, calls",
@@ -987,6 +1084,14 @@ class TestStateVectorEngine:
         state = StateVector(3, 1, {index: 1})
         with pytest.raises(InputError):
             apply_isotypic(state, 0, (2, 1))
+
+    @pytest.mark.parametrize("index", [-1, 6, 1 << 70])
+    def test_amps_view_refuses_index_outside_the_space(self, index):
+        # the view raised numpy's bare ValueError for -1 and 6
+        state = StateVector(3, 1, {index: 1})
+        assert len(state.amps) == 1  # len() converts nothing
+        with pytest.raises(InputError, match=r"outside range\(6\)"):
+            dict(state.amps)
 
     def test_zero_denominator_refused(self):
         with pytest.raises(InputError):
