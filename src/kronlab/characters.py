@@ -18,6 +18,7 @@ name and renamed into place, so a reader never sees a partial file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -171,16 +172,17 @@ class CharacterTable:
 
     @staticmethod
     def from_json(data: dict) -> "CharacterTable":
-        n = int(data["n"])
+        """The table in a to_json document; ConsistencyError on a number that
+        is not a JSON integer or a row without one value per class."""
         classes = tuple(tuple(c["type"]) for c in data["classes"])
-        sizes = tuple(int(c["size"]) for c in data["classes"])
+        sizes = tuple(c["size"] for c in data["classes"])
         partitions = tuple(tuple(r["partition"]) for r in data["rows"])
-        values = {}
-        for r in data["rows"]:
-            lam = tuple(r["partition"])
-            for rho, v in zip(classes, r["values"]):
-                values[(lam, rho)] = int(v)
-        return CharacterTable(n, partitions, classes, sizes, values)
+        rows = [r["values"] for r in data["rows"]]
+        numbers = itertools.chain([data["n"]], sizes, *classes, *partitions, *rows)
+        if any(type(x) is not int for x in numbers) or any(len(r) != len(classes) for r in rows):
+            raise ConsistencyError("a number is not an integer, or a row has the wrong length")
+        values = {(lam, rho): v for lam, r in zip(partitions, rows) for rho, v in zip(classes, r)}
+        return CharacterTable(data["n"], partitions, classes, sizes, values)
 
 
 @lru_cache(maxsize=None)

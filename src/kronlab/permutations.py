@@ -188,22 +188,6 @@ class SubgroupDescriptor:
             return "S(" + ",".join(map(str, self.shape)) + ")"
         return f"S{self.m}wrS{self.d}" if self.kind == "wreath" else f"blocks({self.m}^{self.d})"
 
-    def contains(self, pi: Perm) -> bool:
-        """Membership test independent of the enumeration."""
-        blocks = self._block_map(pi) if len(pi) == self.degree else None
-        if self.kind == "young":
-            return blocks == identity(self.d)
-        return blocks is not None and (self.kind == "wreath" or pi == wreath_embed(blocks, self.m))
-
-    def _block_map(self, pi: Perm) -> Perm | None:
-        """Induced permutation of the blocks, or None if pi does not map
-        blocks onto blocks."""
-        owner = [a for a, b in enumerate(self.shape, 1) for _ in range(b)]  # block of each point
-        starts = itertools.accumulate((0,) + self.shape[:-1])
-        targets = [{owner[x - 1] for x in pi[s : s + b]} for s, b in zip(starts, self.shape)]
-        images = tuple(t.pop() for t in targets if len(t) == 1)
-        return images if sorted(images) == list(range(1, self.d + 1)) else None
-
 
 def full_group(n: int) -> SubgroupDescriptor:
     return young_subgroup((n,))

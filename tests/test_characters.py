@@ -215,6 +215,29 @@ class TestDiskCache:
         assert table.chi((5, 1), (6,)) == -1
         assert path.read_bytes() == good
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: row.append(0),
+            lambda row: row.__setitem__(0, str(row[0])),
+            lambda row: row.__setitem__(0, float(row[0])),
+            lambda row: row.__setitem__(-1, True),
+        ],
+        ids=["surplus", "string", "float", "true"],
+    )
+    def test_non_integer_or_surplus_value_recomputed(self, tmp_path, damage):
+        # int() accepts "1", 1.0 and True, and zip drops a surplus value,
+        # so each of these once validated and stayed on disk
+        good = json.dumps(computed_table(5).to_json()).encode()
+        path = tmp_path / "chartable-n5.json"
+        doc = json.loads(good)
+        damage(doc["rows"][0]["values"])  # the trivial row: all ones
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConsistencyError):
+            CharacterTable.from_json(doc)
+        assert table_in(tmp_path, 5).values == computed_table(5).values
+        assert path.read_bytes() == good
+
     def test_orthogonality_verdicts(self):
         table = computed_table(7)
         table.check_orthogonality()
@@ -329,15 +352,15 @@ def _value_slots(doc):
 @given(data=st.data(), n=st.integers(1, 7))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_damaged_cache_file_yields_the_computed_table(data, n):
-    # random byte edits, truncations, JSON value edits and row swaps of a
-    # valid file: the table read back equals the computed one, and the
-    # file left behind re-validates
+    # random byte edits, truncations, JSON value edits, surplus values and
+    # row swaps of a valid file: the table read back equals the computed
+    # one, and the file left behind re-validates and re-serialises to it
     reference = computed_table(n)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"chartable-n{n}.json"
         table_in(d, n)
         good = path.read_bytes()
-        kind = data.draw(st.sampled_from(["bytes", "truncate", "value", "swap"]))
+        kind = data.draw(st.sampled_from(["bytes", "truncate", "value", "append", "swap"]))
         if kind == "bytes":
             raw = bytearray(good)
             edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
@@ -351,6 +374,11 @@ def test_damaged_cache_file_yields_the_computed_table(data, n):
             container, key = data.draw(st.sampled_from(_value_slots(doc)))
             container[key] = data.draw(JSON_VALUES)
             damaged = json.dumps(doc).encode()
+        elif kind == "append":  # a surplus value at the end of one row
+            doc = json.loads(good)
+            row = data.draw(st.sampled_from(doc["rows"]))
+            row["values"].append(data.draw(JSON_VALUES))
+            damaged = json.dumps(doc).encode()
         else:  # two rows' values swapped: orthogonality still holds
             doc = json.loads(good)
             i, j = (data.draw(st.integers(0, len(doc["rows"]) - 1)) for _ in range(2))
@@ -359,7 +387,10 @@ def test_damaged_cache_file_yields_the_computed_table(data, n):
             damaged = json.dumps(doc).encode()
         path.write_bytes(damaged)
         table = table_in(d, n)
-        left = CharacterTable.from_json(json.loads(path.read_bytes()))
+        left_doc = json.loads(path.read_bytes())
+        left = CharacterTable.from_json(left_doc)
+    # == takes 1.0 and True for 1; the serialised text does not
+    assert json.dumps(left_doc) == json.dumps(reference.to_json())
     for t in (table, left):
         assert (t.n, t.partitions, t.classes, t.class_sizes) == (
             n, reference.partitions, reference.classes, reference.class_sizes

@@ -9,6 +9,7 @@ from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.partitions import enumerate_partitions, hook_dimension, kostka
 from kronlab.permutations import (
     all_perms,
+    block_permutations,
     compose,
     cycle_type,
     full_group,
@@ -52,6 +53,26 @@ class TestSeminormalForm:
                 assert rows == [{0: 1}]
             for rows in sign.generators:
                 assert rows == [{0: -1}]
+
+    def test_generators_of_3_2(self):
+        # every entry of s_1..s_4 for (3, 2), so a change of convention or
+        # of anchor fails: 1x1 entries +-1, and 2x2 blocks with axial
+        # distance -2 (s_2 at [[1,2,4],[3,5]]) and -3 (s_3 at [[1,2,3],[4,5]])
+        rep = build_seminormal((3, 2))
+        assert rep.basis == (
+            ((1, 2, 3), (4, 5)),
+            ((1, 2, 4), (3, 5)),
+            ((1, 2, 5), (3, 4)),
+            ((1, 3, 4), (2, 5)),
+            ((1, 3, 5), (2, 4)),
+        )
+        F = Fraction
+        assert rep.generators == [
+            [{0: 1}, {1: 1}, {2: 1}, {3: -1}, {4: -1}],
+            [{0: 1}, {1: F(-1, 2), 3: F(3, 4)}, {2: F(-1, 2), 4: F(3, 4)}, {1: 1, 3: F(1, 2)}, {2: 1, 4: F(1, 2)}],
+            [{0: F(-1, 3), 1: F(8, 9)}, {0: 1, 1: F(1, 3)}, {2: 1}, {3: 1}, {4: -1}],
+            [{0: 1}, {1: F(-1, 2), 2: F(3, 4)}, {1: 1, 2: F(1, 2)}, {3: F(-1, 2), 4: F(3, 4)}, {3: 1, 4: F(1, 2)}],
+        ]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_coxeter_relations(self, n):
@@ -169,11 +190,11 @@ class TestInvariantDimensions:
         with pytest.raises(ConsistencyError, match="braid"):
             check_coxeter(rep)
 
-    def test_subgroup_must_be_generated_by_adjacent_transpositions(self):
-        # S_2 wr S_2 contains s_1 and s_3 but not the block swap (13)(24)
+    @pytest.mark.parametrize("g", [wreath_product(2, 2), block_permutations(2, 2)], ids=lambda g: g.label())
+    def test_non_young_subgroup_refused(self, g):
         rep = build_seminormal((2, 2))
-        with pytest.raises(InputError):
-            invariant_dim([rep], wreath_product(2, 2))
+        with pytest.raises(InputError, match="not a Young subgroup"):
+            invariant_dim([rep], g)
 
     def test_dimension_bound_checked_before_allocation(self):
         # 35^3 = 42875 > DEFAULT_DIM_BOUND: refused before any constraint row
