@@ -6,26 +6,30 @@ A stage is `Isotypic` (weak Fourier sampling on one factor),
 `InvariantAverage` (a subgroup average on one factor from one side) or
 `DiagonalAverage` (phase estimation: the left S_n average on all k >= 2
 factors at once).  Each has one implementation, an integer kernel
-(`_stage_kernel`) applied by `BatchEvaluator` to batches of vectors: a
-single-factor stage is an nf x nf matrix multiplied into its factor, and
-the diagonal average is an orbit sum made of two index gathers.  Each
-single-factor kernel is one gather of per-element values (d chi_lam, or a
-subgroup's int8 indicator) at the quotient tables `PermIndex` builds once.
-Amplitudes stay integer numerators over a running denominator, carried
-in float64 arrays for speed under an l1-norm bound asserted below 2^53
-before every stage.  The projector-algebra check compares the evaluator
-with every stage's kernel.  The dense trace reads one diagonal entry per
-orbit of the translations the composed stages commute with (simultaneous
-left translation by the x commuting with each factor's composed left
-averages between diagonal averages, right translation on each factor by
-the y commuting with its composed right averages), weighted by the orbit
-size.  It splits the stages at the diagonal averages: the single-factor
-stages before them act on the basis ket and those after them on the
-basis bra, one factor at a time, so only the middle stages run on
-full-width rows.  State vectors (`StateVector`, `apply_*`, used by the
-verifier protocol) are stored in the same format: integer numerators
-keyed by flat basis index over one denominator.  Numerators too large
-for the bound are split into signed base-2^b limbs (one batch row each) and
+(`_stage_kernel`) applied by `BatchEvaluator` to batches of vectors.  A
+single-factor stage is left or right multiplication by one group-algebra
+element, stored as its n! values (d chi_lam(g), or a subgroup's int8
+indicator): its nf x nf kernel, v(t s^-1) or v(s^-1 t) at (t, s), is one
+gather of those values at the quotient tables `PermIndex` builds once,
+formed only to multiply a batch.  The diagonal average is an orbit sum
+made of two index gathers.  Amplitudes stay integer numerators over a
+running denominator, carried in float64 arrays for speed under an
+l1-norm bound asserted below 2^53 before every stage.  The
+projector-algebra check compares the evaluator with every stage's kernel
+and decides a factor stage's algebra on its element.  The dense trace
+reads one diagonal entry per orbit of the translations the composed
+stages commute with (simultaneous left translation by the x commuting
+with each factor's composed left averages between diagonal averages,
+right translation on each factor by the y commuting with its composed
+right averages), weighted by the orbit size.  It splits the stages at
+the diagonal averages: the single-factor stages before them act on the
+basis ket and those after them on the basis bra, one factor at a time,
+as gathers of the stages' elements and sums over their supports, so no
+nf x nf kernel is built and only the middle stages run on full-width
+rows.  State vectors (`StateVector`, `apply_*`, used by the verifier
+protocol) are stored in the same format: integer numerators keyed by
+flat basis index over one denominator.  Numerators too large for the
+bound are split into signed base-2^b limbs (one batch row each) and
 recombined in Python integers, so any rational amplitude stays exact.
 
 `pipeline_trace_collapsed` is the independent closed-form route: it
@@ -369,19 +373,27 @@ def _narrowest(values: np.ndarray) -> np.ndarray:
 
 
 class _FactorKernel:
-    """Stage acting on a single tensor factor through an nf x nf integer
-    kernel, stored in the narrowest integer dtype that holds its entries
-    and widened to exact-integer-valued float64 at use."""
+    """Stage acting on one tensor factor as left (side 'L') or right ('R')
+    multiplication by one group-algebra element v, stored as its n! values
+    in all_perms order, in the narrowest integer dtype that holds them.
+    The kernel is K[t, s] = v[left[t, s]] = v(t s^-1) on the left and
+    v[right[t, s]] = v(s^-1 t) on the right: every row of K is a
+    permutation of v, K's column at the identity (rank 0) is v itself, and
+    K^T is the same side with v(g^-1).  Left kernels compose as
+    K_v K_w = K_(v*w) and right ones as K_(w*v), so a kernel and its
+    products are determined by their identity columns."""
 
-    def __init__(self, factor: int, kernel: np.ndarray, den: int):
-        self.factor = factor
-        self._ints = _narrowest(kernel)
-        self.den = den
-        self.l1 = int(np.abs(self._ints).sum(axis=1).max())
+    def __init__(self, space: PermIndex, factor: int, side: str, values: np.ndarray, den: int):
+        self.space, self.factor, self.side, self.den = space, factor, side, den
+        self.values = _narrowest(values)
+        self.l1 = int(np.abs(self.values).sum())  # every row's l1 norm
+        # v(h) reads x at other[t, h]: s = h^-1 t on the left, t h^-1 on the right
+        self.table, self.other = (space.left, space.right) if side == "L" else (space.right, space.left)
 
     @property
     def kernel(self) -> np.ndarray:
-        return self._ints.astype(np.float64)
+        """The nf x nf kernel as exact-integer float64, built only where a batch is multiplied by it."""
+        return self.values.astype(np.float64)[self.table]
 
     def apply(self, x: np.ndarray, k: int, nf: int) -> np.ndarray:
         post = nf ** (k - self.factor - 1)  # x viewed as (rows * pre, nf, post)
@@ -389,6 +401,54 @@ class _FactorKernel:
         if post == 1:
             return (x.reshape(-1, nf) @ kernel.T).reshape(x.shape)
         return np.matmul(kernel, x.reshape(-1, nf, post)).reshape(x.shape)
+
+    def transposed(self) -> "_FactorKernel":
+        return _FactorKernel(self.space, self.factor, self.side, self.values[self.space.inv], self.den)
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """Row j is K e_cols[j], one gather of v, in float64."""
+        return self.values.astype(np.float64)[self.table[:, cols].T]
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """Row j is K x[j], summed over v's support as
+        (K y)[t] = sum_h v(h) y[other[t, h]] with gathers of at most
+        DENSE_CHUNK_BYTES each; no nf x nf kernel is formed."""
+        support = np.flatnonzero(self.values)
+        weights = self.values[support].astype(np.float64)
+        step = max(1, DENSE_CHUNK_BYTES // (8 * x.size))
+        out = np.zeros(x.shape)
+        for start in range(0, len(support), step):
+            h = slice(start, start + step)
+            out += x[:, self.other[:, support[h]]] @ weights[h]
+        return out
+
+    def idempotent(self) -> bool:
+        """K K = den K, on identity columns: v * v = den v."""
+        v = self.values[None, :].astype(np.float64)
+        return bool(np.array_equal(self.times(v), self.den * v))
+
+    def symmetric(self) -> bool:
+        """K = K^T, that is v(g^-1) = v(g)."""
+        return bool(np.array_equal(self.values[self.space.inv], self.values))
+
+    def commutes(self, other: "_FactorKernel") -> bool:
+        """For a stage on the same factor: K_i K_j = K_j K_i.  A left and a
+        right stage always commute (the group algebra is associative);
+        two on one side do when K_i v_j = K_j v_i, i.e. v_i * v_j = v_j * v_i."""
+        if self.side != other.side:
+            return True
+        vi, vj = (kern.values[None, :].astype(np.float64) for kern in (self, other))
+        return bool(np.array_equal(self.times(vj), other.times(vi)))
+
+    def commutes_with_diagonal(self) -> bool:
+        """Whether every L_g, hence the diagonal average, commutes with K:
+        L_g K L_g^-1 [t, s] = K[g^-1 t, g^-1 s], which is v(g^-1 t s^-1 g)
+        on the left, so v must be constant on conjugacy classes, and
+        v(s^-1 t) unchanged on the right."""
+        if self.side == "R":
+            return True
+        mult, inv = self.space.mult, self.space.inv
+        return bool((self.values[mult[mult, inv[:, None]]] == self.values).all())  # v(x h x^-1) = v(h)
 
 
 class _OrbitKernel:
@@ -409,21 +469,29 @@ class _OrbitKernel:
     def apply(self, x: np.ndarray, k: int, nf: int) -> np.ndarray:
         return x[:, self.gather].sum(axis=1)[:, self.back]
 
+    def idempotent(self) -> bool:
+        """S S = den S, on the tables.  S = P^T P with (P x)[o] the sum of
+        x over gather[:, o] and (P^T y)[r] = y[back[r]], so S S = den S
+        when P P^T = den I: each flat index lies in exactly one column of
+        gather, and back maps each orbit's members to that orbit."""
+        once = np.bincount(self.gather.ravel(), minlength=self.back.size) == 1
+        return bool(once.all() and (self.back[self.gather] == np.arange(self.gather.shape[1])).all())
+
 
 @lru_cache(maxsize=256)
 def _stage_kernel(n: int, stage: Stage, k: int):
-    """A stage's integer kernel.  Kernels depend only on (n, stage, k), so
-    pipelines sharing stages (every Kronecker pipeline at one degree shares
-    the diagonal average, for instance) reuse them."""
+    """A stage's integer kernel: n! element values for a single-factor
+    stage, the orbit tables for the diagonal average.  Kernels depend only
+    on (n, stage, k), so pipelines sharing stages (every Kronecker pipeline
+    at one degree shares the diagonal average, for instance) reuse them."""
     space = perm_index(n)
     if isinstance(stage, DiagonalAverage):
         return _OrbitKernel(space, k)
-    if isinstance(stage, Isotypic):  # kernel[t, s] = d chi(t o s^-1): values per class, then per element
+    if isinstance(stage, Isotypic):  # d chi(g): values per class, then per element; central, so either side
         values = hook_dimension(stage.shape) * np.array(character_table(n).row(stage.shape))
-        return _FactorKernel(stage.factor, _narrowest(values)[space.type_index][space.left], factorial(n))
-    # kernel[t, s] = [t o s^-1 in G] on the left, [s^-1 o t in G] on the right
-    kernel = _member_vector(n, stage.group)[space.left if stage.side == "L" else space.right]
-    return _FactorKernel(stage.factor, kernel, stage.group.order())
+        return _FactorKernel(space, stage.factor, "L", _narrowest(values)[space.type_index], factorial(n))
+    # the subgroup's indicator: K[t, s] = [t o s^-1 in G] on the left, [s^-1 o t in G] on the right
+    return _FactorKernel(space, stage.factor, stage.side, _member_vector(n, stage.group), stage.group.order())
 
 
 class BatchEvaluator:
@@ -541,16 +609,17 @@ def _trace_orbits(
     return reps, sizes
 
 
-def _images(kernels, cols: np.ndarray, nf: int) -> np.ndarray:
-    """Row j is K_m ... K_1 e_cols[j] for the integer kernels
-    [K_1, ..., K_m] (the unit vectors when there are none), from K_1's
-    columns by thin products: no nf x nf product is formed."""
+def _images(kernels: list[_FactorKernel], cols: np.ndarray, nf: int) -> np.ndarray:
+    """Row j is K_m ... K_1 e_cols[j] for the factor kernels
+    [K_1, ..., K_m] (the unit vectors when there are none): K_1's columns
+    by one gather, then each later kernel as a sum over its element's
+    support.  No nf x nf kernel is formed."""
     if not kernels:
         return _basis_batch(nf, cols)
-    x = kernels[0][:, cols].astype(np.float64)
+    x = kernels[0].columns(cols)
     for kern in kernels[1:]:
-        x = kern.astype(np.float64) @ x
-    return x.T
+        x = kern.times(x)
+    return x
 
 
 def pipeline_trace_dense(p: Pipeline) -> int:
@@ -571,10 +640,13 @@ def pipeline_trace_dense(p: Pipeline) -> int:
     the unit vectors the representatives use, and a ket row is the outer
     product of those images.  Only the middle stages run on full-width
     rows.  The single-factor stages after the last diagonal average act
-    on the bra, e_c^T times that factor's kernels, and the diagonal entry
-    is the contraction of the middle output with the bra rows, one factor
-    at a time.  A pipeline with no diagonal average splits its stages
-    into two halves around an empty middle.
+    on the bra, e_c^T times that factor's kernels (the images of e_c under
+    their transposes, last stage first), and the diagonal entry is the
+    contraction of the middle output with the bra rows, one factor at a
+    time.  A factor's first kernel gives its columns by one gather of its
+    element and each later one is a sum over its element's support, so no
+    nf x nf kernel is built.  A pipeline with no diagonal average splits
+    its stages into two halves around an empty middle.
     """
     ev = BatchEvaluator(p)
     dim, k, nf = p.dim, p.k, ev.space.nf
@@ -594,8 +666,8 @@ def pipeline_trace_dense(p: Pipeline) -> int:
     # significant digit
     ket, bra = [], []
     for f, digit in enumerate(np.unravel_index(reps, (nf,) * k)):
-        ket.append(_images([kn._ints for kn in ev.kernels[:lo] if kn.factor == f], digit, nf))
-        trailing = [kn._ints.T for kn in reversed(ev.kernels[hi:]) if kn.factor == f]
+        ket.append(_images([kn for kn in ev.kernels[:lo] if kn.factor == f], digit, nf))
+        trailing = [kn.transposed() for kn in reversed(ev.kernels[hi:]) if kn.factor == f]
         bra.append(_images(trailing, digit, nf))  # e_digit^T times the stages
 
     chunk_rows = max(1, DENSE_CHUNK_BYTES // (8 * dim))
@@ -755,26 +827,34 @@ class AlgebraReport:
 
 def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     """Idempotence and symmetry of every stage and commutation of every
-    stage pair, decided on the stage kernels.  `mode` names the basis
-    vectors the evaluator applies each stage to once: all of them up to
-    1728 = 12^3 dimensions, else 192 drawn with seed 7.  Those rows must
-    equal the stage's lift built without the evaluator, I (x) K (x) I from
-    a factor stage's integer kernel K or the orbit sum from PermIndex.mult;
-    a mismatch is drift and raises ConsistencyError.  Over its denominator
-    den, a factor stage is idempotent when K K = den K and symmetric when
-    K = K^T; stages on one factor commute when K_i K_j = K_j K_i, and on
-    different factors always.  The diagonal average sum_g L_g (x) ... (x)
-    L_g commutes with K exactly when K[g t, g s] = K[t, s] for every g,
-    since the L_g^(x)(k-1) of distinct g have disjoint supports.  Its own
-    idempotence and symmetry, and a pair of two diagonal averages, are
-    checked on evaluator rows.  So in sampled mode too the factor-stage
-    algebra is decided on whole kernels, not on a sampled submatrix."""
+    stage pair.  `mode` names the basis vectors the evaluator applies each
+    stage to once: all of them up to 1728 = 12^3 dimensions, else 192
+    drawn with seed 7.  Those rows must equal the stage's lift, found
+    without the evaluator: the columns of I (x) K (x) I gathered from a
+    factor stage's element, or the orbit sum's ones at PermIndex.mult,
+    and nothing else; a mismatch is drift and raises ConsistencyError.
+    The comparison reads the rows where the lift is nonzero and counts
+    the rest, so it builds no second dim-wide array.
+
+    A factor stage's algebra is decided on its group-algebra element v
+    over its denominator den (`_FactorKernel`): idempotent when
+    v * v = den v, symmetric when v(g^-1) = v(g).  Stages on one factor
+    commute when v_i * v_j = v_j * v_i, a left and a right stage always,
+    and stages on different factors always.  The diagonal average
+    sum_g L_g (x) ... (x) L_g commutes with a factor stage exactly when
+    every L_g does, since the L_g^(x)(k-1) of distinct g have disjoint
+    supports: always for a right stage, and for a left one when v is
+    constant on conjugacy classes.  Its idempotence is decided on its
+    orbit tables, its symmetry on its evaluator rows, and a pair of two
+    diagonal averages by applying each to the other's rows.  So in
+    sampled mode too the factor-stage algebra is complete, not decided
+    on a sampled submatrix."""
     ev = BatchEvaluator(p)
     dim, k, nf, mult = p.dim, p.k, ev.space.nf, ev.space.mult
     mode = "exhaustive" if dim <= 1728 else "sampled"
     # numpy.random loads on first touch, so exhaustive mode never imports it
     cols = np.arange(dim) if dim <= 1728 else np.sort(np.random.default_rng(7).choice(dim, 192, replace=False))
-    # float64 is exact: a kernel product's terms total at most l1^2, and den K <= 720 l1
+    # float64 is exact: an element product's terms total at most l1^2, and den v <= 720 l1
     if max(kern.l1 for kern in ev.kernels) ** 2 >= FLOAT_EXACT_LIMIT:
         raise BoundExceededError(f"integer amplitudes for {p.label} would exceed exact float64 range")
     base = _basis_batch(dim, cols)
@@ -782,29 +862,23 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     failures: list[str] = []
     idempotent: list[bool] = []
     symmetric: list[bool] = []
-    mats: dict[int, np.ndarray] = {}  # factor stages' kernels
     orbit_rows: dict[int, np.ndarray] = {}  # the diagonal averages' evaluator rows
     for i, kern in enumerate(ev.kernels):
-        out, den = ev.apply_stages(base, [i])
-        lift = np.zeros(out.shape)
+        out, _ = ev.apply_stages(base, [i])
         if isinstance(kern, _FactorKernel):
-            post = nf ** (k - kern.factor - 1)  # lift viewed as (rows, pre, nf, post)
-            view = lift.reshape(len(cols), -1, nf, post)
-            view[rows, cols // (nf * post), :, cols % post] = kern._ints[:, digits[kern.factor]].T
-        else:
-            lift[rows, np.ravel_multi_index([mult[:, d] for d in digits], (nf,) * k)] = 1
-        if not np.array_equal(out, lift):
+            post = nf ** (k - kern.factor - 1)  # out viewed as (rows, pre, nf, post)
+            lifted = out.reshape(len(cols), -1, nf, post)[rows, cols // (nf * post), :, cols % post]
+            expected = kern.columns(digits[kern.factor])
+        else:  # a one at (g s_1, ..., g s_k) for every g
+            lifted = out[rows[:, None], np.ravel_multi_index([mult[:, d] for d in digits], (nf,) * k).T]
+            expected = np.ones(lifted.shape)
+        if not (np.array_equal(lifted, expected) and np.count_nonzero(out) == np.count_nonzero(expected)):
             raise ConsistencyError(f"stage {i} of {p.label}: the evaluator differs from its kernel")
-        if int(np.abs(out).max(initial=0)) * den >= 2**62:
-            raise BoundExceededError("idempotence comparison would overflow int64")
+        idempotent.append(kern.idempotent())
         if isinstance(kern, _FactorKernel):
-            kernel = mats[i] = kern.kernel
-            idempotent.append(bool(np.array_equal(kernel @ kernel, den * kernel)))
-            symmetric.append(bool(np.array_equal(kernel, kernel.T)))
+            symmetric.append(kern.symmetric())
         else:
-            twice, _ = ev.apply_stages(out, [i], start_max_abs=kern.l1)
-            idempotent.append(bool(np.array_equal(_exact_int_array(twice), out * den)))
-            sub = out[:, cols]  # sub[r, r'] = S[cols[r'], cols[r]]
+            sub = out if mode == "exhaustive" else out[:, cols]  # sub[r, r'] = S[cols[r'], cols[r]]
             symmetric.append(bool(np.array_equal(sub, sub.T)))
             orbit_rows[i] = out
         if not idempotent[i]:
@@ -814,16 +888,15 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
 
     pair_commutes: dict[tuple[int, int], bool] = {}
     for i, j in combinations(range(len(ev.kernels)), 2):
+        a, b = ev.kernels[i], ev.kernels[j]
         if i in orbit_rows and j in orbit_rows:
-            ij, _ = ev.apply_stages(orbit_rows[i], [j], start_max_abs=ev.kernels[i].l1)
-            ji, _ = ev.apply_stages(orbit_rows[j], [i], start_max_abs=ev.kernels[j].l1)
+            ij, _ = ev.apply_stages(orbit_rows[i], [j], start_max_abs=a.l1)
+            ji, _ = ev.apply_stages(orbit_rows[j], [i], start_max_abs=b.l1)
             same = np.array_equal(_exact_int_array(ij), _exact_int_array(ji))
         elif i in orbit_rows or j in orbit_rows:
-            kernel = mats[i] if j in orbit_rows else mats[j]  # nf <= 24, as k >= 2
-            same = (kernel[mult[:, :, None], mult[:, None, :]] == kernel).all()
-        elif ev.kernels[i].factor == ev.kernels[j].factor:
-            ij = mats[i] @ mats[j]  # K_j K_i = (K_i K_j)^T when both are symmetric
-            same = np.array_equal(ij, ij.T if symmetric[i] and symmetric[j] else mats[j] @ mats[i])
+            same = (b if i in orbit_rows else a).commutes_with_diagonal()
+        elif a.factor == b.factor:
+            same = a.commutes(b)
         else:
             same = True  # (A (x) I)(I (x) B) = A (x) B = (I (x) B)(A (x) I)
         pair_commutes[(i, j)] = bool(same)

@@ -1,15 +1,20 @@
 """Test-only helpers: permutations from cycle notation, a subgroup
-membership test independent of the enumeration, and basis states.  The
-package itself needs none of them."""
+membership test independent of the enumeration, basis states, stage
+kernels built from the scalar reference tables, and perturbed stage
+elements.  The package itself needs none of them."""
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
+from collapsed_reference import reference_index_tables
 
+from kronlab.characters import character_table
 from kronlab.errors import InputError
-from kronlab.permutations import check_perm, identity, perm_ranks, wreath_embed
-from kronlab.projectors import StateVector
+from kronlab.partitions import enumerate_partitions, hook_dimension
+from kronlab.permutations import all_perms, check_perm, enumerate_subgroup, identity, perm_ranks, wreath_embed
+from kronlab.projectors import Isotypic, StateVector, _FactorKernel
 
 
 def from_cycles(n, cycles):
@@ -48,3 +53,44 @@ def basis_state(n, perms):
     ranks = perm_ranks(np.array(perms, dtype=np.int64).reshape(len(perms), n) - 1).tolist()
     flat = sum(r * factorial(n) ** i for i, r in enumerate(reversed(ranks)))
     return StateVector(n, len(perms), {flat: 1})
+
+
+@lru_cache(maxsize=None)
+def reference_tables(n):
+    """(mult, inv, type_index) of S_n from the scalar reference, memoised per degree."""
+    return reference_index_tables(n)
+
+
+def reference_kernel(n, stage):
+    """A single-factor stage's n! x n! integer kernel, entry by entry from
+    the scalar reference tables: d chi at the class of t o s^-1, or the
+    subgroup indicator at t o s^-1 (left) or s^-1 o t (right)."""
+    mult, inv, type_index = reference_tables(n)
+    if isinstance(stage, Isotypic):
+        table = character_table(n)
+        chi = np.array([table.chi(stage.shape, rho) for rho in enumerate_partitions(n)])
+        return hook_dimension(stage.shape) * chi[type_index[mult[:, inv]]]
+    index = {g: i for i, g in enumerate(all_perms(n))}
+    member = np.zeros(factorial(n), dtype=np.int64)
+    member[[index[g] for g in enumerate_subgroup(stage.group)]] = 1
+    return member[mult[:, inv] if stage.side == "L" else mult[inv, :].T]
+
+
+def reference_conjugation_invariant(n, kernel):
+    """Whether K[g t, g s] = K[t, s] for every g, t and s."""
+    mult = reference_tables(n)[0]
+    return bool((kernel[mult[:, :, None], mult[:, None, :]] == kernel).all())
+
+
+def perturbed(kern, changes):
+    """A factor-stage kernel whose element is moved by delta at each rank
+    g of changes {g: delta}; side, factor and denominator are kept."""
+    values = kern.values.astype(np.int64)
+    for g, delta in changes.items():
+        values[g] += delta
+    return _FactorKernel(kern.space, kern.factor, kern.side, values, kern.den)
+
+
+def cycle_rank(n, *cycle):
+    """all_perms rank of the cycle of S_n, e.g. cycle_rank(4, 1, 2, 3)."""
+    return all_perms(n).index(from_cycles(n, [cycle]))

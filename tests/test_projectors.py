@@ -6,20 +6,27 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from collapsed_reference import reference_index_tables, reference_shifted_class_counts
+from collapsed_reference import reference_shifted_class_counts
 from algebra_reference import reference_algebra
 from groupsum_reference import apply_action, reference_orbit_sizes, reference_pipeline, reference_stage, state_of
-from helpers import basis_state, from_cycles
+from helpers import (
+    basis_state,
+    cycle_rank,
+    from_cycles,
+    perturbed,
+    reference_conjugation_invariant,
+    reference_kernel,
+    reference_tables,
+)
 
 import kronlab
 from kronlab import projectors
-from kronlab.characters import cache_settings, character_table
+from kronlab.characters import cache_settings
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
 from kronlab.partitions import enumerate_partitions, hook_dimension
@@ -457,6 +464,18 @@ class TestDenseTrace:
         with pytest.raises(ConsistencyError):
             pipeline_trace_dense(q)
 
+    def test_bra_takes_transposed_elements(self, monkeypatch):
+        # every stage's element has v(g^-1) = v(g), so only an asymmetric
+        # one shows that the bra applies K^T: (2,1)'s element moved by 3 at
+        # a 3-cycle g gives trace (v * v)(e) / 3! = 2, and K in place of
+        # K^T would give 21/6.  Left multiplications have a constant
+        # diagonal, so the one-orbit reduction still holds
+        p = Pipeline(3, 1, (Isotypic(0, (2, 1)),) * 2, "isotypic^2")
+        _replace_kernel(monkeypatch, p.stages[0], perturbed(_stage_kernel(3, p.stages[0], 1), {cycle_rank(3, 1, 2, 3): 3}))
+        ev = BatchEvaluator(p)
+        full = _exact_int_array(ev.apply(_basis_batch(p.dim, np.arange(p.dim))))
+        assert pipeline_trace_dense(p) == Fraction(int(np.trace(full)), ev.denominator) == 2
+
     def test_non_commuting_stages_around_the_orbit(self):
         # around a middle stage the per-factor products must also be taken
         # in pipeline order: reversing both gives a fractional trace here.
@@ -493,6 +512,29 @@ class TestDenseTrace:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # one 720 x 720 float64 product is 4 MB
+
+    def test_dense_trace_builds_no_factor_kernel(self, monkeypatch):
+        # the ket and bra take a factor's first kernel as columns of its
+        # element and later kernels as sums over the element's support, so
+        # the traces stay exact with the nf x nf materialiser refused, and a
+        # degree-6 plethysm trace peaks under one 720 x 720 int16 array
+        # (1.04 MB)
+        def refuse(kern):
+            raise AssertionError(f"an nf x nf kernel was built for factor {kern.factor}")
+
+        monkeypatch.setattr(_FactorKernel, "kernel", property(refuse))
+        for lam in enumerate_partitions(6):
+            p = pleth_pipeline(2, 3, lam)
+            assert pipeline_trace_dense(p) == pleth_wreath(2, 3, lam).value
+            tracemalloc.start()
+            try:
+                pipeline_trace_dense(p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, lam
+        triple = ((3, 1), (2, 2), (2, 1, 1))
+        assert pipeline_trace_dense(kron_pipeline(*triple)) == kron_char(*triple).value
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5, 1e300])
     def test_drift_check_refuses_non_integers(self, bad):
@@ -651,7 +693,7 @@ class TestVectorisedTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_perm_index_tables(self, n):
         space = PermIndex(n)
-        mult, inv, type_index = _reference_tables(n)
+        mult, inv, type_index = reference_tables(n)
         assert np.array_equal(space.mult, mult)
         assert np.array_equal(space.inv, inv)
         assert np.array_equal(space.type_index, type_index)
@@ -677,51 +719,62 @@ class TestVectorisedTables:
         assert peak - kept < 2 << 20
 
 
-@lru_cache(maxsize=None)
-def _reference_tables(n):
-    return reference_index_tables(n)
-
-
-def _reference_kernel(n, stage):
-    """A single-factor stage's kernel from the scalar index tables: d chi
-    at the class of t o s^-1, or the subgroup indicator at t o s^-1 (left)
-    or s^-1 o t (right)."""
-    mult, inv, type_index = _reference_tables(n)
-    if isinstance(stage, Isotypic):
-        table = character_table(n)
-        chi = np.array([table.chi(stage.shape, rho) for rho in enumerate_partitions(n)])
-        return hook_dimension(stage.shape) * chi[type_index[mult[:, inv]]]
-    index = {g: i for i, g in enumerate(all_perms(n))}
-    member = np.zeros(factorial(n), dtype=np.int64)
-    member[[index[g] for g in enumerate_subgroup(stage.group)]] = 1
-    return member[mult[:, inv] if stage.side == "L" else mult[inv, :].T]
+def _template_pipelines(n):
+    """Every Kronecker pipeline at degree n <= 4 and every plethysm
+    pipeline with md = n <= 6."""
+    pipelines = [kron_pipeline(*t) for t in itertools.product(enumerate_partitions(n), repeat=3) if n <= 4]
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return pipelines + [pleth_pipeline(d, n // d, lam) for d in divisors for lam in enumerate_partitions(n)]
 
 
 def _single_factor_stages(n):
-    """(k, stage) for the single-factor stages of every Kronecker pipeline at
-    degree n <= 4 and every plethysm pipeline with md = n <= 6."""
-    pipelines = [kron_pipeline(*t) for t in itertools.product(enumerate_partitions(n), repeat=3) if n <= 4]
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    pipelines += [pleth_pipeline(d, n // d, lam) for d in divisors for lam in enumerate_partitions(n)]
-    return {(p.k, s) for p in pipelines for s in p.stages if not isinstance(s, DiagonalAverage)}
+    """(k, stage) for the single-factor stages of the template pipelines."""
+    return {(p.k, s) for p in _template_pipelines(n) for s in p.stages if not isinstance(s, DiagonalAverage)}
 
 
 class TestStageKernels:
-    """Kernels gathered from the per-degree quotient tables against kernels
-    built from the scalar reference tables."""
+    """Stage elements against kernels built entry by entry from the scalar
+    reference tables, as the per-degree quotient-table gather built them."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_kernels_match_reference(self, n):
         for k, stage in _single_factor_stages(n):
             kern = _stage_kernel(n, stage, k)
-            expected = _reference_kernel(n, stage)
-            assert np.array_equal(kern._ints, expected), stage
-            assert kern._ints.dtype == np.min_scalar_type(-int(np.abs(expected).max()) - 1), stage
+            expected = reference_kernel(n, stage)
+            assert kern.values.shape == (factorial(n),), stage
+            assert np.array_equal(kern.values[kern.table], expected), stage
+            assert np.array_equal(kern.transposed().values[kern.table], expected.T), stage
+            assert kern.values.dtype == np.min_scalar_type(-int(np.abs(expected).max()) - 1), stage
             assert kern.l1 == np.abs(expected).sum(axis=1).max(), stage
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_element_algebra_matches_matrices(self, n):
+        # every decision made on elements against the same decision on the
+        # reference kernels: K K = den K, K = K^T, K_i K_j = K_j K_i for the
+        # stages on one factor, and K[g t, g s] = K[t, s] against the
+        # diagonal average; each stage and pair once
+        matrix = {}
+        for k, stage in _single_factor_stages(n):
+            kern = _stage_kernel(n, stage, k)
+            m = matrix[stage] = reference_kernel(n, stage).astype(np.float64)
+            assert kern.idempotent() == np.array_equal(m @ m, kern.den * m), stage
+            assert kern.symmetric() == np.array_equal(m, m.T), stage
+            if k > 1:
+                assert kern.commutes_with_diagonal() == reference_conjugation_invariant(n, m), stage
+        pairs = set()
+        for p in _template_pipelines(n):
+            stages = [s for s in p.stages if not isinstance(s, DiagonalAverage)]
+            pairs |= {(p.k, a, b) for a, b in itertools.combinations(stages, 2) if a.factor == b.factor}
+        for k, a, b in pairs:
+            ab = matrix[a] @ matrix[b]
+            # K_b K_a = (K_a K_b)^T when both are symmetric, as every template kernel is
+            ba = ab.T if all(np.array_equal(matrix[s], matrix[s].T) for s in (a, b)) else matrix[b] @ matrix[a]
+            same = np.array_equal(ab, ba)
+            assert _stage_kernel(n, a, k).commutes(_stage_kernel(n, b, k)) == same, (a, b)
+
     def test_isotypic_kernel_transient(self):
-        # one narrow gather from the degree-6 tables: no 720 x 720 int64 or
-        # float64 intermediate (4.1 MB each), which took the peak to 12.9 MB
+        # the cached kernel is the 720 values d chi(g) in int16, with no
+        # 720 x 720 array on the way
         stage = Isotypic(0, (3, 2, 1))
         _stage_kernel(6, stage, 1)  # builds the tables and the character table
         tracemalloc.start()
@@ -730,8 +783,8 @@ class TestStageKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kern._ints.dtype == np.int16
-        assert peak < 6_000_000
+        assert kern.values.dtype == np.int16 and kern.values.shape == (720,)
+        assert peak < 100_000
 
 
 class TestTruncatedPipeline:
@@ -774,10 +827,8 @@ def _replace_kernel(monkeypatch, stage, kernel):
 
 
 def _skewed_kernel(p, index):
-    kernel = _stage_kernel(p.n, p.stages[index], p.k)
-    ints = kernel._ints.astype(np.int64)
-    ints[0, 1] += 1
-    return _FactorKernel(kernel.factor, ints, kernel.den)
+    # moved at the 3-cycle (1 2 3) but not at its inverse: K != K^T
+    return perturbed(_stage_kernel(p.n, p.stages[index], p.k), {cycle_rank(p.n, 1, 2, 3): 1})
 
 
 class TestProjectorAlgebra:
@@ -832,36 +883,35 @@ class TestProjectorAlgebra:
             assert check_projector_algebra(p) == reference_algebra(p), triple
 
     def test_asymmetric_kernel_applies_both_orders(self, monkeypatch):
-        # one right-average kernel made asymmetric: the kernel-level
-        # criteria still give the both-orders reference's report
+        # one stage's element moved at a 3-cycle g but not at g^-1, so its
+        # kernel is asymmetric: the element criteria still give the
+        # both-orders reference's report.  On the left isotypic stage 0
+        # the element is no longer constant on conjugacy classes, so it
+        # stops commuting with the diagonal average but still commutes with
+        # the right average on its factor; the right average 4 still
+        # commutes with every stage
         p = kron_pipeline((2, 1), (2, 1), (2, 1))
-        kernel = _stage_kernel(3, p.stages[4], 3)
-        ints = kernel._ints.copy()
-        ints[0, 1] += 1
-        skewed = _FactorKernel(kernel.factor, ints, kernel.den)
-        cached = projectors._stage_kernel
-
-        def kernels(n, stage, k):
-            return skewed if stage == p.stages[4] else cached(n, stage, k)
-
-        monkeypatch.setattr(projectors, "_stage_kernel", kernels)
-        report = check_projector_algebra(p)
-        assert report == reference_algebra(p)
-        assert report.mode == "exhaustive" and not report.stage_symmetric[4]
-        assert not all(ok for (i, j), ok in report.pair_commutes.items() if 4 in (i, j))
+        for index in (0, 4):
+            with monkeypatch.context() as m:
+                _replace_kernel(m, p.stages[index], _skewed_kernel(p, index))
+                report = check_projector_algebra(p)
+                assert report == reference_algebra(p)
+            assert report.mode == "exhaustive" and not report.stage_symmetric[index]
+            others = {pair: ok for pair, ok in report.pair_commutes.items() if index in pair}
+            if index == 0:
+                assert not others.pop((0, 3)) and others[(0, 4)]
+            assert all(others.values())
 
     def test_symmetric_kernel_that_does_not_commute(self, monkeypatch):
-        # a symmetric perturbation keeps both kernels symmetric, so the
-        # pair is decided by one product against its transpose
+        # the block-permutation element moved at a 3-cycle g and at g^-1
+        # stays symmetric, yet no longer commutes with the block Young
+        # average on the same side: v_i * v_j = v_j * v_i sees it
         p = pleth_pipeline(2, 2, (2, 2))
-        kernel = _stage_kernel(4, p.stages[3], 1)
-        ints = kernel._ints.astype(np.int64)
-        ints[0, 1] += 1
-        ints[1, 0] += 1
-        _replace_kernel(monkeypatch, p.stages[3], _FactorKernel(kernel.factor, ints, kernel.den))
+        kern = _stage_kernel(4, p.stages[2], 1)
+        _replace_kernel(monkeypatch, p.stages[2], perturbed(kern, {cycle_rank(4, 1, 2, 3): 1, cycle_rank(4, 1, 3, 2): 1}))
         report = check_projector_algebra(p)
         assert report == reference_algebra(p)
-        assert report.stage_symmetric[3] and not all(report.pair_commutes.values())
+        assert report.stage_symmetric[2] and not report.pair_commutes[(1, 2)]
 
     def test_exhaustive_mode_never_imports_numpy_random(self):
         # numpy loads numpy.random on first touch; only sampled mode draws
@@ -878,12 +928,12 @@ class TestProjectorAlgebra:
     @pytest.mark.parametrize(
         "p, calls",
         [
-            # each stage once, and the orbit stage (3) once more for idempotence
-            (kron_pipeline((2, 1), (2, 1), (2, 1)), [[0], [1], [2], [3], [3], [4], [5], [6]]),
-            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), [[0], [1], [2], [3], [3], [4], [5], [6]]),
+            # each stage once: the orbit stage's idempotence is decided on its tables
+            (kron_pipeline((2, 1), (2, 1), (2, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
+            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
             (pleth_pipeline(2, 2, (2, 2)), [[0], [1], [2], [3]]),
             # two orbit stages: their pair is applied in both orders
-            (_two_orbit_pipeline(), [[0], [1], [2], [3], [3], [4], [5], [6], [7], [7], [7], [3]]),
+            (_two_orbit_pipeline(), [[0], [1], [2], [3], [4], [5], [6], [7], [7], [3]]),
         ],
         ids=["n3", "sampled-n4", "pleth", "two-orbit"],
     )
@@ -913,6 +963,21 @@ class TestProjectorAlgebra:
         with pytest.raises(ConsistencyError, match="differs from its kernel"):
             check_projector_algebra(kron_pipeline((2, 1), (2, 1), (2, 1)))
 
+    def test_stray_entry_outside_the_lift_raises(self, monkeypatch):
+        # the lift's nonzero entries are read and the rest only counted, so
+        # one extra entry outside them must still be drift: row 0 is e_0,
+        # whose lift on factor 0 lies where the other digits are 0
+        apply = _FactorKernel.apply
+
+        def stray(self, x, k, nf):
+            out = apply(self, x, k, nf)
+            out[0, -1] += 1
+            return out
+
+        monkeypatch.setattr(_FactorKernel, "apply", stray)
+        with pytest.raises(ConsistencyError, match="stage 0 .* differs from its kernel"):
+            check_projector_algebra(kron_pipeline((2, 1), (2, 1), (2, 1)))
+
     @pytest.mark.parametrize(
         "p, index", [(kron_pipeline((2, 1), (2, 1), (2, 1)), 6), (pleth_pipeline(2, 2, (2, 2)), 3)]
     )
@@ -938,6 +1003,7 @@ class TestProjectorAlgebra:
         index = getattr(orbit, array).copy()
         index.flat[[0, 1]] = index.flat[[1, 0]]
         setattr(orbit, array, index)
+        assert not orbit.idempotent()  # decided on the tables alone
         _replace_kernel(monkeypatch, p.stages[3], orbit)
         with pytest.raises(ConsistencyError, match="stage 3 .* differs from its kernel"):
             check_projector_algebra(p)

@@ -9,10 +9,10 @@ from functools import lru_cache
 from math import gcd
 from unittest import mock
 
-import numpy as np
 import pytest
 from algebra_reference import reference_algebra
 from groupsum_reference import reference_orbit_sizes, reference_pipeline, reference_stage, state_of
+from helpers import perturbed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from rref_reference import kernel, rref
@@ -136,19 +136,20 @@ def test_dense_trace_over_composed_symmetries_at_n4(p):
 @given(data=st.data(), triple=kron_triples())
 @SETTINGS
 def test_perturbed_kernel_algebra_matches_reference(data, triple):
-    # one entry of one factor-stage kernel moved by 1 to 3 either way: each
-    # kernel-level criterion agrees with applying every pair in both orders
+    # one factor stage's element moved by 1 to 3 either way at one element g,
+    # or at both g and g^-1 (which keeps the kernel symmetric): each element
+    # criterion agrees with applying every pair in both orders
     p = kron_pipeline(*triple)
     kernels = [_stage_kernel(p.n, stage, p.k) for stage in p.stages]
     i = data.draw(st.sampled_from([i for i, kern in enumerate(kernels) if isinstance(kern, _FactorKernel)]))
-    ints = kernels[i]._ints.astype(np.int64)
-    entry = data.draw(st.tuples(*[st.integers(0, len(ints) - 1)] * 2))
-    ints[entry] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
-    perturbed = _FactorKernel(kernels[i].factor, ints, kernels[i].den)
+    g = data.draw(st.integers(0, len(kernels[i].values) - 1))
+    delta = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    changes = {g: delta}
+    if data.draw(st.booleans()):
+        changes[int(kernels[i].space.inv[g])] = delta  # the same rank when g is an involution
+    moved = perturbed(kernels[i], changes)
     cached = projectors._stage_kernel
-    with mock.patch.object(
-        projectors, "_stage_kernel", lambda n, s, k: perturbed if s == p.stages[i] else cached(n, s, k)
-    ):
+    with mock.patch.object(projectors, "_stage_kernel", lambda n, s, k: moved if s == p.stages[i] else cached(n, s, k)):
         assert check_projector_algebra(p) == reference_algebra(p)
 
 
