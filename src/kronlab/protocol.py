@@ -194,7 +194,9 @@ def _branch_distribution(
             state = target_post
         else:
             kind = "invariant"
-            prob, post_accept, _ = gpe_accept_probability(state, stage)
+            # state is nonzero while prefix is
+            post_accept = apply_invariant_average(state, stage)
+            prob = post_accept.norm_sq() / state.norm_sq()
             if prob != 1:
                 rec = StageRecord(kind, "reject", 1 - prob)
                 branches.append(
@@ -233,10 +235,11 @@ def witness_spaces(p: Pipeline) -> WitnessSpaces:
     subspace R = ker(E) = im(I - E).
 
     Materializes the composed operator column by column (the batch
-    evaluator applied to the identity), then one row reduction yields
-    both bases: the nonzero reduced rows span the image (the operator is
-    symmetric), the free columns give the kernel.  Bounded by
-    WITNESS_SPACE_DIM_LIMIT because the reduction is dense."""
+    evaluator applied to the identity); E is a projector, so its trace is
+    its rank r.  The reduced row-echelon form of r independent rows yields
+    both bases: its rows span the image (the operator is symmetric), its
+    free columns give the kernel.  Bounded by WITNESS_SPACE_DIM_LIMIT
+    because the operator is dense."""
     dim = p.dim
     if dim > WITNESS_SPACE_DIM_LIMIT:
         raise BoundExceededError(
@@ -250,18 +253,42 @@ def witness_spaces(p: Pipeline) -> WitnessSpaces:
     trace = sum(int(columns[i, i]) for i in range(dim))
     if trace % den:
         raise ConsistencyError("trace of composed operator is not integral")
-    expected_rank = trace // den
     # the common factor den leaves the reduced row-echelon form unchanged
-    rows = columns.tolist()
-    pivots = echelon(rows)
-    if len(pivots) != expected_rank:
-        raise ConsistencyError(f"rank {len(pivots)} != trace {expected_rank}")
+    rows, pivots = _image_rows(columns, trace // den)
     # row i over its pivot entry is row i of the reduced row-echelon form
-    nonzero = [{j: x for j, x in enumerate(row) if x} for row in rows[: len(pivots)]]
+    nonzero = [{j: x for j, x in enumerate(row) if x} for row in rows]
     accepting = [StateVector(p.n, p.k, nums, row[pc]) for nums, row, pc in zip(nonzero, rows, pivots)]
     kernel, kernel_den = rref_kernel(rows, pivots, dim)
     rejecting = [StateVector(p.n, p.k, vec, kernel_den) for vec in kernel]
     return WitnessSpaces(p, accepting, rejecting)
+
+
+def _image_rows(columns: np.ndarray, rank: int) -> tuple[list[list[int]], list[int]]:
+    """echelon's rows and pivots for the row space of an integer matrix of
+    the given rank, reducing nonzero rows in order only until that rank is
+    held; ConsistencyError unless every row lies in their span."""
+    held: list[list[int]] = []
+    pivots: list[int] = []
+    nonzero = np.flatnonzero(columns.any(axis=1))
+    while len(held) < rank:
+        # only as many rows as are missing, so held never passes rank
+        chunk, nonzero = nonzero[: rank - len(held)], nonzero[rank - len(held) :]
+        if not len(chunk):
+            raise ConsistencyError(f"rank {len(held)} < trace {rank}")
+        held += columns[chunk].tolist()
+        pivots = echelon(held)
+        held = held[: len(pivots)]
+    # x is in the span iff x * L == sum_i x[pc_i] * (L / a_i) * held_i, where
+    # a_i = held_i[pc_i] and L = lcm(a); neither side passes max|x| * reach
+    big = lcm(1, *(row[pc] for row, pc in zip(held, pivots)))
+    scales = [big // row[pc] for row, pc in zip(held, pivots)]
+    reach = rank * max((abs(s) * max(map(abs, row)) for s, row in zip(scales, held)), default=0)
+    dtype = np.int64 if int(np.abs(columns).max(initial=0)) * reach < 2**63 else object
+    x = columns.astype(dtype, copy=False)
+    span = (x[:, pivots] * np.array(scales, dtype)) @ np.array(held, dtype).reshape(rank, x.shape[1])
+    if not np.array_equal(x * big, span):
+        raise ConsistencyError(f"rank > trace {rank}")
+    return held, pivots
 
 
 def sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:

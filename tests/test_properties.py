@@ -9,6 +9,7 @@ from functools import lru_cache
 from math import gcd
 from unittest import mock
 
+import numpy as np
 import pytest
 from algebra_reference import reference_algebra
 from groupsum_reference import reference_orbit_sizes, reference_pipeline, reference_stage, state_of
@@ -38,7 +39,7 @@ from kronlab.projectors import (
     pipeline_trace_collapsed,
     pipeline_trace_dense,
 )
-from kronlab.protocol import acceptance_probability, witness_spaces
+from kronlab.protocol import _image_rows, acceptance_probability, witness_spaces
 from kronlab.ratlinalg import echelon, rref_kernel
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -276,6 +277,28 @@ def test_echelon_matches_reference_rref(m):
         assert all(sum(row[j] * x for j, x in vec.items()) == 0 for row in m)
     dense = [[Fraction(vec.get(j, 0), den) for j in range(cols)] for vec in vectors]
     assert dense == kernel(reduced, pivots, cols)
+
+
+@given(m=padded_matrices())
+@example(m=[[0, 0], [0, 0]])  # rank 0: nothing is reduced, and only rank 1 is wrong
+@SETTINGS
+def test_image_rows_match_echelon(m):
+    # given the true rank, the rows it reduces give echelon's pivots and
+    # reduced rows on the whole matrix; given any other rank, it raises
+    rows = [list(row) for row in m]
+    pivots = echelon(rows)
+    matrix = np.array(m, dtype=np.int64)
+    held, held_pivots = _image_rows(matrix, len(pivots))
+    assert held_pivots == pivots
+
+    def reduced(rows):
+        return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(rows, pivots)]
+
+    assert reduced(held) == reduced(rows)
+    for wrong in (len(pivots) - 1, len(pivots) + 1):
+        if wrong >= 0:
+            with pytest.raises(ConsistencyError):
+                _image_rows(matrix, wrong)
 
 
 @st.composite

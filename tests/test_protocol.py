@@ -2,17 +2,21 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from groupsum_reference import reference_pipeline, state_of
 from helpers import basis_state
 from rref_reference import kernel, rref
 
-from kronlab.errors import BoundExceededError, InputError
+from kronlab import protocol
+from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.oracles import kron_char, pleth_wreath
 from kronlab.partitions import enumerate_partitions
 from kronlab.permutations import all_perms, full_group, identity, young_subgroup
 from kronlab.projectors import (
+    DiagonalAverage,
     InvariantAverage,
+    Isotypic,
     Pipeline,
     StateVector,
     apply_isotypic,
@@ -22,6 +26,7 @@ from kronlab.projectors import (
 )
 from kronlab.protocol import (
     MonteCarloRun,
+    _image_rows,
     acceptance_probability,
     gpe_accept_probability,
     run_verifier,
@@ -31,6 +36,7 @@ from kronlab.protocol import (
     weak_fourier_sample,
     witness_spaces,
 )
+from kronlab.ratlinalg import echelon
 
 
 class TestWeakFourierSampling:
@@ -91,6 +97,16 @@ class TestGeneralizedPhaseEstimation:
             gpe_accept_probability(StateVector(3, 1, {0: 1}), stage)
 
 
+# witness spaces of rank 4, 9, 6 and 4; every Kronecker coefficient at n <= 3
+# is at most 1
+RANK_ABOVE_ONE = [
+    Pipeline(3, 1, (Isotypic(0, (2, 1)),), "iso (2,1)"),
+    Pipeline(4, 1, (Isotypic(0, (3, 1)),), "iso (3,1)"),
+    Pipeline(4, 1, (Isotypic(0, (3, 1)), InvariantAverage(0, "R", young_subgroup((2, 1, 1)))), "iso (3,1), R avg"),
+    Pipeline(3, 2, (Isotypic(0, (2, 1)), Isotypic(1, (2, 1)), DiagonalAverage()), "iso (2,1)^2, diag avg"),
+]
+
+
 class TestWitnessSpaces:
     def test_dimensions_match_oracle_n3(self):
         parts = enumerate_partitions(3)
@@ -120,12 +136,13 @@ class TestWitnessSpaces:
             assert apply_pipeline(p, w).is_zero()
 
     @pytest.mark.parametrize(
-        "triple",
-        list(itertools.product(enumerate_partitions(2), repeat=3)) + [((2, 1),) * 3],
+        "p",
+        [kron_pipeline(*t) for t in itertools.product(enumerate_partitions(2), repeat=3)]
+        + [kron_pipeline((2, 1), (2, 1), (2, 1)), *RANK_ABOVE_ONE],
+        ids=[f"triple{i}" for i in range(9)] + ["iso-3", "iso-4", "iso-4-young", "two-factor-3"],
     )
-    def test_bases_match_reference_rref(self, triple):
+    def test_bases_match_reference_rref(self, p):
         # the operator from the group-sum reference, reduced by the Fraction RREF
-        p = kron_pipeline(*triple)
         keys = list(itertools.product(all_perms(p.n), repeat=p.k))  # flat basis order
         columns = [reference_pipeline(p, {key: Fraction(1)}) for key in keys]
         reduced, pivots = rref([[col.get(key, 0) for key in keys] for col in columns])
@@ -155,6 +172,78 @@ class TestWitnessSpaces:
         p = kron_pipeline((2, 1, 1), (2, 1, 1), (2, 1, 1))
         with pytest.raises(BoundExceededError):
             witness_spaces(p)  # 13824 > default dense reduction limit
+
+
+class TestWitnessSpaceDrift:
+    """witness_spaces reduces an edited copy of the operator's integer
+    array; every edit below leaves the rank unequal to trace / den, or the
+    trace non-integral, and must be refused."""
+
+    P = RANK_ABOVE_ONE[0]  # dim 6, den 6, rank 4; rows 0-3 are independent
+    BIG = 2**40 + 1  # BIG * BIG overflows int64
+
+    def _drift(self, monkeypatch, change):
+        exact = protocol._exact_int_array
+
+        def drifted(x):
+            columns = exact(x)
+            change(columns)
+            return columns
+
+        monkeypatch.setattr(protocol, "_exact_int_array", drifted)
+
+    def test_extra_row_after_the_first_r(self, monkeypatch):
+        # the scan holds rank 4 after rows 0-3 and never reduces row 5
+        def change(c):
+            assert len(echelon(c[:4].tolist())) == 4
+            c[5, 0] += 6  # off the diagonal: the trace stays 4 * den
+            assert len(echelon(c.tolist())) == 5
+
+        self._drift(monkeypatch, change)
+        with pytest.raises(ConsistencyError, match="rank > trace 4"):
+            witness_spaces(self.P)
+
+    def test_rank_below_trace(self, monkeypatch):
+        def change(c):
+            c[0, 0] = c.trace()
+            c[1:] = 0
+            assert len(echelon(c.tolist())) == 1
+
+        self._drift(monkeypatch, change)
+        with pytest.raises(ConsistencyError, match="rank 1 < trace 4"):
+            witness_spaces(self.P)
+
+    def test_non_integral_trace(self, monkeypatch):
+        def change(c):
+            c[0, 0] += 1
+
+        self._drift(monkeypatch, change)
+        with pytest.raises(ConsistencyError, match="not integral"):
+            witness_spaces(self.P)
+
+    def test_extra_row_with_large_entries(self, monkeypatch):
+        # a held row and the extra row carry BIG, so the span test's
+        # products need Python ints
+        def change(c):
+            c[0, 1] += self.BIG
+            c[5, 0] += self.BIG
+            assert len(echelon(c.tolist())) > 4
+
+        self._drift(monkeypatch, change)
+        with pytest.raises(ConsistencyError, match="rank > trace 4"):
+            witness_spaces(self.P)
+
+    def test_large_entries_in_the_span(self):
+        inside = np.array([[self.BIG, 1], [2 * self.BIG, 2]])
+        rows, pivots = _image_rows(inside, 1)
+        assert rows == [[self.BIG, 1]] and pivots == [0]
+        # row 1 misses the span of row 0 by 2**64, which int64 would wrap to 0
+        with pytest.raises(ConsistencyError, match="rank > trace 1"):
+            _image_rows(np.array([[2**32, 1], [0, 2**32]]), 1)
+        # here each of the four products 2**62 fits in int64 but their sum does not
+        held = np.hstack([np.eye(4, dtype=np.int64), np.full((4, 1), 2**31)])
+        with pytest.raises(ConsistencyError, match="rank > trace 4"):
+            _image_rows(np.vstack([held, [2**31] * 4 + [0]]), 4)
 
 
 class TestVerifierRuns:
