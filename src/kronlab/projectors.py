@@ -15,22 +15,23 @@ formed only to multiply a batch.  The diagonal average is an orbit sum
 made of two index gathers.  Amplitudes stay integer numerators over a
 running denominator, carried in float64 arrays for speed under an
 l1-norm bound asserted below 2^53 before every stage.  The
-projector-algebra check compares the evaluator with every stage's kernel
-and decides a factor stage's algebra on its element.  The dense trace
-reads one diagonal entry per orbit of the translations the composed
-stages commute with (simultaneous left translation by the x commuting
-with each factor's composed left averages between diagonal averages,
-right translation on each factor by the y commuting with its composed
-right averages), weighted by the orbit size.  It splits the stages at
-the diagonal averages: the single-factor stages before them act on the
-basis ket and those after them on the basis bra, one factor at a time,
-as gathers of the stages' elements and sums over their supports, so no
-nf x nf kernel is built and only the middle stages run on full-width
-rows.  State vectors (`StateVector`, `apply_*`, used by the verifier
-protocol) are stored in the same format: integer numerators keyed by
-flat basis index over one denominator.  Numerators too large for the
-bound are split into signed base-2^b limbs (one batch row each) and
-recombined in Python integers, so any rational amplitude stays exact.
+projector-algebra check decides each stage's algebra on its element or
+orbit tables and runs the evaluator only as a drift check against the
+kernels.  The dense trace reads one diagonal entry per orbit of the
+translations the composed stages commute with (simultaneous left
+translation by the x commuting with each factor's composed left averages
+between diagonal averages, right translation on each factor by the y
+commuting with its composed right averages), weighted by the orbit size.
+It splits the stages at the diagonal averages: the single-factor stages
+before them act on the basis ket and those after them on the basis bra,
+one factor at a time, as gathers of the stages' elements and sums over
+their supports, so no nf x nf kernel is built and only the middle stages
+run on full-width rows.  State vectors (`StateVector`, `apply_*`, used
+by the verifier protocol) are stored in the same format: integer
+numerators keyed by flat basis index over one denominator.  Numerators
+too large for the bound are split into signed base-2^b limbs (one batch
+row each) and recombined in Python integers, so any rational amplitude
+stays exact.
 
 `pipeline_trace_collapsed` is the independent closed-form route: it
 expands every stage into its group sum and contracts with the per-factor
@@ -77,9 +78,10 @@ from .permutations import (
 FLOAT_EXACT_LIMIT = 1 << 53  # float64 holds integers exactly below this
 DENSE_DIM_LIMIT = 24**3  # 13824; one factor never exceeds 6! = 720
 DENSE_FACTOR_LIMIT = 720
-# rows per dense-trace chunk, bounding its memory: an 868-row n = 4 trace took
-# 162 ms at 2 MB, 196 ms at 1 MB and 142 ms at 8 MB (best of five, one thread,
-# 2-core host); an n = 4 Kronecker trace has at most 12 rows, 18 fit in one
+# transient bytes per dense-trace chunk and per PermIndex table block: an
+# 868-row n = 4 trace took 162 ms at 2 MB, 196 ms at 1 MB and 142 ms at 8 MB
+# (best of five, one thread, 2-core host); an n = 4 Kronecker trace has at
+# most 12 rows, 18 fit in one chunk
 DENSE_CHUNK_BYTES = 1 << 21
 # largest n whose collapsed first call stays within 10 s and 500 MB peak RSS
 # on a 2-core host: n = 9 took 0.8 s and 54 MB, n = 10 took 14.3 s and 279 MB
@@ -129,6 +131,8 @@ class Pipeline:
     label: str
 
     def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise InputError(f"{self.label}: a pipeline needs n >= 1 and k >= 1, not n = {self.n}, k = {self.k}")
         for s in self.stages:
             if isinstance(s, DiagonalAverage):
                 continue
@@ -154,8 +158,6 @@ def kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
     then one right Young-subgroup average per factor."""
     lam, mu, nu = check_triple(lam, mu, nu)
     n = sum(lam)
-    if n < 1:
-        raise InputError("Kronecker pipeline needs n >= 1")
     stages: tuple[Stage, ...] = (
         Isotypic(0, lam),
         Isotypic(1, mu),
@@ -315,7 +317,7 @@ def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> 
     for j in range(limbs - 1):
         x[j, cols] = [v >> (b * j) & mask for v in nums]
     x[-1, cols] = [v >> (b * (limbs - 1)) for v in nums] if limbs > 1 else nums
-    rows = _exact_int_array(ev.apply(x, start_max_abs=1 << b))
+    rows = ev.apply(x, start_max_abs=1 << b)
     nonzero = np.flatnonzero(rows.any(axis=0))
     out = rows[-1, nonzero].tolist()
     for row in rows[-2::-1, nonzero].tolist():
@@ -341,7 +343,7 @@ class PermIndex:
         arr = perm_array(n)
         self.inv = perm_ranks(np.argsort(arr, axis=1)).astype(np.int16)
         self.mult = np.empty((self.nf, self.nf), dtype=np.int16)
-        rows = max(1, (1 << 21) // (self.nf * n * 8))  # about 2 MB of transient per block
+        rows = max(1, DENSE_CHUNK_BYTES // (self.nf * n * 8))
         for i in range(0, self.nf, rows):  # mult[i, j] = index of a_i o a_j
             self.mult[i : i + rows] = perm_ranks(arr[i : i + rows][:, arr])
         self.type_index = class_indices(arr).astype(np.uint8)
@@ -431,24 +433,25 @@ class _FactorKernel:
         """K = K^T, that is v(g^-1) = v(g)."""
         return bool(np.array_equal(self.values[self.space.inv], self.values))
 
-    def commutes(self, other: "_FactorKernel") -> bool:
-        """For a stage on the same factor: K_i K_j = K_j K_i.  A left and a
-        right stage always commute (the group algebra is associative);
-        two on one side do when K_i v_j = K_j v_i, i.e. v_i * v_j = v_j * v_i."""
-        if self.side != other.side:
+    def commutes(self, other: "_FactorKernel | _OrbitKernel") -> bool:
+        """K_i K_j = K_j K_i.  Stages on different factors commute
+        ((A (x) I)(I (x) B) = A (x) B), and so do a left and a right one
+        (the group algebra is associative); two on one side do when
+        K_i v_j = K_j v_i, i.e. v_i * v_j = v_j * v_i.  The diagonal
+        average sum_g L_g (x) ... (x) L_g commutes with K exactly when every
+        L_g does, since the L_g (x) ... (x) L_g of distinct g on the other
+        factors have disjoint supports: L_g K L_g^-1 [t, s] =
+        K[g^-1 t, g^-1 s], which is v(g^-1 t s^-1 g) on the left, so v must
+        be constant on conjugacy classes, and v(s^-1 t) unchanged on the right."""
+        if isinstance(other, _OrbitKernel):
+            if self.side == "R":
+                return True
+            mult, inv = self.space.mult, self.space.inv
+            return bool((self.values[mult[mult, inv[:, None]]] == self.values).all())  # v(x h x^-1) = v(h)
+        if self.factor != other.factor or self.side != other.side:
             return True
         vi, vj = (kern.values[None, :].astype(np.float64) for kern in (self, other))
         return bool(np.array_equal(self.times(vj), other.times(vi)))
-
-    def commutes_with_diagonal(self) -> bool:
-        """Whether every L_g, hence the diagonal average, commutes with K:
-        L_g K L_g^-1 [t, s] = K[g^-1 t, g^-1 s], which is v(g^-1 t s^-1 g)
-        on the left, so v must be constant on conjugacy classes, and
-        v(s^-1 t) unchanged on the right."""
-        if self.side == "R":
-            return True
-        mult, inv = self.space.mult, self.space.inv
-        return bool((self.values[mult[mult, inv[:, None]]] == self.values).all())  # v(x h x^-1) = v(h)
 
 
 class _OrbitKernel:
@@ -476,6 +479,16 @@ class _OrbitKernel:
         gather, and back maps each orbit's members to that orbit."""
         once = np.bincount(self.gather.ravel(), minlength=self.back.size) == 1
         return bool(once.all() and (self.back[self.gather] == np.arange(self.gather.shape[1])).all())
+
+    def symmetric(self) -> bool:
+        """S = S^T, on the tables idempotent() checks: when each flat index
+        lies in exactly one column of gather and back maps it there, y[back]
+        is the transpose of P, so S = P^T P is symmetric."""
+        return self.idempotent()
+
+    def commutes(self, other: "_FactorKernel | _OrbitKernel") -> bool:
+        """Another diagonal average is the same operator; a factor stage decides."""
+        return isinstance(other, _OrbitKernel) or other.commutes(self)
 
 
 @lru_cache(maxsize=256)
@@ -509,8 +522,8 @@ class BatchEvaluator:
 
     def apply(self, x: np.ndarray, *, start_max_abs: int = 1) -> np.ndarray:
         """Push batch rows through every stage in pipeline order.  Returns
-        integer-valued float64 amplitudes over self.denominator."""
-        return self.apply_stages(x, range(len(self.kernels)), start_max_abs=start_max_abs)[0]
+        the amplitudes over self.denominator as int64, drift-checked."""
+        return _exact_int_array(self.apply_stages(x, range(len(self.kernels)), start_max_abs=start_max_abs)[0])
 
     def apply_stages(self, x: np.ndarray, stage_indices, *, start_max_abs: int = 1) -> tuple[np.ndarray, int]:
         """Apply a subset of stages (in the given order); returns the batch
@@ -827,8 +840,9 @@ class AlgebraReport:
 
 def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     """Idempotence and symmetry of every stage and commutation of every
-    stage pair.  `mode` names the basis vectors the evaluator applies each
-    stage to once: all of them up to 1728 = 12^3 dimensions, else 192
+    stage pair, each decided on the stages' own tables.  The evaluator
+    runs only as a drift check: `mode` names the basis vectors it applies
+    each stage to once, all of them up to 1728 = 12^3 dimensions, else 192
     drawn with seed 7.  Those rows must equal the stage's lift, found
     without the evaluator: the columns of I (x) K (x) I gathered from a
     factor stage's element, or the orbit sum's ones at PermIndex.mult,
@@ -838,17 +852,11 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
 
     A factor stage's algebra is decided on its group-algebra element v
     over its denominator den (`_FactorKernel`): idempotent when
-    v * v = den v, symmetric when v(g^-1) = v(g).  Stages on one factor
-    commute when v_i * v_j = v_j * v_i, a left and a right stage always,
-    and stages on different factors always.  The diagonal average
-    sum_g L_g (x) ... (x) L_g commutes with a factor stage exactly when
-    every L_g does, since the L_g^(x)(k-1) of distinct g have disjoint
-    supports: always for a right stage, and for a left one when v is
-    constant on conjugacy classes.  Its idempotence is decided on its
-    orbit tables, its symmetry on its evaluator rows, and a pair of two
-    diagonal averages by applying each to the other's rows.  So in
-    sampled mode too the factor-stage algebra is complete, not decided
-    on a sampled submatrix."""
+    v * v = den v, symmetric when v(g^-1) = v(g), commuting as
+    `_FactorKernel.commutes` says.  The diagonal average's idempotence and
+    symmetry are decided on its orbit tables (`_OrbitKernel`), and two
+    diagonal averages are one operator.  So in sampled mode too the
+    algebra is complete, not decided on a sampled submatrix."""
     ev = BatchEvaluator(p)
     dim, k, nf, mult = p.dim, p.k, ev.space.nf, ev.space.mult
     mode = "exhaustive" if dim <= 1728 else "sampled"
@@ -862,7 +870,6 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     failures: list[str] = []
     idempotent: list[bool] = []
     symmetric: list[bool] = []
-    orbit_rows: dict[int, np.ndarray] = {}  # the diagonal averages' evaluator rows
     for i, kern in enumerate(ev.kernels):
         out, _ = ev.apply_stages(base, [i])
         if isinstance(kern, _FactorKernel):
@@ -875,12 +882,7 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
         if not (np.array_equal(lifted, expected) and np.count_nonzero(out) == np.count_nonzero(expected)):
             raise ConsistencyError(f"stage {i} of {p.label}: the evaluator differs from its kernel")
         idempotent.append(kern.idempotent())
-        if isinstance(kern, _FactorKernel):
-            symmetric.append(kern.symmetric())
-        else:
-            sub = out if mode == "exhaustive" else out[:, cols]  # sub[r, r'] = S[cols[r'], cols[r]]
-            symmetric.append(bool(np.array_equal(sub, sub.T)))
-            orbit_rows[i] = out
+        symmetric.append(kern.symmetric())
         if not idempotent[i]:
             failures.append(f"stage {i} not idempotent")
         if not symmetric[i]:
@@ -888,18 +890,7 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
 
     pair_commutes: dict[tuple[int, int], bool] = {}
     for i, j in combinations(range(len(ev.kernels)), 2):
-        a, b = ev.kernels[i], ev.kernels[j]
-        if i in orbit_rows and j in orbit_rows:
-            ij, _ = ev.apply_stages(orbit_rows[i], [j], start_max_abs=a.l1)
-            ji, _ = ev.apply_stages(orbit_rows[j], [i], start_max_abs=b.l1)
-            same = np.array_equal(_exact_int_array(ij), _exact_int_array(ji))
-        elif i in orbit_rows or j in orbit_rows:
-            same = (b if i in orbit_rows else a).commutes_with_diagonal()
-        elif a.factor == b.factor:
-            same = a.commutes(b)
-        else:
-            same = True  # (A (x) I)(I (x) B) = A (x) B = (I (x) B)(A (x) I)
-        pair_commutes[(i, j)] = bool(same)
-        if not same:
+        pair_commutes[(i, j)] = ev.kernels[i].commutes(ev.kernels[j])
+        if not pair_commutes[(i, j)]:
             failures.append(f"stages {i} and {j} do not commute")
     return AlgebraReport(p.label, mode, idempotent, symmetric, pair_commutes, failures)

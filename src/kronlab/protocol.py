@@ -27,8 +27,6 @@ from .projectors import (
     Isotypic,
     Pipeline,
     StateVector,
-    _basis_batch,
-    _exact_int_array,
     apply_invariant_average,
     apply_isotypic,
     apply_pipeline,
@@ -148,6 +146,8 @@ def run_verifier(
     mode='monte_carlo': sample `shots` trajectories with per-shot seeds
     derived from (seed, shot index); returns a MonteCarloRun.
     """
+    if mode not in ("exact", "single_shot", "monte_carlo"):
+        raise InputError(f"unknown mode {mode!r}")
     if witness.is_zero():
         raise InputError("witness must be nonzero")
     if mode == "single_shot":
@@ -155,11 +155,7 @@ def run_verifier(
     if mode == "monte_carlo" and shots < 0:
         raise InputError(f"shots must be nonnegative, got {shots}")
     branches, spine, p_accept = _branch_distribution(p, witness)
-    if mode == "exact":
-        return branches
-    if mode == "monte_carlo":
-        return _monte_carlo(spine, p_accept, seed, shots)
-    raise InputError(f"unknown mode {mode!r}")
+    return branches if mode == "exact" else _monte_carlo(spine, p_accept, seed, shots)
 
 
 def _branch_distribution(
@@ -248,7 +244,7 @@ def witness_spaces(p: Pipeline) -> WitnessSpaces:
         )
     ev = BatchEvaluator(p)
     den = ev.denominator
-    columns = _exact_int_array(ev.apply(_basis_batch(dim, np.arange(dim))))
+    columns = ev.apply(np.eye(dim))
     # columns[b, t] = E[t, b] * den; E symmetric so this is also E[b, t] * den
     trace = sum(int(columns[i, i]) for i in range(dim))
     if trace % den:

@@ -250,6 +250,14 @@ class TestPipelineConstruction:
         with pytest.raises(InputError):
             pipeline_trace_dense(Pipeline(3, 1, (InvariantAverage(0, "L", young_subgroup((2,))),), "bad"))
 
+    @pytest.mark.parametrize("n, k", [(3, -1), (3, 0), (0, 3), (0, 1)])
+    def test_degenerate_pipeline_refused(self, n, k):
+        # k = -1 gave dim 1/6; k = 0 raised IndexError in the dense trace and
+        # ValueError in the algebra check, n = 0 ZeroDivisionError
+        for route in (pipeline_trace_dense, pipeline_trace_collapsed, check_projector_algebra):
+            with pytest.raises(InputError):
+                route(Pipeline(n, k, (), "degenerate"))
+
     def test_unknown_side_refused(self):
         # the dense kernels applied side 'l' as a right average (trace 3)
         # while the collapsed trace refused the same pipeline
@@ -760,7 +768,8 @@ class TestStageKernels:
             assert kern.idempotent() == np.array_equal(m @ m, kern.den * m), stage
             assert kern.symmetric() == np.array_equal(m, m.T), stage
             if k > 1:
-                assert kern.commutes_with_diagonal() == reference_conjugation_invariant(n, m), stage
+                diagonal = _stage_kernel(n, DiagonalAverage(), k)
+                assert kern.commutes(diagonal) == reference_conjugation_invariant(n, m), stage
         pairs = set()
         for p in _template_pipelines(n):
             stages = [s for s in p.stages if not isinstance(s, DiagonalAverage)]
@@ -932,8 +941,8 @@ class TestProjectorAlgebra:
             (kron_pipeline((2, 1), (2, 1), (2, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
             (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
             (pleth_pipeline(2, 2, (2, 2)), [[0], [1], [2], [3]]),
-            # two orbit stages: their pair is applied in both orders
-            (_two_orbit_pipeline(), [[0], [1], [2], [3], [4], [5], [6], [7], [7], [3]]),
+            # two orbit stages are one operator: their pair applies nothing
+            (_two_orbit_pipeline(), [[0], [1], [2], [3], [4], [5], [6], [7]]),
         ],
         ids=["n3", "sampled-n4", "pleth", "two-orbit"],
     )
@@ -1003,7 +1012,7 @@ class TestProjectorAlgebra:
         index = getattr(orbit, array).copy()
         index.flat[[0, 1]] = index.flat[[1, 0]]
         setattr(orbit, array, index)
-        assert not orbit.idempotent()  # decided on the tables alone
+        assert not orbit.idempotent() and not orbit.symmetric()  # decided on the tables alone
         _replace_kernel(monkeypatch, p.stages[3], orbit)
         with pytest.raises(ConsistencyError, match="stage 3 .* differs from its kernel"):
             check_projector_algebra(p)

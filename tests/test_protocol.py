@@ -8,7 +8,7 @@ from groupsum_reference import reference_pipeline, state_of
 from helpers import basis_state
 from rref_reference import kernel, rref
 
-from kronlab import protocol
+from kronlab import projectors, protocol
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.oracles import kron_char, pleth_wreath
 from kronlab.partitions import enumerate_partitions
@@ -183,14 +183,14 @@ class TestWitnessSpaceDrift:
     BIG = 2**40 + 1  # BIG * BIG overflows int64
 
     def _drift(self, monkeypatch, change):
-        exact = protocol._exact_int_array
+        exact = projectors._exact_int_array
 
         def drifted(x):
             columns = exact(x)
             change(columns)
             return columns
 
-        monkeypatch.setattr(protocol, "_exact_int_array", drifted)
+        monkeypatch.setattr(projectors, "_exact_int_array", drifted)
 
     def test_extra_row_after_the_first_r(self, monkeypatch):
         # the scan holds rank 4 after rows 0-3 and never reduces row 5
@@ -310,6 +310,17 @@ class TestVerifierRuns:
         p, _ = self._spaces()
         with pytest.raises(InputError):
             run_verifier(p, StateVector.zero(3, 3), "exact")
+
+    def test_unknown_mode_refused_before_any_branch(self, monkeypatch):
+        # the mode was checked only after the whole exact branch
+        # distribution had been computed
+        def refuse(*args):
+            raise AssertionError("the branch distribution was computed")
+
+        monkeypatch.setattr(protocol, "_branch_distribution", refuse)
+        p, ws = self._spaces()
+        with pytest.raises(InputError, match="unknown mode 'exakt'"):
+            run_verifier(p, sample_witness(ws, "accept", 0), "exakt")
 
 
 class TestMonteCarlo:
