@@ -26,12 +26,12 @@ It splits the stages at the diagonal averages: the single-factor stages
 before them act on the basis ket and those after them on the basis bra,
 one factor at a time, as gathers of the stages' elements and sums over
 their supports, so no nf x nf kernel is built and only the middle stages
-run on full-width rows.  State vectors (`StateVector`, `apply_*`, used
-by the verifier protocol) are stored in the same format: integer
-numerators keyed by flat basis index over one denominator.  Numerators
-too large for the bound are split into signed base-2^b limbs (one batch
-row each) and recombined in Python integers, so any rational amplitude
-stays exact.
+run on full-width rows.  State vectors (`StateVector`, `apply_*`, the
+verifier's witnesses) are stored in the same format: integer numerators
+keyed by flat basis index over one denominator.  Numerators too large
+for the bound are split into signed base-2^b limbs (one batch row each)
+and recombined in Python integers, so any rational amplitude stays
+exact; the sequential verifier keeps its limb batch across all stages.
 
 `pipeline_trace_collapsed` is the independent closed-form route: it
 expands every stage into its group sum and contracts with the per-factor
@@ -299,30 +299,51 @@ def apply_pipeline(p: Pipeline, state: StateVector) -> StateVector:
 
 
 def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> StateVector:
-    """Push a state's numerators through the stage kernels as one batch.
-    A numerator too large for the 2^53 guard is split into base-2^b limbs,
-    one batch row each, the low ones in [0, 2^b) and the top one signed;
-    the result's nonzero columns are read back and recombined in Python ints."""
+    """Push a state's numerators through the stage kernels as one limb batch
+    and read the result's nonzero columns back as Python ints."""
     ev = BatchEvaluator(Pipeline(state.n, state.k, stages, label))
     if state.is_zero():
         return StateVector.zero(state.n, state.k)
-    cols, nums = np.fromiter(state.nums, np.int64, len(state.nums)), list(state.nums.values())
-    if cols.min() < 0 or cols.max() >= ev.pipeline.dim:
-        raise InputError(f"{label}: a basis index lies outside range({ev.pipeline.dim})")
-    headroom = (FLOAT_EXACT_LIMIT - 1) // prod(kern.l1 for kern in ev.kernels)
-    b = max(1, headroom.bit_length() - 1)  # limbs in [-2^b, 2^b) pass the guard
-    mask = (1 << b) - 1
-    limbs = max(1, -(-max(map(abs, nums)).bit_length() // b))
-    x = np.zeros((limbs, ev.pipeline.dim), dtype=np.float64)
+    x, b = _limb_split(state.nums, ev.pipeline.dim, prod(kern.l1 for kern in ev.kernels), label)
+    cols, nums = _limb_join(ev.apply(x, start_max_abs=1 << b), b)
+    return StateVector(state.n, state.k, dict(zip(cols.tolist(), nums)), state.den * ev.denominator)
+
+
+def _limb_split(nums: dict[int, int], dim: int, l1: int, label: str) -> tuple[np.ndarray, int]:
+    """Numerators keyed by flat index as float64 base-2^b limb rows (the low
+    ones in [0, 2^b), the top one signed), and b: the widest limb that
+    kernels of l1-norm product l1 keep under the 2^53 guard."""
+    b = ((FLOAT_EXACT_LIMIT - 1) // l1).bit_length() - 1  # limbs in [-2^b, 2^b) pass the guard
+    if b < 1:
+        raise BoundExceededError(f"integer amplitudes for {label} would exceed exact float64 range")
+    cols, vals = np.fromiter(nums, np.int64, len(nums)), list(nums.values())
+    if cols.min() < 0 or cols.max() >= dim:
+        raise InputError(f"{label}: a basis index lies outside range({dim})")
+    limbs = max(1, -(-max(map(abs, vals)).bit_length() // b))
+    x = np.zeros((limbs, dim), dtype=np.float64)
     for j in range(limbs - 1):
-        x[j, cols] = [v >> (b * j) & mask for v in nums]
-    x[-1, cols] = [v >> (b * (limbs - 1)) for v in nums] if limbs > 1 else nums
-    rows = ev.apply(x, start_max_abs=1 << b)
+        x[j, cols] = [v >> (b * j) & ((1 << b) - 1) for v in vals]
+    x[-1, cols] = [v >> (b * (limbs - 1)) for v in vals] if limbs > 1 else vals
+    return x, b
+
+
+def _limb_join(rows: np.ndarray, b: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero columns of drift-checked int64 base-2^b limb rows, and
+    their values recombined as Python ints."""
     nonzero = np.flatnonzero(rows.any(axis=0))
     out = rows[-1, nonzero].tolist()
     for row in rows[-2::-1, nonzero].tolist():
         out = [(hi << b) + lo for hi, lo in zip(out, row)]
-    return StateVector(state.n, state.k, dict(zip(nonzero.tolist(), out)), state.den * ev.denominator)
+    return nonzero, out
+
+
+def _limb_norm_sq(x: np.ndarray, b: int) -> int:
+    """Exact squared norm of the vector a float64 batch holds as base-2^b
+    limb rows, drift-checked: one int64 dot product if that cannot overflow."""
+    rows = _exact_int_array(x)
+    if len(rows) == 1 and int(np.abs(rows).max(initial=0)) ** 2 * rows.shape[1] < 2**63:
+        return int(rows[0] @ rows[0])
+    return sum(v * v for v in _limb_join(rows, b)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ acceptance probabilities, and seeded Monte Carlo sampling.
 
 Everything probabilistic is exact-rational first; floats only appear
 when Monte Carlo converts a conditional probability into a sampling
-threshold.  Because the composed pipeline operator is an exact
-projector, acceptance probability is exactly 1 on accepting witnesses
-and exactly 0 on rejecting ones.
+threshold.  The sequential verifier pushes the witness through the
+stages as one batch of integer limb rows, with no intermediate state
+vector, and reads each outcome's probability off exact squared norms.
+Because the composed pipeline operator is an exact projector,
+acceptance probability is exactly 1 on accepting witnesses and exactly
+0 on rejecting ones.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from .projectors import (
     Isotypic,
     Pipeline,
     StateVector,
+    _limb_norm_sq,
+    _limb_split,
+    _stage_kernel,
     apply_invariant_average,
     apply_isotypic,
     apply_pipeline,
@@ -148,6 +154,8 @@ def run_verifier(
     """
     if mode not in ("exact", "single_shot", "monte_carlo"):
         raise InputError(f"unknown mode {mode!r}")
+    if (p.n, p.k) != (witness.n, witness.k):
+        raise InputError(f"{p.label} acts on (n, k) = {(p.n, p.k)}, not {(witness.n, witness.k)}")
     if witness.is_zero():
         raise InputError("witness must be nonzero")
     if mode == "single_shot":
@@ -165,42 +173,43 @@ def _branch_distribution(
     each stage either continues (its target outcome) or terminates in a
     reject branch.  Zero-probability branches are omitted.  Returns the
     branches, the spine's records (ending at the first stage whose target
-    outcome has probability 0, if any) and the acceptance probability."""
+    outcome has probability 0, if any) and the acceptance probability.
+
+    The witness is one batch of limb rows, split once.  Each stage applies
+    its outcome kernels K to the surviving batch x; an outcome's probability
+    is |K x|^2 / (den^2 |x|^2), and an average's reject outcome takes the rest."""
+    ev = BatchEvaluator(p)
+    parts = enumerate_partitions(p.n)
+    outcomes = [
+        [_stage_kernel(p.n, Isotypic(s.factor, lam), p.k) for lam in parts] if isinstance(s, Isotypic) else [kern]
+        for s, kern in zip(p.stages, ev.kernels)
+    ]
+    l1 = prod(max(kern.l1 for kern in kernels) for kernels in outcomes)
+    x, width = _limb_split(witness.nums, p.dim, l1, p.label)
+    norm = _limb_norm_sq(x, width)
     branches: list[VerifierOutcome] = []
     spine: list[StageRecord] = []
-    state = witness
     prefix = Fraction(1)
-    for stage in p.stages:
+    for stage, kernels in zip(p.stages, outcomes):
         if prefix == 0:
             break
+        posts = [kern.apply(x, p.k, ev.space.nf) for kern in kernels]
+        sq = [_limb_norm_sq(post, width) for post in posts]
+        scale = kernels[0].den ** 2 * norm  # a stage's outcome kernels share one denominator
         if isinstance(stage, Isotypic):
-            kind = "fourier"
-            target_post = None
-            target_prob = Fraction(0)
-            for lam, prob, post in weak_fourier_sample(state, stage.factor):
-                if lam == stage.shape:
-                    target_post, target_prob = post, prob
-                elif prob:
-                    rec = StageRecord(kind, _part_str(lam), prob)
-                    branches.append(
-                        VerifierOutcome(spine + [rec], "reject", prefix * prob, Fraction(0))
-                    )
-            spine.append(StageRecord(kind, _part_str(stage.shape), target_prob))
-            prefix *= target_prob
-            state = target_post
+            if sum(sq) != scale:
+                raise ConsistencyError(f"isotypic outcome probabilities sum to {Fraction(sum(sq), scale)}")
+            kind, names, target = "fourier", [_part_str(lam) for lam in parts], parts.index(stage.shape)
         else:
-            kind = "invariant"
-            # state is nonzero while prefix is
-            post_accept = apply_invariant_average(state, stage)
-            prob = post_accept.norm_sq() / state.norm_sq()
-            if prob != 1:
-                rec = StageRecord(kind, "reject", 1 - prob)
-                branches.append(
-                    VerifierOutcome(spine + [rec], "reject", prefix * (1 - prob), Fraction(0))
-                )
-            spine.append(StageRecord(kind, "accept", prob))
-            prefix *= prob
-            state = post_accept
+            kind, names, target = "invariant", ["accept", "reject"], 0
+            sq.append(scale - sq[0])
+        for i, (name, s) in enumerate(zip(names, sq)):
+            if i != target and s:
+                rec = StageRecord(kind, name, Fraction(s, scale))
+                branches.append(VerifierOutcome(spine + [rec], "reject", prefix * rec.prob, Fraction(0)))
+        spine.append(StageRecord(kind, names[target], Fraction(sq[target], scale)))
+        prefix *= spine[-1].prob
+        x, norm = posts[target], sq[target]
     p_accept = prefix
     for b in branches:
         b.p_accept = p_accept

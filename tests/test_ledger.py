@@ -4,6 +4,7 @@ one another must not share the code whose correctness they check; these
 assertions keep that design rule from being only prose."""
 
 import sys
+from collections import Counter
 
 import pytest
 from helpers import basis_state
@@ -26,20 +27,24 @@ from kronlab.projectors import (
     pleth_pipeline,
     truncated_kron_pipeline,
 )
-from kronlab.protocol import witness_spaces
+from kronlab.protocol import run_verifier, sample_witness, witness_spaces
 
 TRIPLE = ((2, 1), (2, 1), (2, 1))
 
 
-def reached(fn, *args) -> set[tuple[str, str]]:
-    """(module, function) of every kronlab function fn(*args) enters."""
-    seen = set()
+def calls(fn, *args) -> Counter[tuple[str, str]]:
+    """How often fn(*args) enters each kronlab function, by (module, name);
+    a method's name is prefixed with the class of its self."""
+    seen = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             module = frame.f_globals.get("__name__", "")
             if module.startswith("kronlab."):
-                seen.add((module.removeprefix("kronlab."), frame.f_code.co_name))
+                name = frame.f_code.co_name
+                if frame.f_code.co_varnames[:1] == ("self",):
+                    name = f"{type(frame.f_locals['self']).__name__}.{name}"
+                seen[module.removeprefix("kronlab."), name] += 1
 
     sys.setprofile(profile)
     try:
@@ -47,6 +52,11 @@ def reached(fn, *args) -> set[tuple[str, str]]:
     finally:
         sys.setprofile(None)
     return seen
+
+
+def reached(fn, *args) -> set[tuple[str, str]]:
+    """(module, function) of every kronlab function fn(*args) enters."""
+    return {(module, name.rpartition(".")[2]) for module, name in calls(fn, *args)}
 
 
 @pytest.fixture(autouse=True)
@@ -101,6 +111,17 @@ def test_state_vectors_and_dense_trace_share_the_batch_engine():
     state = basis_state(3, ((1, 2, 3), (2, 1, 3), (3, 1, 2)))
     assert ("projectors", "apply_stages") in reached(apply_pipeline, p, state)
     assert ("projectors", "apply_stages") in reached(pipeline_trace_dense, p)
+
+
+def test_sequential_verifier_runs_one_batch():
+    # every outcome of every stage is read off one evaluator's limb batch;
+    # no post-measurement state goes back into the sparse format
+    p = kron_pipeline(*TRIPLE)
+    ws = witness_spaces(p)
+    w = sample_witness(ws, "accept", 1).plus(sample_witness(ws, "reject", 2))
+    seen = calls(run_verifier, p, w, "exact")
+    assert seen["projectors", "BatchEvaluator.__init__"] == 1
+    assert seen["projectors", "StateVector.__post_init__"] == 0
 
 
 @pytest.mark.parametrize(

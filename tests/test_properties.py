@@ -1,12 +1,12 @@
 """Property tests: random rational states through the state arithmetic
-and the stage kernels, random witnesses through the verifier, random
-integer matrices through the elimination, and random triples through
-every in-bound backend."""
+and the stage kernels, random witnesses through the verifier and its
+per-stage reference, random integer matrices through the elimination,
+and random triples through every in-bound backend."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from unittest import mock
 
 import numpy as np
@@ -14,11 +14,12 @@ import pytest
 from algebra_reference import reference_algebra
 from groupsum_reference import reference_orbit_sizes, reference_pipeline, reference_stage, state_of
 from helpers import perturbed
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from rref_reference import kernel, rref
+from verifier_reference import reference_branch_distribution
 
-from kronlab import projectors
+from kronlab import projectors, protocol
 from kronlab.errors import ConsistencyError
 from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
@@ -38,8 +39,10 @@ from kronlab.projectors import (
     kron_pipeline,
     pipeline_trace_collapsed,
     pipeline_trace_dense,
+    pleth_pipeline,
+    truncated_kron_pipeline,
 )
-from kronlab.protocol import _image_rows, acceptance_probability, witness_spaces
+from kronlab.protocol import _image_rows, acceptance_probability, run_verifier, witness_spaces
 from kronlab.ratlinalg import echelon, rref_kernel
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -162,11 +165,11 @@ def test_mixed_pipeline_algebra_matches_reference(p):
 
 
 @st.composite
-def raw_states(draw, nf):
-    """Unreduced numerators on (S_n)^3, n! = nf, keyed by flat index: they
+def raw_states(draw, nf, k=3):
+    """Unreduced numerators on (S_n)^k, n! = nf, keyed by flat index: they
     may be near 2^80 or zero, over a denominator that may be negative."""
     big = st.integers(-(1 << 80), 1 << 80)
-    nums = draw(st.dictionaries(st.integers(0, nf**3 - 1), st.one_of(st.integers(-9, 9), big), max_size=8))
+    nums = draw(st.dictionaries(st.integers(0, nf**k - 1), st.one_of(st.integers(-9, 9), big), max_size=8))
     return nums, draw(st.one_of(st.integers(-9, 9), big).filter(bool))
 
 
@@ -231,6 +234,24 @@ def test_witness_combinations_accepted_exactly(data, triple):
         assert acceptance_probability(ws.pipeline, w) == Fraction(1)
     w = _combination(data, ws.rejecting_basis)
     assert acceptance_probability(ws.pipeline, w) == Fraction(0)
+
+
+SMALL_PIPELINES = (
+    [kron_pipeline(*t) for n in (2, 3) for t in itertools.product(enumerate_partitions(n), repeat=3)]
+    + [truncated_kron_pipeline(*t) for t in itertools.product(enumerate_partitions(3), repeat=3)]
+    + [pleth_pipeline(d, m, lam) for d, m in ((1, 2), (2, 1), (1, 3), (3, 1)) for lam in enumerate_partitions(d * m)]
+)
+
+
+@given(data=st.data(), p=st.sampled_from(SMALL_PIPELINES))
+@SETTINGS
+def test_sequential_verifier_matches_reference(data, p):
+    nums, den = data.draw(raw_states(factorial(p.n), p.k))
+    w = StateVector(p.n, p.k, nums, den)
+    assume(not w.is_zero())
+    branches, spine, p_accept = reference_branch_distribution(p, w)
+    assert repr(run_verifier(p, w, "exact")) == repr(branches)
+    assert run_verifier(p, w, "monte_carlo", seed=1, shots=30) == protocol._monte_carlo(spine, p_accept, 1, 30)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from groupsum_reference import reference_pipeline, state_of
 from helpers import basis_state
 from rref_reference import kernel, rref
+from verifier_reference import reference_branch_distribution
 
 from kronlab import projectors, protocol
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
@@ -19,6 +21,8 @@ from kronlab.projectors import (
     Isotypic,
     Pipeline,
     StateVector,
+    _FactorKernel,
+    _OrbitKernel,
     apply_isotypic,
     apply_pipeline,
     kron_pipeline,
@@ -321,6 +325,102 @@ class TestVerifierRuns:
         p, ws = self._spaces()
         with pytest.raises(InputError, match="unknown mode 'exakt'"):
             run_verifier(p, sample_witness(ws, "accept", 0), "exakt")
+
+    @pytest.mark.parametrize("mode", ["exact", "single_shot", "monte_carlo"])
+    def test_witness_of_another_degree_refused(self, mode):
+        # exact and monte_carlo gave two reject branches and accepts=0
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        with pytest.raises(InputError, match=r"acts on \(n, k\) = \(3, 3\), not \(2, 3\)"):
+            run_verifier(p, StateVector(2, 3, {0: 1}), mode)
+
+    @pytest.mark.parametrize("index", [-1, 216])
+    def test_basis_index_outside_the_space_refused(self, index):
+        # numpy would wrap -1 to the last flat index
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        with pytest.raises(InputError, match=r"outside range\(216\)"):
+            run_verifier(p, StateVector(3, 3, {index: 1}), "exact")
+
+
+def _assert_matches_reference(p, w):
+    """exact and monte_carlo equal the per-stage StateVector verifier."""
+    branches, spine, p_accept = reference_branch_distribution(p, w)
+    assert repr(run_verifier(p, w, "exact")) == repr(branches)
+    mc = run_verifier(p, w, "monte_carlo", seed=5, shots=40)
+    assert mc == protocol._monte_carlo(spine, p_accept, 5, 40)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("triple", list(itertools.product(enumerate_partitions(3), repeat=3)), ids=str)
+    def test_every_n3_triple(self, triple):
+        p = kron_pipeline(*triple)
+        ws = witness_spaces(p)
+        r = sample_witness(ws, "reject", 2)
+        witnesses = [r]
+        if ws.accepting_basis:
+            a = sample_witness(ws, "accept", 1)
+            witnesses += [a, a.plus(r)]
+        for w in witnesses:
+            _assert_matches_reference(p, w)
+
+    @pytest.mark.parametrize("lam", enumerate_partitions(6), ids=str)
+    def test_plethysm_with_large_numerators(self, lam):
+        # below 2^24 one limb holds them, but squared norms overflow int64;
+        # near 2^70 they take three limbs
+        p = pleth_pipeline(2, 3, lam)
+        rng = random.Random(len(lam))
+        for bits in (24, 70):
+            nums = {c: rng.randint(-(1 << bits), 1 << bits) for c in rng.sample(range(p.dim), 24)}
+            _assert_matches_reference(p, StateVector(6, 1, nums, 7))
+
+    def test_limbs_narrow_enough_for_every_outcome(self):
+        # limbs sized for the target (6,) alone, whose kernel has l1 norm 720,
+        # could reach 2^43; a witness of such entries signed like the (5,1)
+        # element (l1 norm 2650) would take that outcome's image past 2^53
+        p = Pipeline(6, 1, (Isotypic(0, (6,)),), "isotypic(6)")
+        signs = np.sign(projectors._stage_kernel(6, Isotypic(0, (5, 1)), 1).values).tolist()
+        w = StateVector(6, 1, {g: (s or 1) * ((1 << 43) - 1) for g, s in enumerate(signs)})
+        _assert_matches_reference(p, w)
+
+    def test_cut_short_witness(self):
+        # its target outcome at factor 0 has probability 0
+        w = apply_isotypic(basis_state(3, (identity(3),) * 3), 0, (3,))
+        _assert_matches_reference(kron_pipeline((2, 1), (2, 1), (2, 1)), w)
+
+    def test_sampled_n4_witness(self):
+        p = kron_pipeline((3, 1), (3, 1), (2, 2))
+        w = sample_accepting_witness(p, 1)
+        _assert_matches_reference(p, w)
+        _assert_matches_reference(p, w.plus(StateVector(4, 3, {0: (1 << 70) + 1, p.dim - 1: -3})))
+
+
+class TestVerifierDrift:
+    """exact mode refuses a drifted outcome kernel or batch."""
+
+    P = kron_pipeline((2, 1), (2, 1), (2, 1))
+
+    @pytest.mark.parametrize("shape", enumerate_partitions(3), ids=str)
+    def test_outcome_kernel_off_by_one(self, monkeypatch, shape):
+        stage_kernel = protocol._stage_kernel
+
+        def off_by_one(n, stage, k):
+            kern = stage_kernel(n, stage, k)
+            if stage != Isotypic(0, shape):
+                return kern
+            values = kern.values.astype(np.int64)
+            values[0] += 1
+            return _FactorKernel(kern.space, kern.factor, kern.side, values, kern.den)
+
+        monkeypatch.setattr(protocol, "_stage_kernel", off_by_one)
+        with pytest.raises(ConsistencyError, match="isotypic outcome probabilities sum to"):
+            run_verifier(self.P, basis_state(3, (identity(3),) * 3), "exact")
+
+    def test_non_integer_batch(self, monkeypatch):
+        # the diagonal average's image is off the integers by 1/2
+        w = sample_witness(witness_spaces(self.P), "accept", 0)
+        apply = _OrbitKernel.apply
+        monkeypatch.setattr(_OrbitKernel, "apply", lambda self, x, k, nf: apply(self, x, k, nf) + 0.5)
+        with pytest.raises(ConsistencyError, match="drifted off the integers"):
+            run_verifier(self.P, w, "exact")
 
 
 class TestMonteCarlo:
