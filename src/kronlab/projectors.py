@@ -17,11 +17,13 @@ running denominator, carried in float64 arrays for speed under an
 l1-norm bound asserted below 2^53 before every stage.  The
 projector-algebra check decides each stage's algebra on its element or
 orbit tables and runs the evaluator only as a drift check against the
-kernels.  The dense trace reads one diagonal entry per orbit of the
-translations the composed stages commute with (simultaneous left
-translation by the x commuting with each factor's composed left averages
-between diagonal averages, right translation on each factor by the y
-commuting with its composed right averages), weighted by the orbit size.
+kernels, once per kernel object per process: kernels are immutable once
+built, and one corrupted after its check is not caught.  The dense trace
+reads one diagonal entry per orbit of the translations the composed
+stages commute with (simultaneous left translation by the x commuting
+with each factor's composed left averages between diagonal averages,
+right translation on each factor by the y commuting with its composed
+right averages), weighted by the orbit size.
 It splits the stages at the diagonal averages: the single-factor stages
 before them act on the basis ket and those after them on the basis bra,
 one factor at a time, as gathers of the stages' elements and sums over
@@ -53,6 +55,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from operator import mul
+from weakref import WeakSet
 
 import numpy as np
 
@@ -86,6 +89,7 @@ DENSE_CHUNK_BYTES = 1 << 21
 # largest n whose collapsed first call stays within 10 s and 500 MB peak RSS
 # on a 2-core host: n = 9 took 0.8 s and 54 MB, n = 10 took 14.3 s and 279 MB
 COLLAPSED_DEGREE_LIMIT = 9
+_DRIFT_CHECKED: WeakSet = WeakSet()  # kernels whose drift pass in check_projector_algebra matched
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +413,7 @@ class _FactorKernel:
     def __init__(self, space: PermIndex, factor: int, side: str, values: np.ndarray, den: int):
         self.space, self.factor, self.side, self.den = space, factor, side, den
         self.values = _narrowest(values)
+        self.values.flags.writeable = False  # immutable once built: its drift check holds for its lifetime
         self.l1 = int(np.abs(self.values).sum())  # every row's l1 norm
         # v(h) reads x at other[t, h]: s = h^-1 t on the left, t h^-1 on the right
         self.table, self.other = (space.left, space.right) if side == "L" else (space.right, space.left)
@@ -488,6 +493,7 @@ class _OrbitKernel:
         self.back = np.ravel_multi_index(rel, (space.nf,) * (k - 1))
         self.gather = np.empty((space.nf, space.nf ** (k - 1)), dtype=np.int64)
         self.gather[digits[0], self.back] = flat
+        self.back.flags.writeable = self.gather.flags.writeable = False  # immutable once built
         self.den = self.l1 = space.nf
 
     def apply(self, x: np.ndarray, k: int, nf: int) -> np.ndarray:
@@ -861,57 +867,51 @@ class AlgebraReport:
 
 def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     """Idempotence and symmetry of every stage and commutation of every
-    stage pair, each decided on the stages' own tables.  The evaluator
-    runs only as a drift check: `mode` names the basis vectors it applies
-    each stage to once, all of them up to 1728 = 12^3 dimensions, else 192
-    drawn with seed 7.  Those rows must equal the stage's lift, found
-    without the evaluator: the columns of I (x) K (x) I gathered from a
-    factor stage's element, or the orbit sum's ones at PermIndex.mult,
-    and nothing else; a mismatch is drift and raises ConsistencyError.
-    The comparison reads the rows where the lift is nonzero and counts
-    the rest, so it builds no second dim-wide array.
+    stage pair, decided on every call on the stages' own tables.  The
+    evaluator runs only as a drift check, once per kernel object per
+    process (a WeakSet, not an id() memo, so a kernel rebuilt after
+    eviction, or a copy, is checked again): the stage applied to the
+    basis vectors `mode` names, all up to 1728 = 12^3 dimensions, else 192
+    drawn with seed 7, must give its lift found without the evaluator (the
+    columns of I (x) K (x) I gathered from a factor stage's element, or the
+    orbit sum's ones at PermIndex.mult) and zeros elsewhere, or
+    ConsistencyError (drift) is raised.  Kernels are immutable once built
+    (read-only arrays); one corrupted after its check is not caught.
 
     A factor stage's algebra is decided on its group-algebra element v
     over its denominator den (`_FactorKernel`): idempotent when
     v * v = den v, symmetric when v(g^-1) = v(g), commuting as
-    `_FactorKernel.commutes` says.  The diagonal average's idempotence and
-    symmetry are decided on its orbit tables (`_OrbitKernel`), and two
-    diagonal averages are one operator.  So in sampled mode too the
-    algebra is complete, not decided on a sampled submatrix."""
+    `_FactorKernel.commutes` says.  The diagonal average's is decided on
+    its orbit tables (`_OrbitKernel`), and two diagonal averages are one
+    operator, so in sampled mode too the algebra is complete."""
     ev = BatchEvaluator(p)
     dim, k, nf, mult = p.dim, p.k, ev.space.nf, ev.space.mult
     mode = "exhaustive" if dim <= 1728 else "sampled"
-    # numpy.random loads on first touch, so exhaustive mode never imports it
-    cols = np.arange(dim) if dim <= 1728 else np.sort(np.random.default_rng(7).choice(dim, 192, replace=False))
     # float64 is exact: an element product's terms total at most l1^2, and den v <= 720 l1
     if max(kern.l1 for kern in ev.kernels) ** 2 >= FLOAT_EXACT_LIMIT:
         raise BoundExceededError(f"integer amplitudes for {p.label} would exceed exact float64 range")
-    base = _basis_batch(dim, cols)
-    rows, digits = np.arange(len(cols)), np.unravel_index(cols, (nf,) * k)
-    failures: list[str] = []
-    idempotent: list[bool] = []
-    symmetric: list[bool] = []
-    for i, kern in enumerate(ev.kernels):
-        out, _ = ev.apply_stages(base, [i])
-        if isinstance(kern, _FactorKernel):
-            post = nf ** (k - kern.factor - 1)  # out viewed as (rows, pre, nf, post)
-            lifted = out.reshape(len(cols), -1, nf, post)[rows, cols // (nf * post), :, cols % post]
-            expected = kern.columns(digits[kern.factor])
-        else:  # a one at (g s_1, ..., g s_k) for every g
-            lifted = out[rows[:, None], np.ravel_multi_index([mult[:, d] for d in digits], (nf,) * k).T]
-            expected = np.ones(lifted.shape)
-        if not (np.array_equal(lifted, expected) and np.count_nonzero(out) == np.count_nonzero(expected)):
-            raise ConsistencyError(f"stage {i} of {p.label}: the evaluator differs from its kernel")
-        idempotent.append(kern.idempotent())
-        symmetric.append(kern.symmetric())
-        if not idempotent[i]:
-            failures.append(f"stage {i} not idempotent")
-        if not symmetric[i]:
-            failures.append(f"stage {i} not symmetric")
+    if not all(kern in _DRIFT_CHECKED for kern in ev.kernels):
+        # numpy.random loads on first touch, so exhaustive mode never imports it
+        cols = np.arange(dim) if dim <= 1728 else np.sort(np.random.default_rng(7).choice(dim, 192, replace=False))
+        base = _basis_batch(dim, cols)
+        rows, digits = np.arange(len(cols)), np.unravel_index(cols, (nf,) * k)
+        for i, kern in enumerate(ev.kernels):
+            if kern in _DRIFT_CHECKED:  # by an earlier call, or earlier in this pipeline
+                continue
+            out, _ = ev.apply_stages(base, [i])
+            if isinstance(kern, _FactorKernel):
+                post = nf ** (k - kern.factor - 1)  # out viewed as (rows, pre, nf, post)
+                lifted = out.reshape(len(cols), -1, nf, post)[rows, cols // (nf * post), :, cols % post]
+                expected = kern.columns(digits[kern.factor])
+            else:  # a one at (g s_1, ..., g s_k) for every g
+                lifted = out[rows[:, None], np.ravel_multi_index([mult[:, d] for d in digits], (nf,) * k).T]
+                expected = np.ones(lifted.shape)
+            if not (np.array_equal(lifted, expected) and np.count_nonzero(out) == np.count_nonzero(expected)):
+                raise ConsistencyError(f"stage {i} of {p.label}: the evaluator differs from its kernel")
+            _DRIFT_CHECKED.add(kern)
 
-    pair_commutes: dict[tuple[int, int], bool] = {}
-    for i, j in combinations(range(len(ev.kernels)), 2):
-        pair_commutes[(i, j)] = ev.kernels[i].commutes(ev.kernels[j])
-        if not pair_commutes[(i, j)]:
-            failures.append(f"stages {i} and {j} do not commute")
-    return AlgebraReport(p.label, mode, idempotent, symmetric, pair_commutes, failures)
+    verdicts = {name: [getattr(kern, name)() for kern in ev.kernels] for name in ("idempotent", "symmetric")}
+    pair_commutes = {(i, j): ev.kernels[i].commutes(ev.kernels[j]) for i, j in combinations(range(len(ev.kernels)), 2)}
+    failures = [f"stage {i} not {name}" for i in range(len(ev.kernels)) for name, oks in verdicts.items() if not oks[i]]
+    failures += [f"stages {i} and {j} do not commute" for (i, j), ok in pair_commutes.items() if not ok]
+    return AlgebraReport(p.label, mode, verdicts["idempotent"], verdicts["symmetric"], pair_commutes, failures)

@@ -39,6 +39,7 @@ CASES = {
     "verify-kron-all-3": ["verify", "kron-all", "3"],
     "verify-pleth-all-2-3": ["verify", "pleth-all", "2", "3"],
     "verify-algebra-2": ["verify", "algebra", "2"],
+    "verify-algebra-3": ["verify", "algebra", "3"],
     "verify-protocol-2": ["verify", "protocol", "2", "--seed", "1", "--shots", "50"],
     "chartable-5": ["chartable", "5"],
     "dims-4": ["dims", "4"],

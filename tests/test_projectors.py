@@ -781,6 +781,15 @@ class TestStageKernels:
             same = np.array_equal(ab, ba)
             assert _stage_kernel(n, a, k).commutes(_stage_kernel(n, b, k)) == same, (a, b)
 
+    def test_kernels_are_read_only(self):
+        # the drift check runs once per kernel object, so its arrays may
+        # not change after it is built
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        isotypic, orbit, average = (_stage_kernel(3, p.stages[i], 3) for i in (0, 3, 4))
+        for array in (isotypic.values, average.values, orbit.back, orbit.gather):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
     def test_isotypic_kernel_transient(self):
         # the cached kernel is the 720 values d chi(g) in int16, with no
         # 720 x 720 array on the way
@@ -841,6 +850,12 @@ def _skewed_kernel(p, index):
 
 
 class TestProjectorAlgebra:
+    @pytest.fixture(autouse=True)
+    def fresh_kernels(self):
+        """The drift pass runs once per kernel object per process; rebuild
+        the kernels so each test reaches ones not checked yet."""
+        _stage_kernel.cache_clear()
+
     def test_all_checks_pass_exhaustively_n3(self):
         report = check_projector_algebra(kron_pipeline((2, 1), (2, 1), (2, 1)))
         assert report.mode == "exhaustive"
@@ -937,12 +952,13 @@ class TestProjectorAlgebra:
     @pytest.mark.parametrize(
         "p, calls",
         [
-            # each stage once: the orbit stage's idempotence is decided on its tables
+            # each kernel once: the orbit stage's idempotence is decided on its tables
             (kron_pipeline((2, 1), (2, 1), (2, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
             (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
             (pleth_pipeline(2, 2, (2, 2)), [[0], [1], [2], [3]]),
-            # two orbit stages are one operator: their pair applies nothing
-            (_two_orbit_pipeline(), [[0], [1], [2], [3], [4], [5], [6], [7]]),
+            # two orbit stages are one operator: their pair applies nothing,
+            # and stage 7 is stage 3's kernel, already checked
+            (_two_orbit_pipeline(), [[0], [1], [2], [3], [4], [5], [6]]),
         ],
         ids=["n3", "sampled-n4", "pleth", "two-orbit"],
     )
@@ -957,6 +973,9 @@ class TestProjectorAlgebra:
         monkeypatch.setattr(BatchEvaluator, "apply_stages", counted)
         assert check_projector_algebra(p).ok
         assert seen == calls
+        seen.clear()
+        assert check_projector_algebra(p).ok  # every kernel is checked now
+        assert seen == []
 
     def test_factor_stage_on_wrong_factor_raises(self, monkeypatch):
         # every stage kernel still forms a commuting projector family, so
@@ -1001,8 +1020,51 @@ class TestProjectorAlgebra:
             return np.matmul(self.kernel.T, x.reshape(-1, nf, post)).reshape(x.shape)
 
         monkeypatch.setattr(_FactorKernel, "apply", untransposed)
+        # the skewed kernel passed its drift check above; a fresh one has not
+        _replace_kernel(monkeypatch, p.stages[index], _skewed_kernel(p, index))
         with pytest.raises(ConsistencyError, match=f"stage {index} .* differs from its kernel"):
             check_projector_algebra(p)
+
+    def test_rebuilt_kernel_is_checked_again(self, monkeypatch):
+        # a kernel rebuilt after the cache is cleared is a new object, so
+        # its drift pass runs again and sees an evaluator patched since
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        assert check_projector_algebra(p).ok
+        apply = _FactorKernel.apply
+
+        def stray(self, x, k, nf):
+            out = apply(self, x, k, nf)
+            out[0, -1] += 1
+            return out
+
+        monkeypatch.setattr(_FactorKernel, "apply", stray)
+        assert check_projector_algebra(p).ok  # every kernel passed before the patch
+        _stage_kernel.cache_clear()
+        with pytest.raises(ConsistencyError, match="stage 0 .* differs from its kernel"):
+            check_projector_algebra(p)
+
+    def test_corrupted_copy_of_a_checked_kernel_raises(self, monkeypatch):
+        # copy.copy keeps the attributes but not the verdict: the check is
+        # recorded per object, not on the kernel
+        p = kron_pipeline((2, 1), (2, 1), (2, 1))
+        assert check_projector_algebra(p).ok
+        orbit = copy.copy(_stage_kernel(3, p.stages[3], 3))
+        back = orbit.back.copy()
+        back[[0, 1]] = back[[1, 0]]
+        orbit.back = back
+        _replace_kernel(monkeypatch, p.stages[3], orbit)
+        with pytest.raises(ConsistencyError, match="stage 3 .* differs from its kernel"):
+            check_projector_algebra(p)
+
+    def test_reports_match_reference_with_cold_and_warm_kernels_n3(self):
+        triples = list(itertools.product(enumerate_partitions(3), repeat=3))
+        for triple in triples:
+            _stage_kernel.cache_clear()
+            p = kron_pipeline(*triple)
+            assert check_projector_algebra(p) == reference_algebra(p), triple
+        for triple in triples:
+            p = kron_pipeline(*triple)
+            assert check_projector_algebra(p) == reference_algebra(p), triple
 
     @pytest.mark.parametrize("array", ["back", "gather"])
     def test_corrupted_orbit_kernel_raises(self, monkeypatch, array):
