@@ -12,8 +12,9 @@ for every call inside it; the CLI opens one per command for
 ``--cache-dir`` and ``--no-cache``.  A file is checked by its labels and
 the orthogonality relations whenever its bytes are new to the process,
 and recomputed and overwritten if corrupt; a file whose bytes equal
-those last checked or written for that path is answered from memory.  Files are written to a temporary
-name and renamed into place, so a reader never sees a partial file.
+those last checked or written for that path is answered from memory (one
+read, one comparison).  Files are written, at the resolved path, to a
+temporary name and renamed into place, so a reader never sees a partial file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
-from pathlib import Path
 
 import numpy as np
 
@@ -202,8 +202,9 @@ _settings: ContextVar[tuple[str | os.PathLike | None, bool]] = ContextVar(
     "kronlab_cache_settings", default=(None, True)
 )
 
-# resolved cache-file path -> (bytes last validated or written there, table)
-_validated: dict[Path, tuple[bytes, CharacterTable]] = {}
+# _cache_path's string -> (bytes last validated or written there, table);
+# a key naming another file after a chdir costs at most one re-check
+_validated: dict[str, tuple[bytes, CharacterTable]] = {}
 
 
 @contextmanager
@@ -218,9 +219,9 @@ def cache_settings(cache_dir: str | os.PathLike | None = None, use_cache: bool =
         _settings.reset(token)
 
 
-def _cache_path(n: int) -> Path:
+def _cache_path(n: int) -> str:
     root = _settings.get()[0] or os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR)
-    return Path(root) / f"chartable-n{n}.json"
+    return os.path.join(root, f"chartable-n{n}.json")
 
 
 def _load_checked(data: bytes, n: int) -> CharacterTable | None:
@@ -237,20 +238,21 @@ def _load_checked(data: bytes, n: int) -> CharacterTable | None:
     return table
 
 
-def _write_atomic(path: Path, data: bytes) -> bool:
-    """Write data to path through a temporary file in the same directory
-    and os.replace, so path is either untouched or complete.  Returns
-    False, leaving no temporary file, if any step fails.  No fsync: a file
-    torn by a crash fails validation and is recomputed."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+def _write_atomic(path: str, data: bytes) -> bool:
+    """Write data to the resolved path (a symlink's target) through a
+    temporary file beside it and os.replace, so it is either untouched or
+    complete.  Returns False, leaving no temporary file, if any step fails.
+    No fsync: a file torn by a crash fails validation and is recomputed."""
+    head, name = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(head, exist_ok=True)
         with open(tmp, "xb") as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(head, name))
     except OSError:
         with suppress(OSError):
-            tmp.unlink(missing_ok=True)
+            os.unlink(tmp)
         return False
     return True
 
@@ -260,9 +262,9 @@ def character_table(n: int) -> CharacterTable:
 
     Unless the enclosing cache_settings scope turns the cache off, tries
     the JSON disk cache first; a file that fails to parse or fails its
-    checks is recomputed and overwritten.  A file is re-checked only when
-    its bytes differ from those this process last checked or wrote at
-    that path.
+    checks is recomputed and overwritten through its resolved path.  A
+    warm call costs one read of the file and one bytes comparison: only
+    bytes new to this process at that path are checked again.
     """
     if n < 1:
         raise InputError("character table needs n >= 1")
@@ -270,19 +272,19 @@ def character_table(n: int) -> CharacterTable:
         raise BoundExceededError(f"character table of S_{n}: n exceeds {TABLE_DEGREE_LIMIT}")
     if not _settings.get()[1]:
         return _compute_table(n)
-    path = _cache_path(n).resolve()
+    path = _cache_path(n)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError:
-        data = None  # missing or unreadable: recompute below
-    if data is not None:
-        held = _validated.get(path)
-        if held is not None and held[0] == data:
-            return held[1]
-        table = _load_checked(data, n)
-        if table is not None:
-            _validated[path] = (data, table)
-            return table
+        data = b""  # missing or unreadable: fails to parse, recomputed below
+    held = _validated.get(path)
+    if held is not None and held[0] == data:
+        return held[1]
+    table = _load_checked(data, n)
+    if table is not None:
+        _validated[path] = (data, table)
+        return table
     table = _compute_table(n)
     data = json.dumps(table.to_json()).encode()
     if _write_atomic(path, data):  # the cache is best-effort

@@ -801,19 +801,16 @@ def _left_census(n: int, groups: tuple[SubgroupDescriptor, ...]):
 @lru_cache(maxsize=None)
 def _factor_contraction(
     n: int, shape: Partition, right_group: SubgroupDescriptor | None
-) -> tuple:
-    """Per-factor trace contribution as a function of the left element's
-    class: T(class b) = sum over right-subgroup classes rho_h of
+) -> dict[Partition, int]:
+    """Per-factor trace contribution keyed by the left element's class:
+    T(class b) = sum over right-subgroup classes rho_h of
     census(rho_h) * z(rho_h) * sum_{l ~ rho_h} chi_shape(l w_b^-1)."""
     table = character_table(n)
     chi = np.array([table.chi(shape, rho) for rho in table.classes], dtype=np.int64)
     inner = _shifted_class_counts(n) @ chi  # inner[a, b]; |entries| <= n! max|chi|
     census = class_census(right_group) if right_group is not None else {(1,) * n: 1}
-    class_index = {rho: i for i, rho in enumerate(table.classes)}
-    weights = [(class_index[rho], cnt * centralizer_order(rho)) for rho, cnt in census.items()]
-    return tuple(
-        sum(w * int(inner[a, b]) for a, w in weights) for b in range(len(table.classes))
-    )
+    weights = [(table.classes.index(rho), cnt * centralizer_order(rho)) for rho, cnt in census.items()]
+    return {rho: sum(w * int(inner[a, b]) for a, w in weights) for b, rho in enumerate(table.classes)}
 
 
 def pipeline_trace_collapsed(p: Pipeline) -> int:
@@ -827,10 +824,9 @@ def pipeline_trace_collapsed(p: Pipeline) -> int:
         raise BoundExceededError(f"collapsed trace of {p.label}: n exceeds {COLLAPSED_DEGREE_LIMIT}")
     iso, right, left = _collapsed_template(p)
     n = p.n
-    class_index = {rho: i for i, rho in enumerate(character_table(n).classes)}
     census, left_order = _left_census(n, tuple(left))
     factor_t = [_factor_contraction(n, iso[f], right.get(f)) for f in range(p.k)]
-    grand = sum(cnt * prod(t[class_index[rho]] for t in factor_t) for rho, cnt in census.items())
+    grand = sum(cnt * prod(t[rho] for t in factor_t) for rho, cnt in census.items())
     numer = grand * prod(hook_dimension(iso[f]) for f in range(p.k))
     denom = left_order * factorial(n) ** p.k * prod(g.order() for g in right.values())
     value = Fraction(numer, denom)
@@ -872,11 +868,12 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     process (a WeakSet, not an id() memo, so a kernel rebuilt after
     eviction, or a copy, is checked again): the stage applied to the
     basis vectors `mode` names, all up to 1728 = 12^3 dimensions, else 192
-    drawn with seed 7, must give its lift found without the evaluator (the
-    columns of I (x) K (x) I gathered from a factor stage's element, or the
-    orbit sum's ones at PermIndex.mult) and zeros elsewhere, or
-    ConsistencyError (drift) is raised.  Kernels are immutable once built
-    (read-only arrays); one corrupted after its check is not caught.
+    drawn with seed 7, in batches of DENSE_CHUNK_BYTES, must give its lift
+    found without the evaluator (the columns of I (x) K (x) I gathered from
+    a factor stage's element, or the orbit sum's ones at PermIndex.mult)
+    and zeros elsewhere, or ConsistencyError (drift) is raised.  Kernels
+    are immutable once built (read-only arrays); one corrupted after its
+    check is not caught.
 
     A factor stage's algebra is decided on its group-algebra element v
     over its denominator den (`_FactorKernel`): idempotent when
@@ -893,21 +890,22 @@ def check_projector_algebra(p: Pipeline) -> AlgebraReport:
     if not all(kern in _DRIFT_CHECKED for kern in ev.kernels):
         # numpy.random loads on first touch, so exhaustive mode never imports it
         cols = np.arange(dim) if dim <= 1728 else np.sort(np.random.default_rng(7).choice(dim, 192, replace=False))
-        base = _basis_batch(dim, cols)
-        rows, digits = np.arange(len(cols)), np.unravel_index(cols, (nf,) * k)
+        step = max(1, DENSE_CHUNK_BYTES // (8 * dim))  # basis rows per batch
         for i, kern in enumerate(ev.kernels):
             if kern in _DRIFT_CHECKED:  # by an earlier call, or earlier in this pipeline
                 continue
-            out, _ = ev.apply_stages(base, [i])
-            if isinstance(kern, _FactorKernel):
-                post = nf ** (k - kern.factor - 1)  # out viewed as (rows, pre, nf, post)
-                lifted = out.reshape(len(cols), -1, nf, post)[rows, cols // (nf * post), :, cols % post]
-                expected = kern.columns(digits[kern.factor])
-            else:  # a one at (g s_1, ..., g s_k) for every g
-                lifted = out[rows[:, None], np.ravel_multi_index([mult[:, d] for d in digits], (nf,) * k).T]
-                expected = np.ones(lifted.shape)
-            if not (np.array_equal(lifted, expected) and np.count_nonzero(out) == np.count_nonzero(expected)):
-                raise ConsistencyError(f"stage {i} of {p.label}: the evaluator differs from its kernel")
+            for chunk in np.split(cols, range(step, len(cols), step)):
+                out, _ = ev.apply_stages(_basis_batch(dim, chunk), [i])
+                rows, digits = np.arange(len(chunk)), np.unravel_index(chunk, (nf,) * k)
+                if isinstance(kern, _FactorKernel):
+                    post = nf ** (k - kern.factor - 1)  # out viewed as (rows, pre, nf, post)
+                    lifted = out.reshape(len(chunk), -1, nf, post)[rows, chunk // (nf * post), :, chunk % post]
+                    expected = kern.columns(digits[kern.factor])
+                else:  # a one at (g s_1, ..., g s_k) for every g
+                    lifted = out[rows[:, None], np.ravel_multi_index([mult[:, d] for d in digits], (nf,) * k).T]
+                    expected = np.ones(lifted.shape)
+                if not (np.array_equal(lifted, expected) and np.count_nonzero(out) == np.count_nonzero(expected)):
+                    raise ConsistencyError(f"stage {i} of {p.label}: the evaluator differs from its kernel")
             _DRIFT_CHECKED.add(kern)
 
     verdicts = {name: [getattr(kern, name)() for kern in ev.kernels] for name in ("idempotent", "symmetric")}

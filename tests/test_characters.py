@@ -1,6 +1,8 @@
 import json
+import os
 import tempfile
 import tracemalloc
+from contextlib import nullcontext
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -13,6 +15,7 @@ from helpers import from_cycles
 from kronlab.characters import (
     TABLE_DEGREE_LIMIT,
     CharacterTable,
+    _compute_table,
     cache_settings,
     character_table,
     content_power_sums,
@@ -349,6 +352,32 @@ def _value_slots(doc):
     return slots
 
 
+def _draw_damage(data, good: bytes) -> bytes:
+    """A random byte edit, truncation, JSON value edit, surplus value or row
+    swap of the valid file good."""
+    kind = data.draw(st.sampled_from(["bytes", "truncate", "value", "append", "swap"]))
+    if kind == "bytes":
+        raw = bytearray(good)
+        edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+        for pos, byte in data.draw(st.lists(edits, min_size=1, max_size=4)):
+            raw[pos] = byte
+        return bytes(raw)
+    if kind == "truncate":
+        return good[: data.draw(st.integers(0, len(good) - 1))]
+    doc = json.loads(good)
+    if kind == "value":
+        container, key = data.draw(st.sampled_from(_value_slots(doc)))
+        container[key] = data.draw(JSON_VALUES)
+    elif kind == "append":  # a surplus value at the end of one row
+        row = data.draw(st.sampled_from(doc["rows"]))
+        row["values"].append(data.draw(JSON_VALUES))
+    else:  # two rows' values swapped: orthogonality still holds
+        i, j = (data.draw(st.integers(0, len(doc["rows"]) - 1)) for _ in range(2))
+        a, b = doc["rows"][i], doc["rows"][j]
+        a["values"], b["values"] = b["values"], a["values"]
+    return json.dumps(doc).encode()
+
+
 @given(data=st.data(), n=st.integers(1, 7))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_damaged_cache_file_yields_the_computed_table(data, n):
@@ -359,33 +388,7 @@ def test_damaged_cache_file_yields_the_computed_table(data, n):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"chartable-n{n}.json"
         table_in(d, n)
-        good = path.read_bytes()
-        kind = data.draw(st.sampled_from(["bytes", "truncate", "value", "append", "swap"]))
-        if kind == "bytes":
-            raw = bytearray(good)
-            edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
-            for pos, byte in data.draw(st.lists(edits, min_size=1, max_size=4)):
-                raw[pos] = byte
-            damaged = bytes(raw)
-        elif kind == "truncate":
-            damaged = good[: data.draw(st.integers(0, len(good) - 1))]
-        elif kind == "value":
-            doc = json.loads(good)
-            container, key = data.draw(st.sampled_from(_value_slots(doc)))
-            container[key] = data.draw(JSON_VALUES)
-            damaged = json.dumps(doc).encode()
-        elif kind == "append":  # a surplus value at the end of one row
-            doc = json.loads(good)
-            row = data.draw(st.sampled_from(doc["rows"]))
-            row["values"].append(data.draw(JSON_VALUES))
-            damaged = json.dumps(doc).encode()
-        else:  # two rows' values swapped: orthogonality still holds
-            doc = json.loads(good)
-            i, j = (data.draw(st.integers(0, len(doc["rows"]) - 1)) for _ in range(2))
-            a, b = doc["rows"][i], doc["rows"][j]
-            a["values"], b["values"] = b["values"], a["values"]
-            damaged = json.dumps(doc).encode()
-        path.write_bytes(damaged)
+        path.write_bytes(_draw_damage(data, path.read_bytes()))
         table = table_in(d, n)
         left_doc = json.loads(path.read_bytes())
         left = CharacterTable.from_json(left_doc)
@@ -398,6 +401,31 @@ def test_damaged_cache_file_yields_the_computed_table(data, n):
         assert t.values == reference.values
     left.check_labels()
     left.check_orthogonality()
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_warm_calls_follow_every_rewrite(data, n):
+    # between warm calls in one process the file is damaged, deleted,
+    # rewritten valid with another layout, or left alone: every call
+    # answers the computed table, and every file it leaves is valid
+    reference = _compute_table(n)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"chartable-n{n}.json"
+        assert table_in(d, n) == reference
+        good = path.read_bytes()
+        steps = st.lists(st.sampled_from(["damage", "delete", "reindent", "keep"]), min_size=1, max_size=6)
+        for step in data.draw(steps):
+            if step == "damage":
+                path.write_bytes(_draw_damage(data, path.read_bytes()))
+            elif step == "delete":
+                path.unlink()
+            elif step == "reindent":
+                indent = data.draw(st.sampled_from([None, 0, 1, 2]))
+                separators = data.draw(st.sampled_from([None, (",", ":")]))
+                path.write_text(json.dumps(json.loads(good), indent=indent, separators=separators))
+            assert table_in(d, n) == reference, step
+            assert CharacterTable.from_json(json.loads(path.read_bytes())) == reference
 
 
 class TestMemo:
@@ -442,6 +470,64 @@ class TestMemo:
         table_in(tmp_path, 4).check_orthogonality()
         assert path.exists()
         assert CharacterTable.from_json(json.loads(path.read_text())).n == 4
+
+    @pytest.mark.parametrize("scoped", [False, True], ids=["no-scope", "one-scope"])
+    @pytest.mark.parametrize("rewrite", ["other-length", "reindented"])
+    def test_rewritten_file_checked_again(self, tmp_path, monkeypatch, loads, scoped, rewrite):
+        # the same path and another file's bytes: checked again, whether the
+        # calls share one cache_settings scope or run outside any scope
+        monkeypatch.setenv("KRONLAB_CACHE", str(tmp_path))
+        path = tmp_path / "chartable-n4.json"
+        with cache_settings(tmp_path) if scoped else nullcontext():
+            table = character_table(4)
+            good = path.read_bytes()
+            if rewrite == "other-length":  # the trivial row: all ones
+                new = good.replace(b'"values": [1', b'"values": [10', 1)
+            else:
+                new = json.dumps(json.loads(good), indent=2).encode()
+            assert len(new) != len(good)
+            path.write_bytes(new)
+            assert character_table(4) == table
+            assert len(loads) == 1
+            assert character_table(4) == table
+            assert len(loads) == 1
+        # a valid rewrite stays; a corrupt one is healed
+        assert path.read_bytes() == (good if rewrite == "other-length" else new)
+
+    def test_relative_cache_dir_follows_chdir(self, tmp_path, monkeypatch, loads):
+        # one key names a file in each working directory: the call reads,
+        # or writes, the file where it runs
+        monkeypatch.setenv("KRONLAB_CACHE", "rel-cache")
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        monkeypatch.chdir(first)
+        table = character_table(4)
+        good = (first / "rel-cache" / "chartable-n4.json").read_bytes()
+        monkeypatch.chdir(second)
+        assert character_table(4) == table
+        path = second / "rel-cache" / "chartable-n4.json"
+        assert path.read_bytes() == good  # written here, not answered from memory
+        bad = good.replace(b'"values": [1', b'"values": [2', 1)
+        path.write_bytes(bad)
+        monkeypatch.chdir(first)
+        assert character_table(4) == table  # first's bytes: nothing to check
+        assert loads == [] and path.read_bytes() == bad
+        monkeypatch.chdir(second)
+        assert character_table(4) == table
+        assert len(loads) == 1 and path.read_bytes() == good
+
+    def test_symlinked_corrupt_file_healed_through_its_target(self, tmp_path):
+        target = tmp_path / "store" / "table.json"
+        target.parent.mkdir()
+        target.write_text("{not json")
+        link = tmp_path / "cache" / "chartable-n4.json"
+        link.parent.mkdir()
+        link.symlink_to(target)
+        assert table_in(link.parent, 4) == _compute_table(4)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert CharacterTable.from_json(json.loads(target.read_bytes())) == _compute_table(4)
+        assert sorted(f.name for f in target.parent.iterdir()) == ["table.json"]
 
 
 class TestCentralizerConsistency:

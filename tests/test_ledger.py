@@ -86,6 +86,22 @@ def test_collapsed_counts_groups_by_closed_forms(pipeline):
     assert ("characters", "character_table") in seen
 
 
+@pytest.mark.parametrize("pipeline", [kron_pipeline(*TRIPLE), pleth_pipeline(2, 2, (2, 2))])
+def test_warm_collapsed_reads_no_table(pipeline):
+    # the memoised factor contractions read the table once; a warm call
+    # keys them by class and enters nothing in characters
+    pipeline_trace_collapsed(pipeline)
+    seen = reached(pipeline_trace_collapsed, pipeline)
+    assert not {name for module, name in seen if module == "characters"}
+
+
+@pytest.mark.parametrize("oracle, args", [(kron_char, TRIPLE), (pleth_wreath, (2, 2, (2, 2)))], ids=["kron_char", "pleth_wreath"])
+def test_character_oracles_read_the_table_on_every_call(oracle, args):
+    # a file rewritten between two calls is seen by the next one
+    seen = calls(lambda: [oracle(*args) for _ in range(3)])
+    assert seen["characters", "character_table"] == 3
+
+
 @pytest.mark.parametrize("group", [full_group(8), young_subgroup((4, 3, 1))], ids=lambda g: g.label())
 def test_closed_form_census_enumerates_nothing(group):
     seen = reached(class_census, group)

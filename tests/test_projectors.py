@@ -954,7 +954,8 @@ class TestProjectorAlgebra:
         [
             # each kernel once: the orbit stage's idempotence is decided on its tables
             (kron_pipeline((2, 1), (2, 1), (2, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
-            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), [[0], [1], [2], [3], [4], [5], [6]]),
+            # 192 sampled rows of 13,824 dims, in 11 batches of at most 18 per stage
+            (kron_pipeline((3, 1), (2, 2), (2, 1, 1)), [[i] for i in range(7) for _ in range(11)]),
             (pleth_pipeline(2, 2, (2, 2)), [[0], [1], [2], [3]]),
             # two orbit stages are one operator: their pair applies nothing,
             # and stage 7 is stage 3's kernel, already checked
@@ -976,6 +977,21 @@ class TestProjectorAlgebra:
         seen.clear()
         assert check_projector_algebra(p).ok  # every kernel is checked now
         assert seen == []
+
+    def test_sampled_drift_pass_in_bounded_batches(self, monkeypatch):
+        # no batch, and so no output or gather temporary, is wider than
+        # DENSE_CHUNK_BYTES; each stage still sees all 192 sampled rows
+        shapes = []
+        apply_stages = BatchEvaluator.apply_stages
+
+        def recorded(self, x, stage_indices, **kwargs):
+            shapes.append((stage_indices[0], x.shape))
+            return apply_stages(self, x, stage_indices, **kwargs)
+
+        monkeypatch.setattr(BatchEvaluator, "apply_stages", recorded)
+        assert check_projector_algebra(kron_pipeline((3, 1), (2, 2), (2, 1, 1))).mode == "sampled"
+        assert all(rows * dim * 8 <= projectors.DENSE_CHUNK_BYTES for _, (rows, dim) in shapes)
+        assert [sum(rows for i, (rows, _) in shapes if i == stage) for stage in range(7)] == [192] * 7
 
     def test_factor_stage_on_wrong_factor_raises(self, monkeypatch):
         # every stage kernel still forms a commuting projector family, so
