@@ -50,8 +50,6 @@ from .projectors import (
     Isotypic,
     Pipeline,
     StateVector,
-    apply_invariant_average,
-    apply_isotypic,
     apply_pipeline,
     check_projector_algebra,
     kron_pipeline,
@@ -64,11 +62,9 @@ from .protocol import (
     VerifierOutcome,
     WitnessSpaces,
     acceptance_probability,
-    gpe_accept_probability,
     run_verifier,
     sample_accepting_witness,
     sample_rejecting_witness,
     sample_witness,
-    weak_fourier_sample,
     witness_spaces,
 )

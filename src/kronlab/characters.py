@@ -25,7 +25,7 @@ import os
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, isqrt
 
 import numpy as np
@@ -104,7 +104,13 @@ class CharacterTable:
         return self.values[(tuple(lam), tuple(rho))]
 
     def row(self, lam: Partition) -> tuple[int, ...]:
-        return tuple(self.values[(tuple(lam), rho)] for rho in self.classes)
+        """chi_lam at every class, in class order, from a {shape: row} dict
+        built once per table object: a table read afresh has its own rows."""
+        return self._rows[tuple(lam)]
+
+    @cached_property
+    def _rows(self) -> dict[Partition, tuple[int, ...]]:
+        return {lam: tuple(self.values[lam, rho] for rho in self.classes) for lam in self.partitions}
 
     def dimension(self, lam: Partition) -> int:
         return self.chi(lam, (1,) * self.n) if self.n else 1

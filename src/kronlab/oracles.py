@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .characters import character_table
 from .errors import BoundExceededError, ConsistencyError
@@ -29,10 +29,12 @@ class CoefficientResult:
     method: str
 
 
-def _exact_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ConsistencyError(f"{what} came out non-integral: {x}")
-    return int(x)
+def _exact_int(num: int, den: int, what: str) -> int:
+    """num / den for den > 0, or ConsistencyError unless it is an integer."""
+    value, rest = divmod(num, den)
+    if rest:
+        raise ConsistencyError(f"{what} came out non-integral: {Fraction(num, den)}")
+    return value
 
 
 def kron_char(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
@@ -41,10 +43,8 @@ def kron_char(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult
     lam, mu, nu = check_triple(lam, mu, nu)
     n = sum(lam)
     table = character_table(n)
-    total = 0
-    for rho, size in zip(table.classes, table.class_sizes):
-        total += size * table.chi(lam, rho) * table.chi(mu, rho) * table.chi(nu, rho)
-    value = _exact_int(Fraction(total, factorial(n)), "Kronecker class sum")
+    total = sum(map(prod, zip(table.class_sizes, table.row(lam), table.row(mu), table.row(nu))))
+    value = _exact_int(total, factorial(n), "Kronecker class sum")
     if value < 0:
         raise ConsistencyError(f"negative multiplicity {value}")
     return CoefficientResult(value, "character")
@@ -68,9 +68,9 @@ def pleth_wreath(d: int, m: int, lam: Partition) -> CoefficientResult:
             f"S_{m} wr S_{d} has more than {WREATH_ORDER_LIMIT} elements to enumerate"
         )
     table = character_table(m * d)
-    census = cycle_type_census(group)
-    total = sum(count * table.chi(lam, rho) for rho, count in census.items())
-    value = _exact_int(Fraction(total, group.order()), "wreath average")
+    chi = dict(zip(table.classes, table.row(lam)))
+    total = sum(count * chi[rho] for rho, count in cycle_type_census(group).items())
+    value = _exact_int(total, group.order(), "wreath average")
     if value < 0:
         raise ConsistencyError(f"negative multiplicity {value}")
     return CoefficientResult(value, "wreath")

@@ -37,13 +37,16 @@ KOSTKA_WORK_LIMIT = 300_000
 
 
 def check_partition(parts) -> Partition:
-    """Validate and canonicalize a partition given as any integer iterable."""
-    lam = tuple(int(p) for p in parts)
-    for i, p in enumerate(lam):
-        if p < 1:
-            raise InputError(f"partition parts must be positive, got {lam}")
-        if i + 1 < len(lam) and lam[i + 1] > p:
-            raise InputError(f"partition parts must be weakly decreasing, got {lam}")
+    """Validate and canonicalize a partition given as any integer iterable.
+    Valid input costs one sort; only invalid input is scanned for the
+    first fault."""
+    lam = tuple(map(int, parts))
+    if lam and (lam[-1] < 1 or sorted(lam, reverse=True) != [*lam]):
+        for i, p in enumerate(lam):
+            if p < 1:
+                raise InputError(f"partition parts must be positive, got {lam}")
+            if i + 1 < len(lam) and lam[i + 1] > p:
+                raise InputError(f"partition parts must be weakly decreasing, got {lam}")
     return lam
 
 
@@ -96,7 +99,6 @@ def _partitions_bounded(n: int, largest: int) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
     lamt = transpose(lam)
     return tuple(
@@ -106,7 +108,13 @@ def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 def hook_dimension(lam: Partition) -> int:
-    """Number of standard tableaux of shape lam (hook length formula)."""
+    """Number of standard tableaux of shape lam (hook length formula), for
+    lam any integer iterable; memoised by lam as a tuple of ints."""
+    return _hook_dimension(tuple(map(int, lam)))
+
+
+@lru_cache(maxsize=None)
+def _hook_dimension(lam: Partition) -> int:
     n = sum(lam)
     prod = 1
     for row in hook_lengths(lam):

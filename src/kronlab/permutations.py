@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import factorial, prod
 
 import numpy as np
@@ -180,6 +180,10 @@ class SubgroupDescriptor:
         return len(self.shape)
 
     def order(self) -> int:
+        return self._order
+
+    @cached_property
+    def _order(self) -> int:
         base = 1 if self.kind == "block_perms" else prod(factorial(b) for b in self.shape)
         return base * (1 if self.kind == "young" else factorial(self.d))
 
@@ -189,6 +193,7 @@ class SubgroupDescriptor:
         return f"S{self.m}wrS{self.d}" if self.kind == "wreath" else f"blocks({self.m}^{self.d})"
 
 
+@lru_cache(maxsize=None)
 def full_group(n: int) -> SubgroupDescriptor:
     return young_subgroup((n,))
 
@@ -197,6 +202,7 @@ def young_subgroup(mu: Partition) -> SubgroupDescriptor:
     return SubgroupDescriptor("young", mu)
 
 
+@lru_cache(maxsize=None, typed=True)
 def wreath_product(m: int, d: int) -> SubgroupDescriptor:
     return SubgroupDescriptor("wreath", (m,) * d)
 

@@ -28,8 +28,8 @@ It splits the stages at the diagonal averages: the single-factor stages
 before them act on the basis ket and those after them on the basis bra,
 one factor at a time, as gathers of the stages' elements and sums over
 their supports, so no nf x nf kernel is built and only the middle stages
-run on full-width rows.  State vectors (`StateVector`, `apply_*`, the
-verifier's witnesses) are stored in the same format: integer numerators
+run on full-width rows.  State vectors (`StateVector`, `apply_pipeline`,
+the verifier's witnesses) are stored in the same format: integer numerators
 keyed by flat basis index over one denominator.  Numerators too large
 for the bound are split into signed base-2^b limbs (one batch row each)
 and recombined in Python integers, so any rational amplitude stays
@@ -157,22 +157,21 @@ class Pipeline:
         return factorial(self.n) ** self.k
 
 
+@lru_cache(maxsize=None)
+def _shape_stages(factor: int, shape: Partition) -> tuple[Isotypic, InvariantAverage]:
+    """A factor's isotypic projection and right Young-subgroup average, for
+    a canonical shape: the memo grows with the shapes seen, not the triples."""
+    return Isotypic(factor, shape), InvariantAverage(factor, "R", young_subgroup(shape))
+
+
 def kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
     """Isotypic projections on the three factors, the diagonal average,
-    then one right Young-subgroup average per factor."""
-    lam, mu, nu = check_triple(lam, mu, nu)
-    n = sum(lam)
-    stages: tuple[Stage, ...] = (
-        Isotypic(0, lam),
-        Isotypic(1, mu),
-        Isotypic(2, nu),
-        DiagonalAverage(),
-        InvariantAverage(0, "R", young_subgroup(lam)),
-        InvariantAverage(1, "R", young_subgroup(mu)),
-        InvariantAverage(2, "R", young_subgroup(nu)),
-    )
-    label = "kron(%s)" % "|".join(",".join(map(str, shape)) for shape in (lam, mu, nu))
-    return Pipeline(n, 3, stages, label)
+    then one right Young-subgroup average per factor.  The triple is
+    validated once; each factor's two stages come from `_shape_stages`."""
+    shapes = check_triple(lam, mu, nu)
+    isotypic, right = zip(*map(_shape_stages, range(3), shapes))
+    label = "kron(%s)" % "|".join(",".join(map(str, shape)) for shape in shapes)
+    return Pipeline(sum(shapes[0]), 3, (*isotypic, DiagonalAverage(), *right), label)
 
 
 def truncated_kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
@@ -182,17 +181,20 @@ def truncated_kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pip
     return Pipeline(base.n, 3, base.stages[:4], base.label.replace("kron", "scaledkron"))
 
 
+@lru_cache(maxsize=None, typed=True)
+def _block_stages(m: int, d: int) -> tuple[InvariantAverage, InvariantAverage]:
+    """The left block Young and block-permutation averages of S_m wr S_d."""
+    return InvariantAverage(0, "L", young_subgroup((m,) * d)), InvariantAverage(0, "L", block_permutations(m, d))
+
+
 def pleth_pipeline(d: int, m: int, lam: Partition) -> Pipeline:
     """Single-factor pipeline: isotypic projection, left averages over the
     block Young subgroup and over block permutations (together: the
-    wreath product), and the right Young-subgroup average."""
+    wreath product), and the right Young-subgroup average.  The stages
+    come from memos keyed by the canonical shape and by (m, d)."""
     lam = check_plethysm(d, m, lam)
-    stages: tuple[Stage, ...] = (
-        Isotypic(0, lam),
-        InvariantAverage(0, "L", young_subgroup((m,) * d)),
-        InvariantAverage(0, "L", block_permutations(m, d)),
-        InvariantAverage(0, "R", young_subgroup(lam)),
-    )
+    isotypic, right = _shape_stages(0, lam)
+    stages = (isotypic, *_block_stages(m, d), right)
     return Pipeline(m * d, 1, stages, f"pleth({d},{m}|{','.join(map(str, lam))})")
 
 
@@ -285,30 +287,15 @@ class StateVector:
         return self.plus(other.scaled(-1))
 
 
-def apply_isotypic(state: StateVector, factor: int, lam: Partition) -> StateVector:
-    """Weak-Fourier-sampling projector on one factor:
-    (d(lam)/n!) sum_g chi_lam(g) L_g."""
-    return _apply_stages(state, (Isotypic(factor, lam),), f"isotypic({factor})")
-
-
-def apply_invariant_average(state: StateVector, stage: InvariantAverage | DiagonalAverage) -> StateVector:
-    """(1/|G|) sum over the stage's group of its action on the state."""
-    return _apply_stages(state, (stage,), "invariant_average")
-
-
 def apply_pipeline(p: Pipeline, state: StateVector) -> StateVector:
-    if (p.n, p.k) != (state.n, state.k):
-        raise InputError(f"{p.label} acts on (n, k) = {(p.n, p.k)}, not {(state.n, state.k)}")
-    return _apply_stages(state, p.stages, p.label)
-
-
-def _apply_stages(state: StateVector, stages: tuple[Stage, ...], label: str) -> StateVector:
     """Push a state's numerators through the stage kernels as one limb batch
     and read the result's nonzero columns back as Python ints."""
-    ev = BatchEvaluator(Pipeline(state.n, state.k, stages, label))
+    if (p.n, p.k) != (state.n, state.k):
+        raise InputError(f"{p.label} acts on (n, k) = {(p.n, p.k)}, not {(state.n, state.k)}")
+    ev = BatchEvaluator(p)
     if state.is_zero():
         return StateVector.zero(state.n, state.k)
-    x, b = _limb_split(state.nums, ev.pipeline.dim, prod(kern.l1 for kern in ev.kernels), label)
+    x, b = _limb_split(state.nums, p.dim, prod(kern.l1 for kern in ev.kernels), p.label)
     cols, nums = _limb_join(ev.apply(x, start_max_abs=1 << b), b)
     return StateVector(state.n, state.k, dict(zip(cols.tolist(), nums)), state.den * ev.denominator)
 
@@ -783,10 +770,10 @@ def _collapsed_template(p: Pipeline):
 @lru_cache(maxsize=None)
 def _left_census(n: int, groups: tuple[SubgroupDescriptor, ...]):
     """Cycle-type census of the composed left-acting elements (one product
-    element per tuple of choices from the groups' sums), plus the product
-    of the group orders.  The template lists are S_n alone and a block
-    Young subgroup followed by its block permutations, whose products run
-    once over S_m wr S_d; any other list is refused."""
+    element per tuple of choices from the groups' sums) in class order,
+    plus the product of the group orders.  The template lists are S_n
+    alone and a block Young subgroup followed by its block permutations,
+    whose products run once over S_m wr S_d; any other list is refused."""
     templates = {
         (young_subgroup((m,) * (n // m)), block_permutations(m, n // m)): wreath_product(m, n // m)
         for m in range(1, n + 1)
@@ -795,22 +782,20 @@ def _left_census(n: int, groups: tuple[SubgroupDescriptor, ...]):
     templates[(full_group(n),)] = full_group(n)
     if groups not in templates:
         raise InputError(f"left stages {[g.label() for g in groups]} do not fit the collapsed template")
-    return class_census(templates[groups]), templates[groups].order()
+    census = class_census(templates[groups])
+    return tuple(census.get(rho, 0) for rho in enumerate_partitions(n)), templates[groups].order()
 
 
 @lru_cache(maxsize=None)
-def _factor_contraction(
-    n: int, shape: Partition, right_group: SubgroupDescriptor | None
-) -> dict[Partition, int]:
-    """Per-factor trace contribution keyed by the left element's class:
+def _factor_contraction(n: int, shape: Partition, right_group: SubgroupDescriptor | None) -> tuple[int, ...]:
+    """Per-factor trace contribution in the class order of the left element:
     T(class b) = sum over right-subgroup classes rho_h of
     census(rho_h) * z(rho_h) * sum_{l ~ rho_h} chi_shape(l w_b^-1)."""
     table = character_table(n)
-    chi = np.array([table.chi(shape, rho) for rho in table.classes], dtype=np.int64)
-    inner = _shifted_class_counts(n) @ chi  # inner[a, b]; |entries| <= n! max|chi|
+    inner = _shifted_class_counts(n) @ np.array(table.row(shape), dtype=np.int64)  # |inner[a, b]| <= n! max|chi|
     census = class_census(right_group) if right_group is not None else {(1,) * n: 1}
     weights = [(table.classes.index(rho), cnt * centralizer_order(rho)) for rho, cnt in census.items()]
-    return {rho: sum(w * int(inner[a, b]) for a, w in weights) for b, rho in enumerate(table.classes)}
+    return tuple(sum(w * int(inner[a, b]) for a, w in weights) for b in range(len(table.classes)))
 
 
 def pipeline_trace_collapsed(p: Pipeline) -> int:
@@ -824,17 +809,17 @@ def pipeline_trace_collapsed(p: Pipeline) -> int:
         raise BoundExceededError(f"collapsed trace of {p.label}: n exceeds {COLLAPSED_DEGREE_LIMIT}")
     iso, right, left = _collapsed_template(p)
     n = p.n
-    census, left_order = _left_census(n, tuple(left))
-    factor_t = [_factor_contraction(n, iso[f], right.get(f)) for f in range(p.k)]
-    grand = sum(cnt * prod(t[rho] for t in factor_t) for rho, cnt in census.items())
-    numer = grand * prod(hook_dimension(iso[f]) for f in range(p.k))
+    terms, left_order = _left_census(n, tuple(left))
+    for f in range(p.k):  # census(rho) * prod_f T_f(rho), class by class
+        terms = map(mul, terms, _factor_contraction(n, iso[f], right.get(f)))
+    numer = sum(terms) * prod(map(hook_dimension, iso.values()))
     denom = left_order * factorial(n) ** p.k * prod(g.order() for g in right.values())
-    value = Fraction(numer, denom)
-    if value.denominator != 1:
-        raise ConsistencyError(f"collapsed trace of {p.label} is not integral: {value}")
+    value, rest = divmod(numer, denom)
+    if rest:
+        raise ConsistencyError(f"collapsed trace of {p.label} is not integral: {Fraction(numer, denom)}")
     if value < 0:
         raise ConsistencyError(f"collapsed trace of {p.label} is negative: {value}")
-    return int(value)
+    return value
 
 
 def truncated_kron_trace(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -25,16 +25,12 @@ from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition, enumerate_partitions
 from .projectors import (
     BatchEvaluator,
-    DiagonalAverage,
-    InvariantAverage,
     Isotypic,
     Pipeline,
     StateVector,
     _limb_norm_sq,
     _limb_split,
     _stage_kernel,
-    apply_invariant_average,
-    apply_isotypic,
     apply_pipeline,
 )
 from .ratlinalg import echelon, rref_kernel
@@ -86,39 +82,6 @@ class MonteCarloRun:
 
 def _part_str(lam: Partition) -> str:
     return ",".join(map(str, lam))
-
-
-def weak_fourier_sample(
-    state: StateVector, factor: int
-) -> list[tuple[Partition, Fraction, StateVector]]:
-    """Measurement statistics of the isotypic PVM on one factor:
-    (shape, probability, post-measurement state) for every outcome.
-    Probabilities are exact and sum to 1."""
-    if state.is_zero():
-        raise InputError("cannot measure the zero state")
-    norm = state.norm_sq()
-    out = []
-    total = Fraction(0)
-    for lam in enumerate_partitions(state.n):
-        post = apply_isotypic(state, factor, lam)
-        prob = post.norm_sq() / norm
-        total += prob
-        out.append((lam, prob, post))
-    if total != 1:
-        raise ConsistencyError(f"isotypic outcome probabilities sum to {total}")
-    return out
-
-
-def gpe_accept_probability(
-    state: StateVector, stage: InvariantAverage | DiagonalAverage
-) -> tuple[Fraction, StateVector, StateVector]:
-    """Binary invariant-average measurement: returns (accept probability,
-    accept post-state, reject post-state), all exact and unnormalized."""
-    if state.is_zero():
-        raise InputError("cannot measure the zero state")
-    post = apply_invariant_average(state, stage)
-    p = post.norm_sq() / state.norm_sq()
-    return p, post, state.minus(post)
 
 
 def acceptance_probability(p: Pipeline, witness: StateVector) -> Fraction:

@@ -1,7 +1,8 @@
 """Test-only helpers: permutations from cycle notation, a subgroup
-membership test independent of the enumeration, basis states, stage
-kernels built from the scalar reference tables, and perturbed stage
-elements.  The package itself needs none of them."""
+membership test independent of the enumeration, basis states, one-stage
+projections of a state, stage kernels built from the scalar reference
+tables, perturbed stage elements, and the partition check's reference
+loop.  The package itself needs none of them."""
 
 import itertools
 from functools import lru_cache
@@ -14,7 +15,7 @@ from kronlab.characters import character_table
 from kronlab.errors import InputError
 from kronlab.partitions import enumerate_partitions, hook_dimension
 from kronlab.permutations import all_perms, check_perm, enumerate_subgroup, identity, perm_ranks, wreath_embed
-from kronlab.projectors import Isotypic, StateVector, _FactorKernel
+from kronlab.projectors import Isotypic, Pipeline, StateVector, _FactorKernel, apply_pipeline
 
 
 def from_cycles(n, cycles):
@@ -53,6 +54,17 @@ def basis_state(n, perms):
     ranks = perm_ranks(np.array(perms, dtype=np.int64).reshape(len(perms), n) - 1).tolist()
     flat = sum(r * factorial(n) ** i for i, r in enumerate(reversed(ranks)))
     return StateVector(n, len(perms), {flat: 1})
+
+
+def apply_isotypic(state, factor, lam):
+    """Weak-Fourier-sampling projector on one factor:
+    (d(lam)/n!) sum_g chi_lam(g) L_g."""
+    return apply_pipeline(Pipeline(state.n, state.k, (Isotypic(factor, lam),), f"isotypic({factor})"), state)
+
+
+def apply_invariant_average(state, stage):
+    """(1/|G|) sum over the stage's group of its action on the state."""
+    return apply_pipeline(Pipeline(state.n, state.k, (stage,), "invariant_average"), state)
 
 
 @lru_cache(maxsize=None)
@@ -94,3 +106,15 @@ def perturbed(kern, changes):
 def cycle_rank(n, *cycle):
     """all_perms rank of the cycle of S_n, e.g. cycle_rank(4, 1, 2, 3)."""
     return all_perms(n).index(from_cycles(n, [cycle]))
+
+
+def reference_check_partition(parts):
+    """The partition check as one loop over the parts: the first part that
+    is not positive, or that a later part exceeds, raises."""
+    lam = tuple(int(p) for p in parts)
+    for i, p in enumerate(lam):
+        if p < 1:
+            raise InputError(f"partition parts must be positive, got {lam}")
+        if i + 1 < len(lam) and lam[i + 1] > p:
+            raise InputError(f"partition parts must be weakly decreasing, got {lam}")
+    return lam

@@ -102,6 +102,24 @@ def test_character_oracles_read_the_table_on_every_call(oracle, args):
     assert seen["characters", "character_table"] == 3
 
 
+def test_warm_kron_row_validates_each_partition_once():
+    # one `verify kron-all` row at n = 8 with its memos warm: the pipeline
+    # and the oracle each check the triple once (13 checks when every
+    # stage and group validated its shape again), and the class sum reads
+    # three table rows, not 3 p(n) values one lookup at a time
+    triple = ((4, 2, 1, 1), (3, 3, 2), (5, 2, 1))
+
+    def row():
+        kron_char(*triple)
+        pipeline_trace_collapsed(kron_pipeline(*triple))
+
+    row()
+    seen = calls(row)
+    assert seen["partitions", "check_partition"] <= 6
+    assert seen["characters", "CharacterTable.chi"] == 0
+    assert seen["characters", "character_table"] == 1
+
+
 @pytest.mark.parametrize("group", [full_group(8), young_subgroup((4, 3, 1))], ids=lambda g: g.label())
 def test_closed_form_census_enumerates_nothing(group):
     seen = reached(class_census, group)

@@ -1,8 +1,11 @@
+from itertools import combinations_with_replacement
 from itertools import permutations as iter_permutations
 from math import comb
 
 import pytest
 
+from kronlab import oracles
+from kronlab.characters import CharacterTable, character_table
 from kronlab.errors import BoundExceededError, InputError
 from kronlab.oracles import (
     CoefficientResult,
@@ -35,6 +38,23 @@ class TestKroneckerCharacterOracle:
         assert kron_char((2, 1), (2, 1), (2, 1)).value == 1
         assert kron_char((2, 1), (3,), (1, 1, 1)).value == 0
         assert kron_char((2, 1), (2, 1), (3,)).value == 1
+
+    def test_rows_come_from_the_table_served_on_each_call(self, monkeypatch):
+        # the rows of (3,1) and (2,2) swapped at n = 4 move 8 of the 35
+        # unordered triples; a memo keyed by n would keep the true values
+        triples = list(combinations_with_replacement(enumerate_partitions(4), 3))
+        true = {t: kron_char(*t).value for t in triples}
+        table = character_table(4)
+        rows = {**table.values}
+        for rho in table.classes:
+            rows[(3, 1), rho], rows[(2, 2), rho] = table.chi((2, 2), rho), table.chi((3, 1), rho)
+        swapped = CharacterTable(4, table.partitions, table.classes, table.class_sizes, rows)
+        monkeypatch.setattr(oracles, "character_table", lambda n: swapped)
+        changed = [t for t in triples if kron_char(*t).value != true[t]]
+        assert len(triples) == 35 and len(changed) == 8
+        assert all({(3, 1), (2, 2)} & set(t) for t in changed)
+        monkeypatch.undo()
+        assert {t: kron_char(*t).value for t in triples} == true
 
     def test_symmetric_under_argument_permutations(self):
         for n in (3, 4, 5):

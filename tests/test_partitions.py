@@ -1,6 +1,10 @@
 from math import comb, factorial
 
+import numpy as np
 import pytest
+from helpers import reference_check_partition
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from ssyt_reference import content, enumerate_ssyt, is_semistandard, is_standard, shape_of
 
 from kronlab.errors import BoundExceededError, InputError
@@ -56,6 +60,52 @@ class TestEnumeration:
             check_partition((1, 2))
         with pytest.raises(InputError):
             check_partition((2, 0))
+
+
+def _outcome(check, parts):
+    """check(parts), or the message of the InputError it raises."""
+    try:
+        return check(parts)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestCheckPartition:
+    """check_partition takes one sorted comparison on valid input and
+    scans only invalid input; the reference is the plain loop over the
+    parts, so every result and every message, including which fault is
+    named first, must match it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parts=st.lists(st.integers(-3, 6), max_size=7))
+    @example(parts=[])
+    @example(parts=[0])
+    @example(parts=[3, 3, 1])
+    def test_matches_the_reference_loop(self, parts):
+        expected = _outcome(reference_check_partition, parts)
+        for given_as in (parts, tuple(parts), np.array(parts, dtype=np.int64), iter(parts)):
+            assert _outcome(check_partition, given_as) == expected
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((2, 0, 1), "partition parts must be positive, got (2, 0, 1)"),
+            ((1, 2, 0), "partition parts must be weakly decreasing, got (1, 2, 0)"),
+            ((3, -1, 2), "partition parts must be positive, got (3, -1, 2)"),
+            ((0, 2), "partition parts must be positive, got (0, 2)"),
+            ((2, 1, 3, 0), "partition parts must be weakly decreasing, got (2, 1, 3, 0)"),
+            ((3, 3, -2), "partition parts must be positive, got (3, 3, -2)"),
+        ],
+    )
+    def test_mixed_faults_name_the_first(self, parts, message):
+        with pytest.raises(InputError) as exc:
+            check_partition(parts)
+        assert str(exc.value) == message
+        assert _outcome(reference_check_partition, parts) == f"InputError: {message}"
+
+    def test_canonical_ints(self):
+        lam = check_partition([np.int64(3), True, 1.0])
+        assert lam == (3, 1, 1) and all(type(p) is int for p in lam)
 
 
 class TestDiagramEncoding:

@@ -15,6 +15,8 @@ from collapsed_reference import reference_shifted_class_counts
 from algebra_reference import reference_algebra
 from groupsum_reference import apply_action, reference_orbit_sizes, reference_pipeline, reference_stage, state_of
 from helpers import (
+    apply_invariant_average,
+    apply_isotypic,
     basis_state,
     cycle_rank,
     from_cycles,
@@ -25,7 +27,7 @@ from helpers import (
 )
 
 import kronlab
-from kronlab import projectors
+from kronlab import partitions, projectors
 from kronlab.characters import cache_settings
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
@@ -47,8 +49,6 @@ from kronlab.projectors import (
     PermIndex,
     Pipeline,
     StateVector,
-    apply_invariant_average,
-    apply_isotypic,
     apply_pipeline,
     check_projector_algebra,
     kron_pipeline,
@@ -202,6 +202,30 @@ class TestPipelineConstruction:
         assert p.stages[1].group.kind == "young" and p.stages[1].group.shape == (3, 3)
         assert p.stages[2].group.kind == "block_perms"
         assert p.stages[3].group.shape == (4, 2)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [list, lambda lam: np.array(lam, dtype=np.int64), lambda lam: [np.int32(p) for p in lam]],
+        ids=["list", "ndarray", "numpy-ints"],
+    )
+    def test_memos_share_only_canonical_values(self, convert):
+        # the stage and hook-dimension memos are keyed by tuples of ints, so
+        # a list or numpy input seen first gives the tuple call equal values
+        for memo in (projectors._shape_stages, projectors._block_stages, partitions._hook_dimension):
+            memo.cache_clear()
+        triple = ((3, 1), (2, 2), (2, 1, 1))
+        got = [
+            kron_pipeline(*map(convert, triple)),
+            pleth_pipeline(np.int64(2), np.int64(3), convert((4, 2))),
+            young_subgroup(convert((3, 1))),
+            hook_dimension(convert((3, 1))),
+        ]
+        expected = [kron_pipeline(*triple), pleth_pipeline(2, 3, (4, 2)), young_subgroup((3, 1)), 3]
+        assert got == expected
+        assert type(hook_dimension((3, 1))) is int
+        shapes = [stage.shape for stage in expected[0].stages[:3] + expected[1].stages[:1]]
+        shapes += [stage.group.shape for stage in expected[0].stages[4:] + expected[1].stages[1:]]
+        assert all(type(part) is int for shape in shapes for part in shape)
 
     def test_size_mismatch(self):
         with pytest.raises(InputError):

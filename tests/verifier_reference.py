@@ -6,9 +6,45 @@ StateVector and take its probability from `norm_sq`."""
 
 from fractions import Fraction
 
-from kronlab.errors import ConsistencyError
-from kronlab.projectors import Isotypic, Pipeline, StateVector, apply_invariant_average
-from kronlab.protocol import StageRecord, VerifierOutcome, _part_str, weak_fourier_sample
+from helpers import apply_invariant_average, apply_isotypic
+
+from kronlab.errors import ConsistencyError, InputError
+from kronlab.partitions import Partition, enumerate_partitions
+from kronlab.projectors import DiagonalAverage, InvariantAverage, Isotypic, Pipeline, StateVector
+from kronlab.protocol import StageRecord, VerifierOutcome, _part_str
+
+
+def weak_fourier_sample(
+    state: StateVector, factor: int
+) -> list[tuple[Partition, Fraction, StateVector]]:
+    """Measurement statistics of the isotypic PVM on one factor:
+    (shape, probability, post-measurement state) for every outcome.
+    Probabilities are exact and sum to 1."""
+    if state.is_zero():
+        raise InputError("cannot measure the zero state")
+    norm = state.norm_sq()
+    out = []
+    total = Fraction(0)
+    for lam in enumerate_partitions(state.n):
+        post = apply_isotypic(state, factor, lam)
+        prob = post.norm_sq() / norm
+        total += prob
+        out.append((lam, prob, post))
+    if total != 1:
+        raise ConsistencyError(f"isotypic outcome probabilities sum to {total}")
+    return out
+
+
+def gpe_accept_probability(
+    state: StateVector, stage: InvariantAverage | DiagonalAverage
+) -> tuple[Fraction, StateVector, StateVector]:
+    """Binary invariant-average measurement: returns (accept probability,
+    accept post-state, reject post-state), all exact and unnormalized."""
+    if state.is_zero():
+        raise InputError("cannot measure the zero state")
+    post = apply_invariant_average(state, stage)
+    p = post.norm_sq() / state.norm_sq()
+    return p, post, state.minus(post)
 
 
 def reference_branch_distribution(
