@@ -10,14 +10,11 @@ __version__ = "0.1.0"
 
 from .errors import BoundExceededError, ConsistencyError, InputError, KronlabError
 from .partitions import (
-    decode_diagram,
     encode_diagram,
     enumerate_partitions,
     enumerate_syt,
     hook_dimension,
-    is_horizontal_strip,
     kostka,
-    schur_dim_gl,
     transpose,
 )
 from .permutations import (
@@ -26,7 +23,6 @@ from .permutations import (
     centralizer_order,
     compose,
     cycle_type,
-    decode_permutation,
     encode_permutation,
     enumerate_subgroup,
     full_group,

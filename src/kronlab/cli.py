@@ -13,6 +13,7 @@ bytes, so timings are never included.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -180,11 +181,15 @@ def _compared(row: dict, expected: int, got: int) -> dict:
 
 
 def _triples(n: int):
-    """Every triple of partitions of n in itertools.product order, listed lazily."""
-    for lam in iter_partitions(n):
-        for mu in iter_partitions(n):
-            for nu in iter_partitions(n):
-                yield lam, mu, nu
+    """Every triple of partitions of n in itertools.product order.  The
+    first, (n) three times, comes before the partitions are listed, so a
+    sweep refused on its first row lists none; the rest come from one list."""
+    parts = iter_partitions(n)
+    first = next(parts)
+    yield first, first, first
+    rest = itertools.product([first, *parts], repeat=3)
+    next(rest)
+    yield from rest
 
 
 def _kron_all_rows(args):

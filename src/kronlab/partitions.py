@@ -13,7 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial
@@ -139,24 +138,6 @@ def encode_diagram(lam: Partition) -> str:
     return "".join("1" if i in breaks else "0" for i in range(1, n))
 
 
-def decode_diagram(bits: str) -> Partition:
-    """Inverse of encode_diagram; rejects strings that are not a partition."""
-    if any(c not in "01" for c in bits):
-        raise InputError(f"diagram encoding must be 0/1 characters, got {bits!r}")
-    n = len(bits) + 1
-    rows = []
-    prev = 0
-    for i, c in enumerate(bits, start=1):
-        if c == "1":
-            rows.append(i - prev)
-            prev = i
-    rows.append(n - prev)
-    lam = tuple(rows)
-    if any(lam[i + 1] > lam[i] for i in range(len(lam) - 1)):
-        raise InputError(f"bits {bits!r} decode to non-monotone rows {lam}")
-    return lam
-
-
 def row_word(tab: Tableau) -> tuple[int, ...]:
     return tuple(x for row in tab for x in row)
 
@@ -259,36 +240,3 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
                 below[nu] = below.get(nu, 0) + ways
         level = below
     return level.get((), 0)
-
-
-def contains(mu: Partition, lam: Partition) -> bool:
-    """mu fits inside lam as a diagram."""
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
-
-
-def is_horizontal_strip(mu: Partition, lam: Partition) -> bool:
-    """True iff mu is contained in lam and lam \\ mu has at most one box per column."""
-    if not contains(mu, lam):
-        return False
-    lamt, mut = transpose(lam), transpose(mu)
-    return all(lamt[i] - (mut[i] if i < len(mut) else 0) <= 1 for i in range(len(lamt)))
-
-
-def schur_dim_gl(lam: Partition, num_vars: int) -> int:
-    """Dimension of the irreducible GL_N representation of type lam,
-    N = num_vars, via the content/hook product.  Zero when the diagram
-    has more rows than N."""
-    if num_vars < 1:
-        raise InputError("num_vars must be positive")
-    if len(lam) > num_vars:
-        return 0
-    hooks = hook_lengths(lam)
-    value = Fraction(1)
-    for i in range(len(lam)):
-        for j in range(lam[i]):
-            value *= Fraction(num_vars + j - i, hooks[i][j])
-    if value.denominator != 1:
-        raise AssertionError(f"content/hook product not integral for {lam}, N={num_vars}")
-    return int(value)

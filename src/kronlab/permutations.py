@@ -279,21 +279,3 @@ def encode_permutation(pi: Perm) -> str:
         row[pi[i] - 1] = "1"
         rows.append("".join(row))
     return "".join(rows)
-
-
-def decode_permutation(bits: str) -> Perm:
-    """Inverse of encode_permutation; rejects non permutation matrices."""
-    if any(c not in "01" for c in bits):
-        raise InputError("permutation encoding must be 0/1 characters")
-    n = round(len(bits) ** 0.5)
-    if n * n != len(bits):
-        raise InputError(f"encoding length {len(bits)} is not a square")
-    images = []
-    for i in range(n):
-        row = bits[i * n : (i + 1) * n]
-        if row.count("1") != 1:
-            raise InputError(f"row {i + 1} of the matrix is not one-hot")
-        images.append(row.index("1") + 1)
-    if sorted(images) != list(range(1, n + 1)):
-        raise InputError("matrix columns are not one-hot")
-    return tuple(images)

@@ -17,7 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .projectors import (
     Isotypic,
     Pipeline,
     StateVector,
+    _limb_join,
     _limb_norm_sq,
     _limb_split,
     _stage_kernel,
@@ -41,20 +44,39 @@ _SEED_STRIDE = 1_000_003  # per-shot seed = seed * stride + shot index
 
 @dataclass
 class WitnessSpaces:
-    """Exact bases of the accepting subspace (image of the composed
-    projector) and the rejecting subspace (its kernel)."""
+    """The accepting subspace (image of the composed projector) and the
+    rejecting subspace (its kernel), held as the echelon rows and pivot
+    columns of the operator's row space: row i over its pivot entry is
+    row i of the reduced row-echelon form.  The exact bases are built
+    from them on first read."""
 
     pipeline: Pipeline
-    accepting_basis: list[StateVector]
-    rejecting_basis: list[StateVector]
+    rows: list[list[int]]
+    pivots: list[int]
 
     @property
     def dim_accept(self) -> int:
-        return len(self.accepting_basis)
+        return len(self.pivots)
 
     @property
     def dim_reject(self) -> int:
-        return len(self.rejecting_basis)
+        return self.pipeline.dim - len(self.pivots)
+
+    @cached_property
+    def accepting_basis(self) -> list[StateVector]:
+        """One vector per echelon row: the row over its pivot entry."""
+        p = self.pipeline
+        return [
+            StateVector(p.n, p.k, {j: x for j, x in enumerate(row) if x}, row[pc])
+            for row, pc in zip(self.rows, self.pivots)
+        ]
+
+    @cached_property
+    def rejecting_basis(self) -> list[StateVector]:
+        """One vector per free column, as rref_kernel reads them off the rows."""
+        p = self.pipeline
+        kernel, den = rref_kernel(self.rows, self.pivots, p.dim)
+        return [StateVector(p.n, p.k, vec, den) for vec in kernel]
 
 
 @dataclass
@@ -88,11 +110,26 @@ def acceptance_probability(p: Pipeline, witness: StateVector) -> Fraction:
     """Single-shot form: apply the composed operator once and take
     <psi|E psi>/<psi|psi>.  Deferring all intermediate measurements to
     the end gives the same acceptance probability as the sequential
-    protocol; the test suite asserts the two agree."""
+    protocol; the test suite asserts the two agree.
+
+    The witness's numerators x go through every stage as one batch of
+    limb rows, giving E x over the evaluator's denominator; <x|E x> is one
+    int64 dot product when that cannot overflow, and a sum of Python ints
+    otherwise.  The witness's own denominator cancels."""
     if witness.is_zero():
         raise InputError("witness must be nonzero")
-    out = apply_pipeline(p, witness)
-    return witness.inner(out) / witness.norm_sq()
+    if (p.n, p.k) != (witness.n, witness.k):
+        raise InputError(f"{p.label} acts on (n, k) = {(p.n, p.k)}, not {(witness.n, witness.k)}")
+    ev = BatchEvaluator(p)
+    x, width = _limb_split(witness.nums, p.dim, prod(kern.l1 for kern in ev.kernels), p.label)
+    y = ev.apply(x, start_max_abs=1 << width)
+    if len(x) == 1 and int(np.abs(x).max()) * int(np.abs(y).max(initial=0)) * p.dim < 2**63:
+        inner = int(x[0].astype(np.int64) @ y[0])
+    else:
+        cols, vals = _limb_join(y, width)
+        image = dict(zip(cols.tolist(), vals))
+        inner = sum(v * image.get(f, 0) for f, v in witness.nums.items())
+    return Fraction(inner, ev.denominator * _limb_norm_sq(x, width))
 
 
 def run_verifier(
@@ -189,8 +226,16 @@ def _monte_carlo(spine: list[StageRecord], p_accept: Fraction, seed: int, shots:
     witness, so the per-stage conditional distributions are fixed; a shot
     walks the spine, continuing past each stage with its exact conditional
     probability (converted to float only for the draw).  A spine that ends
-    at a probability-0 stage rejects every shot there."""
+    at a probability-0 stage rejects every shot there.
+
+    A draw lies in [0, 1), so it always passes a float condition of 1.0
+    and never passes one of 0.0: a spine whose conditions are all 1.0
+    accepts every shot, one with a 0.0 rejects every shot, and neither
+    seeds a generator."""
     conds = [float(rec.prob) for rec in spine]
+    certain = min(conds, default=1.0)
+    if certain in (0.0, 1.0):
+        return MonteCarloRun(shots, shots if certain else 0, seed, p_accept)
     accepts = 0
     for shot in range(shots):
         rng = random.Random(seed * _SEED_STRIDE + shot)
@@ -199,15 +244,16 @@ def _monte_carlo(spine: list[StageRecord], p_accept: Fraction, seed: int, shots:
 
 
 def witness_spaces(p: Pipeline) -> WitnessSpaces:
-    """Exact bases for the accepting subspace A = im(E) and the rejecting
-    subspace R = ker(E) = im(I - E).
+    """The accepting subspace A = im(E) and the rejecting subspace
+    R = ker(E) = im(I - E), as echelon rows and pivots.
 
     Materializes the composed operator column by column (the batch
     evaluator applied to the identity); E is a projector, so its trace is
     its rank r.  The reduced row-echelon form of r independent rows yields
-    both bases: its rows span the image (the operator is symmetric), its
-    free columns give the kernel.  Bounded by WITNESS_SPACE_DIM_LIMIT
-    because the operator is dense."""
+    both spaces: its rows span the image (the operator is symmetric), its
+    free columns give the kernel.  Every call checks that the r rows span
+    every column; the bases are built only when read.  Bounded by
+    WITNESS_SPACE_DIM_LIMIT because the operator is dense."""
     dim = p.dim
     if dim > WITNESS_SPACE_DIM_LIMIT:
         raise BoundExceededError(
@@ -218,17 +264,11 @@ def witness_spaces(p: Pipeline) -> WitnessSpaces:
     den = ev.denominator
     columns = ev.apply(np.eye(dim))
     # columns[b, t] = E[t, b] * den; E symmetric so this is also E[b, t] * den
-    trace = sum(int(columns[i, i]) for i in range(dim))
+    trace = sum(columns.diagonal().tolist())  # Python ints: dim entries below 2^53 can pass 2^63
     if trace % den:
         raise ConsistencyError("trace of composed operator is not integral")
     # the common factor den leaves the reduced row-echelon form unchanged
-    rows, pivots = _image_rows(columns, trace // den)
-    # row i over its pivot entry is row i of the reduced row-echelon form
-    nonzero = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    accepting = [StateVector(p.n, p.k, nums, row[pc]) for nums, row, pc in zip(nonzero, rows, pivots)]
-    kernel, kernel_den = rref_kernel(rows, pivots, dim)
-    rejecting = [StateVector(p.n, p.k, vec, kernel_den) for vec in kernel]
-    return WitnessSpaces(p, accepting, rejecting)
+    return WitnessSpaces(p, *_image_rows(columns, trace // den))
 
 
 def _image_rows(columns: np.ndarray, rank: int) -> tuple[list[list[int]], list[int]]:
@@ -261,30 +301,46 @@ def _image_rows(columns: np.ndarray, rank: int) -> tuple[list[list[int]], list[i
 
 def sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:
     """Pseudo-random rational witness: a small-integer combination
-    (coefficients in [-9, 9]) of the requested basis.  Deterministic for
-    a given seed, never zero."""
+    (coefficients in [-9, 9], one draw per basis vector) of the requested
+    basis.  Deterministic for a given seed, never zero.
+
+    A rejecting witness is summed straight from the echelon rows, without
+    building the rejecting basis: with a_i = row_i[pc_i] and
+    den = lcm(a_i), the combination sum_fc c_fc v_fc of rref_kernel's
+    vectors is c_fc den at each free column fc and
+    -(den / a_i) sum_fc c_fc row_i[fc] at pivot column pc_i."""
     if which == "accept":
-        basis = ws.accepting_basis
+        size = ws.dim_accept
     elif which == "reject":
-        basis = ws.rejecting_basis
+        size = ws.dim_reject
     else:
         raise InputError(f"which must be 'accept' or 'reject', got {which!r}")
-    if not basis:
+    if not size:
         raise InputError(f"the {which}ing subspace is empty")
     rng = random.Random(seed)
     while True:
-        coeffs = [rng.randint(-9, 9) for _ in basis]
+        coeffs = [rng.randint(-9, 9) for _ in range(size)]
         if any(coeffs):
             break
-    # one integer sum over the common denominator, normalised once
-    den = lcm(*(vec.den for vec in basis))
+    p = ws.pipeline
     nums: dict[int, int] = {}
-    for c, vec in zip(coeffs, basis):
-        if c:
-            scale = c * (den // vec.den)
-            for f, v in vec.nums.items():
-                nums[f] = nums.get(f, 0) + scale * v
-    out = StateVector(ws.pipeline.n, ws.pipeline.k, nums, den)
+    if which == "accept":
+        # one integer sum over the common denominator, normalised once
+        den = lcm(*(vec.den for vec in ws.accepting_basis))
+        for c, vec in zip(coeffs, ws.accepting_basis):
+            if c:
+                scale = c * (den // vec.den)
+                for f, v in vec.nums.items():
+                    nums[f] = nums.get(f, 0) + scale * v
+    else:
+        den = lcm(1, *(row[pc] for row, pc in zip(ws.rows, ws.pivots)))
+        dense = [0] * p.dim  # c_fc at each free column, 0 at the pivots
+        for fc, c in zip(sorted(set(range(p.dim)).difference(ws.pivots)), coeffs):
+            dense[fc] = c
+            nums[fc] = c * den
+        for row, pc in zip(ws.rows, ws.pivots):
+            nums[pc] = -(den // row[pc]) * sum(map(mul, dense, row))
+    out = StateVector(p.n, p.k, nums, den)
     if out.is_zero():
         # the random combination landed in a linear relation; basis vectors
         # are independent so this cannot happen, but fail loudly if it does

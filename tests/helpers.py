@@ -1,10 +1,13 @@
 """Test-only helpers: permutations from cycle notation, a subgroup
 membership test independent of the enumeration, basis states, one-stage
 projections of a state, stage kernels built from the scalar reference
-tables, perturbed stage elements, and the partition check's reference
-loop.  The package itself needs none of them."""
+tables, perturbed stage elements, the partition check's reference loop,
+the decoders inverse to the `encode` command's encoders, diagram
+containment and horizontal strips, and GL_N dimensions by the
+content/hook product.  The package itself needs none of them."""
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -13,7 +16,7 @@ from collapsed_reference import reference_index_tables
 
 from kronlab.characters import character_table
 from kronlab.errors import InputError
-from kronlab.partitions import enumerate_partitions, hook_dimension
+from kronlab.partitions import enumerate_partitions, hook_dimension, hook_lengths, transpose
 from kronlab.permutations import all_perms, check_perm, enumerate_subgroup, identity, perm_ranks, wreath_embed
 from kronlab.projectors import Isotypic, Pipeline, StateVector, _FactorKernel, apply_pipeline
 
@@ -118,3 +121,72 @@ def reference_check_partition(parts):
         if i + 1 < len(lam) and lam[i + 1] > p:
             raise InputError(f"partition parts must be weakly decreasing, got {lam}")
     return lam
+
+
+def decode_diagram(bits):
+    """Inverse of encode_diagram; rejects strings that are not a partition."""
+    if any(c not in "01" for c in bits):
+        raise InputError(f"diagram encoding must be 0/1 characters, got {bits!r}")
+    n = len(bits) + 1
+    rows = []
+    prev = 0
+    for i, c in enumerate(bits, start=1):
+        if c == "1":
+            rows.append(i - prev)
+            prev = i
+    rows.append(n - prev)
+    lam = tuple(rows)
+    if any(lam[i + 1] > lam[i] for i in range(len(lam) - 1)):
+        raise InputError(f"bits {bits!r} decode to non-monotone rows {lam}")
+    return lam
+
+
+def diagram_contains(mu, lam):
+    """mu fits inside lam as a diagram."""
+    if len(mu) > len(lam):
+        return False
+    return all(mu[i] <= lam[i] for i in range(len(mu)))
+
+
+def is_horizontal_strip(mu, lam):
+    """True iff mu is contained in lam and lam \\ mu has at most one box per column."""
+    if not diagram_contains(mu, lam):
+        return False
+    lamt, mut = transpose(lam), transpose(mu)
+    return all(lamt[i] - (mut[i] if i < len(mut) else 0) <= 1 for i in range(len(lamt)))
+
+
+def schur_dim_gl(lam, num_vars):
+    """Dimension of the irreducible GL_N representation of type lam,
+    N = num_vars, via the content/hook product.  Zero when the diagram
+    has more rows than N."""
+    if num_vars < 1:
+        raise InputError("num_vars must be positive")
+    if len(lam) > num_vars:
+        return 0
+    hooks = hook_lengths(lam)
+    value = Fraction(1)
+    for i in range(len(lam)):
+        for j in range(lam[i]):
+            value *= Fraction(num_vars + j - i, hooks[i][j])
+    if value.denominator != 1:
+        raise AssertionError(f"content/hook product not integral for {lam}, N={num_vars}")
+    return int(value)
+
+
+def decode_permutation(bits):
+    """Inverse of encode_permutation; rejects non permutation matrices."""
+    if any(c not in "01" for c in bits):
+        raise InputError("permutation encoding must be 0/1 characters")
+    n = round(len(bits) ** 0.5)
+    if n * n != len(bits):
+        raise InputError(f"encoding length {len(bits)} is not a square")
+    images = []
+    for i in range(n):
+        row = bits[i * n : (i + 1) * n]
+        if row.count("1") != 1:
+            raise InputError(f"row {i + 1} of the matrix is not one-hot")
+        images.append(row.index("1") + 1)
+    if sorted(images) != list(range(1, n + 1)):
+        raise InputError("matrix columns are not one-hot")
+    return tuple(images)

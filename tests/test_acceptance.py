@@ -7,6 +7,8 @@ line per criterion.
 import math
 import time
 
+from helpers import schur_dim_gl
+
 from kronlab.characters import character_table
 from kronlab.oracles import kron_char, pleth_wreath, scaled_kron
 from kronlab.partitions import (
@@ -14,7 +16,6 @@ from kronlab.partitions import (
     encode_diagram,
     hook_dimension,
     kostka,
-    schur_dim_gl,
 )
 from kronlab.permutations import enumerate_subgroup, young_subgroup
 from kronlab.projectors import (

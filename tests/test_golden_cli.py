@@ -41,6 +41,7 @@ CASES = {
     "verify-algebra-2": ["verify", "algebra", "2"],
     "verify-algebra-3": ["verify", "algebra", "3"],
     "verify-protocol-2": ["verify", "protocol", "2", "--seed", "1", "--shots", "50"],
+    "verify-protocol-3": ["verify", "protocol", "3", "--seed", "1", "--shots", "100"],
     "chartable-5": ["chartable", "5"],
     "dims-4": ["dims", "4"],
     "kostka": ["kostka", "3,2,1", "2,2,1,1"],

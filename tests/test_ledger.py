@@ -3,12 +3,14 @@ the kronlab functions it enters are recorded.  Routes that cross-check
 one another must not share the code whose correctness they check; these
 assertions keep that design rule from being only prose."""
 
+import random
 import sys
 from collections import Counter
 
 import pytest
 from helpers import basis_state
 
+from kronlab import protocol
 from kronlab.oracles import kron_char, kron_invariant_def, pleth_wreath
 from kronlab.permutations import class_census, cycle_type_census, full_group, young_subgroup
 from kronlab.projectors import (
@@ -18,6 +20,7 @@ from kronlab.projectors import (
     _member_vector,
     _shifted_class_counts,
     _stage_kernel,
+    StateVector,
     _trace_orbits,
     apply_pipeline,
     kron_pipeline,
@@ -28,6 +31,7 @@ from kronlab.projectors import (
     truncated_kron_pipeline,
 )
 from kronlab.protocol import run_verifier, sample_witness, witness_spaces
+from kronlab.ratlinalg import rref_kernel
 
 TRIPLE = ((2, 1), (2, 1), (2, 1))
 
@@ -156,6 +160,55 @@ def test_sequential_verifier_runs_one_batch():
     seen = calls(run_verifier, p, w, "exact")
     assert seen["projectors", "BatchEvaluator.__init__"] == 1
     assert seen["projectors", "StateVector.__post_init__"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rejecting_witness_builds_no_basis(seed):
+    # the witness is summed from the echelon rows: the one StateVector made
+    # is the one returned, and every call still runs the evaluator and the
+    # span check
+    p = kron_pipeline(*TRIPLE)
+    seen = calls(lambda: [sample_witness(witness_spaces(p), "reject", seed) for _ in range(2)])
+    assert seen["projectors", "StateVector.__post_init__"] == 2
+    assert seen["projectors", "BatchEvaluator.apply"] == 2
+    assert seen["protocol", "_image_rows"] == 2
+
+
+def test_rejecting_basis_is_rref_kernel_read_on_first_use():
+    p = kron_pipeline(*TRIPLE)
+    ws = witness_spaces(p)
+    assert "rejecting_basis" not in vars(ws) and "accepting_basis" not in vars(ws)
+    kernel, den = rref_kernel(ws.rows, ws.pivots, p.dim)
+    assert ws.rejecting_basis == [StateVector(p.n, p.k, vec, den) for vec in kernel]
+    assert ws.rejecting_basis is ws.rejecting_basis
+    assert ws.dim_reject == len(ws.rejecting_basis) == p.dim - ws.dim_accept
+
+
+def test_certain_monte_carlo_seeds_no_generator(monkeypatch):
+    # an accepting witness passes every stage with probability 1, so no
+    # shot needs a draw; a witness with a fractional stage draws per shot
+    p = kron_pipeline(*TRIPLE)
+    ws = witness_spaces(p)
+    made, real = [], random.Random
+    monkeypatch.setattr(protocol.random, "Random", lambda seed: made.append(seed) or real(seed))
+    accept = sample_witness(ws, "accept", 1)
+    mixed = accept.plus(sample_witness(ws, "reject", 2))
+    made.clear()
+    run = run_verifier(p, accept, "monte_carlo", seed=3, shots=50)
+    assert (run.accepts, made) == (50, [])
+    run_verifier(p, mixed, "monte_carlo", seed=3, shots=50)
+    assert len(made) == 50
+
+
+def test_single_shot_reads_no_spine():
+    # single-shot applies the composed operator; it must stay a second
+    # route beside the sequential verifier, not a reading of its spine
+    p = kron_pipeline(*TRIPLE)
+    ws = witness_spaces(p)
+    w = sample_witness(ws, "accept", 1).plus(sample_witness(ws, "reject", 2))
+    seen = calls(run_verifier, p, w, "single_shot")
+    assert seen["protocol", "_branch_distribution"] == 0
+    assert seen["projectors", "BatchEvaluator.apply"] == 1
 
 
 @pytest.mark.parametrize(

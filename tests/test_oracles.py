@@ -3,6 +3,7 @@ from itertools import permutations as iter_permutations
 from math import comb
 
 import pytest
+from helpers import schur_dim_gl
 
 from kronlab import oracles
 from kronlab.characters import CharacterTable, character_table
@@ -17,7 +18,6 @@ from kronlab.oracles import (
 from kronlab.partitions import (
     enumerate_partitions,
     hook_dimension,
-    schur_dim_gl,
     transpose,
 )
 

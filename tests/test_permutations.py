@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from helpers import contains, from_cycles
+from helpers import contains, decode_permutation, from_cycles
 
 from kronlab.errors import InputError
 from kronlab.partitions import enumerate_partitions
@@ -20,7 +20,6 @@ from kronlab.permutations import (
     compose,
     cycle_type,
     cycle_type_census,
-    decode_permutation,
     encode_permutation,
     enumerate_subgroup,
     SubgroupDescriptor,

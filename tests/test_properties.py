@@ -6,7 +6,7 @@ and random triples through every in-bound backend."""
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from unittest import mock
 
 import numpy as np
@@ -17,10 +17,15 @@ from helpers import perturbed
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from rref_reference import kernel, rref
-from verifier_reference import reference_branch_distribution
+from verifier_reference import (
+    reference_acceptance_probability,
+    reference_branch_distribution,
+    reference_monte_carlo,
+    reference_sample_witness,
+)
 
 from kronlab import projectors, protocol
-from kronlab.errors import ConsistencyError
+from kronlab.errors import ConsistencyError, InputError
 from kronlab.oracles import kron_char, kron_invariant_def
 from kronlab.partitions import enumerate_partitions
 from kronlab.permutations import all_perms, block_permutations, full_group, wreath_product, young_subgroup
@@ -42,7 +47,14 @@ from kronlab.projectors import (
     pleth_pipeline,
     truncated_kron_pipeline,
 )
-from kronlab.protocol import _image_rows, acceptance_probability, run_verifier, witness_spaces
+from kronlab.protocol import (
+    StageRecord,
+    _image_rows,
+    acceptance_probability,
+    run_verifier,
+    sample_witness,
+    witness_spaces,
+)
 from kronlab.ratlinalg import echelon, rref_kernel
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -252,6 +264,74 @@ def test_sequential_verifier_matches_reference(data, p):
     branches, spine, p_accept = reference_branch_distribution(p, w)
     assert repr(run_verifier(p, w, "exact")) == repr(branches)
     assert run_verifier(p, w, "monte_carlo", seed=1, shots=30) == protocol._monte_carlo(spine, p_accept, 1, 30)
+
+
+WITNESS_PIPELINES = [kron_pipeline(*t) for t in itertools.product(enumerate_partitions(3), repeat=3)] + [
+    pleth_pipeline(2, 2, lam) for lam in enumerate_partitions(4)
+]
+
+
+@given(p=st.sampled_from(WITNESS_PIPELINES), which=st.sampled_from(["accept", "reject"]), seed=st.integers(0, 1 << 40))
+@SETTINGS
+def test_sampled_witness_matches_reference(p, which, seed):
+    # the reject route sums the echelon rows without building the basis
+    ws = witness_spaces(p)
+    if not (ws.dim_accept if which == "accept" else ws.dim_reject):
+        with pytest.raises(InputError, match=f"the {which}ing subspace is empty"):
+            sample_witness(ws, which, seed)
+        return
+    assert sample_witness(ws, which, seed) == reference_sample_witness(ws, which, seed)
+
+
+@given(
+    data=st.data(),
+    p=st.sampled_from(WITNESS_PIPELINES),
+    seeds=st.tuples(st.integers(0, 1 << 30), st.integers(0, 1 << 30)),
+    shift=st.sampled_from([0, 24, 60]),
+)
+@SETTINGS
+def test_witness_verdicts_match_references(data, p, seeds, shift):
+    # numerators scaled by 2^24 fit one limb but may overflow the int64
+    # inner product; scaled by 2^60 they take at least two limbs
+    ws = witness_spaces(p)
+    a = data.draw(st.integers(-3, 3)) if ws.dim_accept else 0
+    r = data.draw(st.integers(-3, 3).filter(lambda r: r or a))
+    w = StateVector.zero(p.n, p.k)
+    if a:
+        w = w.plus(sample_witness(ws, "accept", seeds[0]).scaled(a))
+    if r:
+        w = w.plus(sample_witness(ws, "reject", seeds[1]).scaled(r))
+    w = StateVector(p.n, p.k, {f: v << shift for f, v in w.nums.items()}, w.den)
+    if shift == 60:
+        assert max(map(abs, w.nums.values())) >= 1 << 53
+    expected = reference_acceptance_probability(p, w)
+    assert acceptance_probability(p, w) == run_verifier(p, w, "single_shot") == expected
+    _, spine, p_accept = reference_branch_distribution(p, w)
+    assert p_accept == expected
+    mc = run_verifier(p, w, "monte_carlo", seed=seeds[0], shots=30)
+    assert mc == reference_monte_carlo(spine, p_accept, seeds[0], 30)
+
+
+CONDITIONS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 10**400), 1 - Fraction(1, 10**20)]),
+    st.fractions(0, 1),
+)
+
+
+@given(probs=st.lists(CONDITIONS, max_size=6), seed=st.integers(0, 1 << 30), shots=st.integers(0, 40))
+@example(probs=[], seed=3, shots=7)
+@example(probs=[Fraction(1)] * 4, seed=3, shots=7)
+@example(probs=[Fraction(1), 1 - Fraction(1, 10**20)], seed=3, shots=7)  # float 1.0: every draw passes
+@example(probs=[Fraction(1, 2), Fraction(0)], seed=3, shots=7)
+@example(probs=[Fraction(1), Fraction(1, 10**400)], seed=3, shots=7)  # float 0.0: no draw passes
+@example(probs=[Fraction(1, 3), Fraction(1), Fraction(2, 3)], seed=3, shots=40)
+@SETTINGS
+def test_monte_carlo_matches_drawing_reference(probs, seed, shots):
+    # spines whose float conditions are all 1.0, or hold a 0.0, are decided
+    # without drawing; every other spine draws as the reference does
+    spine = [StageRecord("invariant", "accept", q) for q in probs]
+    p_accept = prod(probs, start=Fraction(1))
+    assert protocol._monte_carlo(spine, p_accept, seed, shots) == reference_monte_carlo(spine, p_accept, seed, shots)
 
 
 @st.composite

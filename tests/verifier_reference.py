@@ -1,17 +1,27 @@
-"""The sequential verifier with one StateVector per measurement: the
-reference `protocol._branch_distribution` is compared against.  Every
-outcome goes through `weak_fourier_sample` or `apply_invariant_average`,
-which read each post-measurement state back into a new lowest-terms
-StateVector and take its probability from `norm_sq`."""
+"""The verifier one StateVector at a time: the references the protocol
+module is compared against.
 
+- The sequential verifier, for `protocol._branch_distribution`: every
+  outcome goes through `weak_fourier_sample` or `apply_invariant_average`,
+  which read each post-measurement state back into a new lowest-terms
+  StateVector and take its probability from `norm_sq`.
+- Witness sampling, for `protocol.sample_witness`: a loop over the
+  requested basis of StateVectors.
+- The single-shot acceptance, for `protocol.acceptance_probability`:
+  `apply_pipeline` and the StateVector inner product.
+- Monte Carlo, for `protocol._monte_carlo`: every shot seeds its own
+  generator and draws, whatever the conditional probabilities are."""
+
+import random
 from fractions import Fraction
+from math import lcm
 
 from helpers import apply_invariant_average, apply_isotypic
 
 from kronlab.errors import ConsistencyError, InputError
 from kronlab.partitions import Partition, enumerate_partitions
-from kronlab.projectors import DiagonalAverage, InvariantAverage, Isotypic, Pipeline, StateVector
-from kronlab.protocol import StageRecord, VerifierOutcome, _part_str
+from kronlab.projectors import DiagonalAverage, InvariantAverage, Isotypic, Pipeline, StateVector, apply_pipeline
+from kronlab.protocol import _SEED_STRIDE, MonteCarloRun, StageRecord, VerifierOutcome, WitnessSpaces, _part_str
 
 
 def weak_fourier_sample(
@@ -100,3 +110,52 @@ def reference_branch_distribution(
         raise ConsistencyError(f"branch probabilities sum to {total}")
     return branches, spine, p_accept
 
+
+def reference_sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:
+    """A combination of the requested basis with one seeded draw in
+    [-9, 9] per basis vector (drawn again while all are zero), summed
+    vector by vector over the common denominator."""
+    if which == "accept":
+        basis = ws.accepting_basis
+    elif which == "reject":
+        basis = ws.rejecting_basis
+    else:
+        raise InputError(f"which must be 'accept' or 'reject', got {which!r}")
+    if not basis:
+        raise InputError(f"the {which}ing subspace is empty")
+    rng = random.Random(seed)
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in basis]
+        if any(coeffs):
+            break
+    den = lcm(*(vec.den for vec in basis))
+    nums: dict[int, int] = {}
+    for c, vec in zip(coeffs, basis):
+        if c:
+            scale = c * (den // vec.den)
+            for f, v in vec.nums.items():
+                nums[f] = nums.get(f, 0) + scale * v
+    out = StateVector(ws.pipeline.n, ws.pipeline.k, nums, den)
+    if out.is_zero():
+        raise ConsistencyError("sampled witness collapsed to zero")
+    return out
+
+
+def reference_acceptance_probability(p: Pipeline, witness: StateVector) -> Fraction:
+    """<psi|E psi>/<psi|psi> with E psi as a StateVector."""
+    if witness.is_zero():
+        raise InputError("witness must be nonzero")
+    out = apply_pipeline(p, witness)
+    return witness.inner(out) / witness.norm_sq()
+
+
+def reference_monte_carlo(spine: list[StageRecord], p_accept: Fraction, seed: int, shots: int) -> MonteCarloRun:
+    """Shot by shot, each from its own generator seeded from (seed, shot
+    index), continuing past a stage while a draw falls below the float of
+    its conditional probability."""
+    conds = [float(rec.prob) for rec in spine]
+    accepts = 0
+    for shot in range(shots):
+        rng = random.Random(seed * _SEED_STRIDE + shot)
+        accepts += all(rng.random() < cond for cond in conds)
+    return MonteCarloRun(shots, accepts, seed, p_accept)
