@@ -1,8 +1,8 @@
 """Exact irreducible characters of S_n via the Murnaghan-Nakayama recursion.
 
-Values are plain integers.  Tables carry classes in the same
-reverse-lexicographic cycle-type order the partition enumeration uses,
-so row/column indices cross-reference cleanly everywhere else.
+Values are plain integers.  A table is held as its cache file stores it:
+one row per partition, keyed by the partition, with rows and classes in
+the enumeration's reverse-lexicographic order, as everywhere else.
 
 Tables are cached on disk as JSON, one file per n, under the directory
 named by the KRONLAB_CACHE environment variable (default
@@ -25,7 +25,7 @@ import os
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, isqrt
 
 import numpy as np
@@ -94,23 +94,23 @@ def mn_character(lam: Partition, rho: Partition) -> int:
 
 @dataclass(frozen=True)
 class CharacterTable:
+    """chi_lam at every class, in class order, keyed by lam in enumeration
+    order: the layout of the cache file."""
+
     n: int
-    partitions: tuple[Partition, ...]
     classes: tuple[Partition, ...]
     class_sizes: tuple[int, ...]
-    values: dict[tuple[Partition, Partition], int]
+    rows: dict[Partition, tuple[int, ...]]
 
-    def chi(self, lam: Partition, rho: Partition) -> int:
-        return self.values[(tuple(lam), tuple(rho))]
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        return tuple(self.rows)
 
     def row(self, lam: Partition) -> tuple[int, ...]:
-        """chi_lam at every class, in class order, from a {shape: row} dict
-        built once per table object: a table read afresh has its own rows."""
-        return self._rows[tuple(lam)]
+        return self.rows[tuple(lam)]
 
-    @cached_property
-    def _rows(self) -> dict[Partition, tuple[int, ...]]:
-        return {lam: tuple(self.values[lam, rho] for rho in self.classes) for lam in self.partitions}
+    def chi(self, lam: Partition, rho: Partition) -> int:
+        return self.row(lam)[self.classes.index(tuple(rho))]
 
     def dimension(self, lam: Partition) -> int:
         return self.chi(lam, (1,) * self.n) if self.n else 1
@@ -125,7 +125,7 @@ class CharacterTable:
         if any(size * v != n_fact for size, v in zip(self.class_sizes, z)):
             raise ConsistencyError("class sizes are not n!/z_rho")
         try:
-            x = np.array([self.row(lam) for lam in self.partitions], dtype=np.int64)
+            x = np.array(list(self.rows.values()), dtype=np.int64)
             sizes, z = np.array(self.class_sizes, dtype=np.int64), np.array(z, dtype=np.int64)
         except OverflowError:
             raise ConsistencyError("an entry is too large for a character table") from None
@@ -152,16 +152,18 @@ class CharacterTable:
         sizes = tuple(class_size(rho) for rho in parts)
         if (self.partitions, self.classes, self.class_sizes) != (parts, parts, sizes):
             raise ConsistencyError(f"rows, classes or class sizes are not those of S_{n}")
+        # the identity is the last class; each cycle column is found once
         cycles = [(length,) + (1,) * (n - length) for length in (2, 3, 4) if length <= n]
-        for lam in parts:
+        columns = [(rho[0], parts.index(rho), class_size(rho)) for rho in cycles]
+        for lam, row in self.rows.items():
             d = hook_dimension(lam)
-            if self.dimension(lam) != d:
+            if row[-1] != d:
                 raise ConsistencyError(f"identity column disagrees with hooks at {lam}")
             p1, p2, p3 = content_power_sums(lam)
             eigenvalues = (p1, p2 - n * (n - 1) // 2, p3 - (2 * n - 3) * p1)
-            for rho, eigenvalue in zip(cycles, eigenvalues):
-                if class_size(rho) * self.chi(lam, rho) != d * eigenvalue:
-                    raise ConsistencyError(f"{rho[0]}-cycle column disagrees at {lam}")
+            for (length, j, size), eigenvalue in zip(columns, eigenvalues):
+                if size * row[j] != d * eigenvalue:
+                    raise ConsistencyError(f"{length}-cycle column disagrees at {lam}")
 
     def to_json(self) -> dict:
         return {
@@ -171,15 +173,16 @@ class CharacterTable:
                 for rho, size in zip(self.classes, self.class_sizes)
             ],
             "rows": [
-                {"partition": list(lam), "values": list(self.row(lam))}
-                for lam in self.partitions
+                {"partition": list(lam), "values": list(row)}
+                for lam, row in self.rows.items()
             ],
         }
 
     @staticmethod
     def from_json(data: dict) -> "CharacterTable":
         """The table in a to_json document; ConsistencyError on a number that
-        is not a JSON integer or a row without one value per class."""
+        is not a JSON integer, a row without one value per class, or a
+        partition that labels two rows (numbers are checked before keying)."""
         classes = tuple(tuple(c["type"]) for c in data["classes"])
         sizes = tuple(c["size"] for c in data["classes"])
         partitions = tuple(tuple(r["partition"]) for r in data["rows"])
@@ -187,16 +190,18 @@ class CharacterTable:
         numbers = itertools.chain([data["n"]], sizes, *classes, *partitions, *rows)
         if any(type(x) is not int for x in numbers) or any(len(r) != len(classes) for r in rows):
             raise ConsistencyError("a number is not an integer, or a row has the wrong length")
-        values = {(lam, rho): v for lam, r in zip(partitions, rows) for rho, v in zip(classes, r)}
-        return CharacterTable(data["n"], partitions, classes, sizes, values)
+        keyed = dict(zip(partitions, map(tuple, rows)))
+        if len(keyed) < len(rows):
+            raise ConsistencyError("a partition labels two rows")
+        return CharacterTable(data["n"], classes, sizes, keyed)
 
 
 @lru_cache(maxsize=None)
 def _compute_table(n: int) -> CharacterTable:
     parts = tuple(enumerate_partitions(n))
     sizes = tuple(class_size(rho) for rho in parts)
-    values = {(lam, rho): mn_character(lam, rho) for lam in parts for rho in parts}
-    table = CharacterTable(n, parts, parts, sizes, values)
+    rows = {lam: tuple(mn_character(lam, rho) for rho in parts) for lam in parts}
+    table = CharacterTable(n, parts, sizes, rows)
     # the identity and 2-, 3- and 4-cycle columns must come out of the
     # recursion, not the closed forms; their agreement checks both
     table.check_labels()

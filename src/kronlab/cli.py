@@ -28,6 +28,7 @@ from .partitions import (
     hook_dimension,
     iter_partitions,
     kostka,
+    partition_text,
 )
 from .permutations import check_perm, encode_permutation
 from .projectors import (
@@ -105,10 +106,6 @@ TRACES = {
     "dense": lambda p: pipeline_trace_dense(p),
     "collapsed": lambda p: pipeline_trace_collapsed(p),
 }
-
-
-def _text(lam) -> str:
-    return ",".join(map(str, lam))
 
 
 def _status(ok: bool) -> str:
@@ -196,7 +193,7 @@ def _kron_all_rows(args):
     for lam, mu, nu in _triples(args.n):
         p = kron_pipeline(lam, mu, nu)
         got = TRACES["dense" if p.dim <= DENSE_DIM_LIMIT else "collapsed"](p)
-        row = {"lam": _text(lam), "mu": _text(mu), "nu": _text(nu)}
+        row = {"lam": partition_text(lam), "mu": partition_text(mu), "nu": partition_text(nu)}
         yield _compared(row, kron_char(lam, mu, nu).value, got)
 
 
@@ -204,7 +201,7 @@ def _pleth_all_rows(args):
     d, m = args.d, args.m
     for lam in iter_partitions(d * m):
         got = pipeline_trace_dense(pleth_pipeline(d, m, lam))
-        yield _compared({"d": d, "m": m, "lam": _text(lam)}, pleth_wreath(d, m, lam).value, got)
+        yield _compared({"d": d, "m": m, "lam": partition_text(lam)}, pleth_wreath(d, m, lam).value, got)
 
 
 def _algebra_rows(args):
@@ -258,19 +255,15 @@ def cmd_verify(args, out) -> int:
 def cmd_chartable(args, out) -> int:
     table = characters.character_table(args.n)
     payload = table.to_json()
-    rows = []
-    for lam in table.partitions:
-        row = {"partition": _text(lam)}
-        for rho, value in zip(table.classes, table.row(lam)):
-            row[_text(rho)] = value
-        rows.append(row)
+    labels = [partition_text(rho) for rho in table.classes]
+    rows = [{"partition": partition_text(lam), **dict(zip(labels, row))} for lam, row in table.rows.items()]
     _emit(payload, rows, _resolve_format(args), out)
     return EXIT_OK
 
 
 def cmd_dims(args, out) -> int:
     parts = enumerate_partitions(args.n)
-    rows = [{"partition": _text(lam), "dimension": hook_dimension(lam)} for lam in parts]
+    rows = [{"partition": partition_text(lam), "dimension": hook_dimension(lam)} for lam in parts]
     total = sum(r["dimension"] ** 2 for r in rows)
     payload = {
         "command": "dims",

@@ -49,6 +49,11 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def partition_text(lam: Partition) -> str:
+    """The one text form of a partition: its parts joined by commas."""
+    return ",".join(map(str, lam))
+
+
 def check_triple(lam, mu, nu) -> tuple[Partition, Partition, Partition]:
     """Validate a Kronecker triple: three partitions of one size."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)

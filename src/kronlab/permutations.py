@@ -23,7 +23,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import InputError
-from .partitions import Partition, check_partition, enumerate_partitions
+from .partitions import Partition, check_partition, enumerate_partitions, partition_text
 
 Perm = tuple[int, ...]
 
@@ -189,7 +189,7 @@ class SubgroupDescriptor:
 
     def label(self) -> str:
         if self.kind == "young":
-            return "S(" + ",".join(map(str, self.shape)) + ")"
+            return f"S({partition_text(self.shape)})"
         return f"S{self.m}wrS{self.d}" if self.kind == "wreath" else f"blocks({self.m}^{self.d})"
 
 

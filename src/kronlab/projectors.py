@@ -61,7 +61,9 @@ import numpy as np
 
 from .characters import character_table
 from .errors import BoundExceededError, ConsistencyError, InputError
-from .partitions import Partition, check_partition, check_plethysm, check_triple, enumerate_partitions, hook_dimension
+from .partitions import (
+    Partition, check_partition, check_plethysm, check_triple, enumerate_partitions, hook_dimension, partition_text
+)
 from .permutations import (
     Perm,
     SubgroupDescriptor,
@@ -170,7 +172,7 @@ def kron_pipeline(lam: Partition, mu: Partition, nu: Partition) -> Pipeline:
     validated once; each factor's two stages come from `_shape_stages`."""
     shapes = check_triple(lam, mu, nu)
     isotypic, right = zip(*map(_shape_stages, range(3), shapes))
-    label = "kron(%s)" % "|".join(",".join(map(str, shape)) for shape in shapes)
+    label = "kron(%s)" % "|".join(map(partition_text, shapes))
     return Pipeline(sum(shapes[0]), 3, (*isotypic, DiagonalAverage(), *right), label)
 
 
@@ -195,7 +197,7 @@ def pleth_pipeline(d: int, m: int, lam: Partition) -> Pipeline:
     lam = check_plethysm(d, m, lam)
     isotypic, right = _shape_stages(0, lam)
     stages = (isotypic, *_block_stages(m, d), right)
-    return Pipeline(m * d, 1, stages, f"pleth({d},{m}|{','.join(map(str, lam))})")
+    return Pipeline(m * d, 1, stages, f"pleth({d},{m}|{partition_text(lam)})")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +247,9 @@ class StateVector:
         if not self.den:
             raise InputError("state vector denominator is zero")
         g = gcd(*self.nums.values(), self.den) * (1 if self.den > 0 else -1)
-        self.nums = {f: v // g for f, v in self.nums.items() if v}
-        self.den //= g
+        if g != 1 or 0 in self.nums.values():  # already in lowest terms otherwise
+            self.nums = {f: v // g for f, v in self.nums.items() if v}
+            self.den //= g
 
     @staticmethod
     def zero(n: int, k: int) -> "StateVector":

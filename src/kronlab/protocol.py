@@ -24,7 +24,7 @@ from operator import mul
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, InputError
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions, partition_text
 from .projectors import (
     BatchEvaluator,
     Isotypic,
@@ -100,10 +100,6 @@ class MonteCarloRun:
     accepts: int
     seed: int
     p_accept_exact: Fraction
-
-
-def _part_str(lam: Partition) -> str:
-    return ",".join(map(str, lam))
 
 
 def acceptance_probability(p: Pipeline, witness: StateVector) -> Fraction:
@@ -199,7 +195,7 @@ def _branch_distribution(
         if isinstance(stage, Isotypic):
             if sum(sq) != scale:
                 raise ConsistencyError(f"isotypic outcome probabilities sum to {Fraction(sum(sq), scale)}")
-            kind, names, target = "fourier", [_part_str(lam) for lam in parts], parts.index(stage.shape)
+            kind, names, target = "fourier", [partition_text(lam) for lam in parts], parts.index(stage.shape)
         else:
             kind, names, target = "invariant", ["accept", "reject"], 0
             sq.append(scale - sq[0])
@@ -304,11 +300,12 @@ def sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:
     (coefficients in [-9, 9], one draw per basis vector) of the requested
     basis.  Deterministic for a given seed, never zero.
 
-    A rejecting witness is summed straight from the echelon rows, without
-    building the rejecting basis: with a_i = row_i[pc_i] and
-    den = lcm(a_i), the combination sum_fc c_fc v_fc of rref_kernel's
-    vectors is c_fc den at each free column fc and
-    -(den / a_i) sum_fc c_fc row_i[fc] at pivot column pc_i."""
+    Both sides are summed straight from the echelon rows over
+    den = lcm(a_i), a_i = row_i[pc_i], without building either basis.
+    The accepting combination sum_i c_i row_i / a_i is
+    sum_i c_i (den / a_i) row_i over den.  The rejecting combination
+    sum_fc c_fc v_fc of rref_kernel's vectors is c_fc den at each free
+    column fc and -(den / a_i) sum_fc c_fc row_i[fc] at pivot column pc_i."""
     if which == "accept":
         size = ws.dim_accept
     elif which == "reject":
@@ -323,18 +320,15 @@ def sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:
         if any(coeffs):
             break
     p = ws.pipeline
-    nums: dict[int, int] = {}
-    if which == "accept":
-        # one integer sum over the common denominator, normalised once
-        den = lcm(*(vec.den for vec in ws.accepting_basis))
-        for c, vec in zip(coeffs, ws.accepting_basis):
-            if c:
-                scale = c * (den // vec.den)
-                for f, v in vec.nums.items():
-                    nums[f] = nums.get(f, 0) + scale * v
-    else:
-        den = lcm(1, *(row[pc] for row, pc in zip(ws.rows, ws.pivots)))
-        dense = [0] * p.dim  # c_fc at each free column, 0 at the pivots
+    den = lcm(1, *(row[pc] for row, pc in zip(ws.rows, ws.pivots)))
+    dense = [0] * p.dim
+    if which == "accept":  # one integer sum over den, normalised once
+        for c, row, pc in zip(coeffs, ws.rows, ws.pivots):
+            scale = c * (den // row[pc])
+            dense = [x + scale * v for x, v in zip(dense, row)]
+        nums = {f: x for f, x in enumerate(dense) if x}
+    else:  # dense holds c_fc at each free column, 0 at the pivots
+        nums = {}
         for fc, c in zip(sorted(set(range(p.dim)).difference(ws.pivots)), coeffs):
             dense[fc] = c
             nums[fc] = c * den

@@ -178,7 +178,7 @@ class TestDiskCache:
         t1 = table_in(tmp_path, 5)
         assert (tmp_path / "chartable-n5.json").exists()
         t2 = table_in(tmp_path, 5)
-        assert t1.values == t2.values
+        assert t1.rows == t2.rows
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         path = tmp_path / "chartable-n4.json"
@@ -187,7 +187,7 @@ class TestDiskCache:
         table.check_orthogonality()
         # file was overwritten with a valid table
         reloaded = CharacterTable.from_json(json.loads(path.read_text()))
-        assert reloaded.values == table.values
+        assert reloaded.rows == table.rows
 
     def test_tampered_values_detected(self, tmp_path):
         table_in(tmp_path, 4)
@@ -199,8 +199,8 @@ class TestDiskCache:
         table.check_orthogonality()
         # the bad file was replaced by a valid one
         healed = CharacterTable.from_json(json.loads(path.read_text()))
-        assert healed.values == table.values
-        assert healed.values != CharacterTable.from_json(data).values
+        assert healed.rows == table.rows
+        assert healed.rows != CharacterTable.from_json(data).rows
 
     @pytest.mark.parametrize("entry", [10**30, -(2**63), 2**62, 5])
     def test_oversized_entry_recomputed(self, tmp_path, entry):
@@ -238,20 +238,44 @@ class TestDiskCache:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConsistencyError):
             CharacterTable.from_json(doc)
-        assert table_in(tmp_path, 5).values == computed_table(5).values
+        assert table_in(tmp_path, 5).rows == computed_table(5).rows
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda rows: rows.insert(2, rows[1]),
+            lambda rows: rows[2].__setitem__("partition", rows[1]["partition"]),
+            lambda rows: rows.pop(1),
+            lambda rows: rows[0].__setitem__("partition", [rows[0]["partition"]]),
+        ],
+        ids=["duplicated", "relabelled", "dropped", "nested"],
+    )
+    def test_row_label_damage_recomputed(self, tmp_path, damage):
+        # rows are keyed by partition: from_json refuses a repeated label
+        # and a nested list (before it is used as a key), and check_labels
+        # a missing row
+        good = json.dumps(computed_table(5).to_json()).encode()
+        path = tmp_path / "chartable-n5.json"
+        doc = json.loads(good)
+        damage(doc["rows"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConsistencyError):
+            CharacterTable.from_json(doc).check_labels()
+        assert table_in(tmp_path, 5).to_json() == computed_table(5).to_json()
         assert path.read_bytes() == good
 
     def test_orthogonality_verdicts(self):
         table = computed_table(7)
         table.check_orthogonality()
-        swapped = dict(table.values)
-        a, b = ((6, 1), (7,)), ((6, 1), (6, 1))  # -1 and 0, both within isqrt(z)
-        swapped[a], swapped[b] = swapped[b], swapped[a]
+        row = list(table.row((6, 1)))
+        row[0], row[1] = row[1], row[0]  # chi at (7,) and (6,1): -1 and 0, both within isqrt(z)
+        swapped = {**table.rows, (6, 1): tuple(row)}
         with pytest.raises(ConsistencyError):
-            CharacterTable(7, table.partitions, table.classes, table.class_sizes, swapped).check_orthogonality()
+            CharacterTable(7, table.classes, table.class_sizes, swapped).check_orthogonality()
         sizes = (table.class_sizes[0] + 1,) + table.class_sizes[1:]
         with pytest.raises(ConsistencyError):
-            CharacterTable(7, table.partitions, table.classes, sizes, table.values).check_orthogonality()
+            CharacterTable(7, table.classes, sizes, table.rows).check_orthogonality()
 
     def test_no_cache_mode(self, tmp_path):
         with cache_settings(tmp_path, use_cache=False):
@@ -302,10 +326,7 @@ class TestDiskCache:
         # n = 15 the 3-cycle column too), and swapping them keeps both
         # orthogonality relations
         table = computed_table(n)
-        values = dict(table.values)
-        for rho in table.classes:
-            values[a, rho], values[b, rho] = table.chi(b, rho), table.chi(a, rho)
-        swapped = CharacterTable(n, table.partitions, table.classes, table.class_sizes, values)
+        swapped = CharacterTable(n, table.classes, table.class_sizes, {**table.rows, a: table.row(b), b: table.row(a)})
         swapped.check_orthogonality()
         with pytest.raises(ConsistencyError, match=column):
             swapped.check_labels()
@@ -398,7 +419,7 @@ def test_damaged_cache_file_yields_the_computed_table(data, n):
         assert (t.n, t.partitions, t.classes, t.class_sizes) == (
             n, reference.partitions, reference.classes, reference.class_sizes
         )
-        assert t.values == reference.values
+        assert t.rows == reference.rows
     left.check_labels()
     left.check_orthogonality()
 
@@ -447,7 +468,7 @@ class TestMemo:
     def test_unchanged_file_loaded_at_most_once(self, tmp_path, loads):
         tables = [table_in(tmp_path, 5) for _ in range(10)]
         assert len(loads) <= 1
-        assert all(t.values == tables[0].values for t in tables)
+        assert all(t.rows == tables[0].rows for t in tables)
 
     def test_same_length_tamper_rechecked_and_healed(self, tmp_path, loads):
         table = table_in(tmp_path, 4)
@@ -460,7 +481,7 @@ class TestMemo:
         healed = table_in(tmp_path, 4)
         assert len(loads) == 1
         healed.check_orthogonality()
-        assert healed.values == table.values
+        assert healed.rows == table.rows
         assert path.read_bytes() == good
 
     def test_deleted_file_written_again(self, tmp_path, loads):

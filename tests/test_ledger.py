@@ -164,11 +164,11 @@ def test_sequential_verifier_runs_one_batch():
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_rejecting_witness_builds_no_basis(seed):
-    # the witness is summed from the echelon rows: the one StateVector made
-    # is the one returned, and every call still runs the evaluator and the
-    # span check
+    # a witness of either side is summed from the echelon rows: the one
+    # StateVector made is the one returned, and every call still runs the
+    # evaluator and the span check
     p = kron_pipeline(*TRIPLE)
-    seen = calls(lambda: [sample_witness(witness_spaces(p), "reject", seed) for _ in range(2)])
+    seen = calls(lambda: [sample_witness(witness_spaces(p), which, seed) for which in ("accept", "reject")])
     assert seen["projectors", "StateVector.__post_init__"] == 2
     assert seen["projectors", "BatchEvaluator.apply"] == 2
     assert seen["protocol", "_image_rows"] == 2

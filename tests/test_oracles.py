@@ -45,10 +45,8 @@ class TestKroneckerCharacterOracle:
         triples = list(combinations_with_replacement(enumerate_partitions(4), 3))
         true = {t: kron_char(*t).value for t in triples}
         table = character_table(4)
-        rows = {**table.values}
-        for rho in table.classes:
-            rows[(3, 1), rho], rows[(2, 2), rho] = table.chi((2, 2), rho), table.chi((3, 1), rho)
-        swapped = CharacterTable(4, table.partitions, table.classes, table.class_sizes, rows)
+        rows = {**table.rows, (3, 1): table.row((2, 2)), (2, 2): table.row((3, 1))}
+        swapped = CharacterTable(4, table.classes, table.class_sizes, rows)
         monkeypatch.setattr(oracles, "character_table", lambda n: swapped)
         changed = [t for t in triples if kron_char(*t).value != true[t]]
         assert len(triples) == 35 and len(changed) == 8

@@ -1273,3 +1273,10 @@ class TestStateVectorEngine:
     def test_zero_denominator_refused(self):
         with pytest.raises(InputError):
             StateVector(3, 1, {0: 1}, 0)
+
+    def test_lowest_terms_at_gcd_one(self):
+        # a stored zero, or a negative denominator (g = -1), still rebuilds
+        state = StateVector(3, 1, {0: 2, 1: 0, 2: 3}, 5)
+        assert (state.nums, state.den) == ({0: 2, 2: 3}, 5)
+        state = StateVector(3, 1, {0: 2, 2: -3}, -5)
+        assert (state.nums, state.den) == ({0: -2, 2: 3}, 5)

@@ -19,9 +19,9 @@ from math import lcm
 from helpers import apply_invariant_average, apply_isotypic
 
 from kronlab.errors import ConsistencyError, InputError
-from kronlab.partitions import Partition, enumerate_partitions
+from kronlab.partitions import Partition, enumerate_partitions, partition_text
 from kronlab.projectors import DiagonalAverage, InvariantAverage, Isotypic, Pipeline, StateVector, apply_pipeline
-from kronlab.protocol import _SEED_STRIDE, MonteCarloRun, StageRecord, VerifierOutcome, WitnessSpaces, _part_str
+from kronlab.protocol import _SEED_STRIDE, MonteCarloRun, StageRecord, VerifierOutcome, WitnessSpaces
 
 
 def weak_fourier_sample(
@@ -80,11 +80,11 @@ def reference_branch_distribution(
                 if lam == stage.shape:
                     target_post, target_prob = post, prob
                 elif prob:
-                    rec = StageRecord(kind, _part_str(lam), prob)
+                    rec = StageRecord(kind, partition_text(lam), prob)
                     branches.append(
                         VerifierOutcome(spine + [rec], "reject", prefix * prob, Fraction(0))
                     )
-            spine.append(StageRecord(kind, _part_str(stage.shape), target_prob))
+            spine.append(StageRecord(kind, partition_text(stage.shape), target_prob))
             prefix *= target_prob
             state = target_post
         else:
