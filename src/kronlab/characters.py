@@ -113,7 +113,7 @@ class CharacterTable:
         return self.row(lam)[self.classes.index(tuple(rho))]
 
     def dimension(self, lam: Partition) -> int:
-        return self.chi(lam, (1,) * self.n) if self.n else 1
+        return self.row(lam)[-1]  # the identity is the last class
 
     def check_orthogonality(self) -> None:
         """Exact row and column orthogonality as int64 matrix products;
@@ -152,12 +152,11 @@ class CharacterTable:
         sizes = tuple(class_size(rho) for rho in parts)
         if (self.partitions, self.classes, self.class_sizes) != (parts, parts, sizes):
             raise ConsistencyError(f"rows, classes or class sizes are not those of S_{n}")
-        # the identity is the last class; each cycle column is found once
         cycles = [(length,) + (1,) * (n - length) for length in (2, 3, 4) if length <= n]
         columns = [(rho[0], parts.index(rho), class_size(rho)) for rho in cycles]
         for lam, row in self.rows.items():
             d = hook_dimension(lam)
-            if row[-1] != d:
+            if self.dimension(lam) != d:
                 raise ConsistencyError(f"identity column disagrees with hooks at {lam}")
             p1, p2, p3 = content_power_sums(lam)
             eigenvalues = (p1, p2 - n * (n - 1) // 2, p3 - (2 * n - 3) * p1)

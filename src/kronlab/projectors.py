@@ -235,7 +235,8 @@ class StateVector:
     BatchEvaluator's format: integer numerators keyed by flat tensor-basis
     index (factor 0 is the most significant digit; each digit is a rank in
     all_perms order) over one denominator.  Kept in lowest terms (den > 0,
-    gcd 1, no stored zeros), so == is exact rational equality."""
+    gcd 1, no stored zeros), so == is exact rational equality; a nums
+    already in lowest terms is taken over, not copied."""
 
     n: int
     k: int

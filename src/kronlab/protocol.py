@@ -300,12 +300,11 @@ def sample_witness(ws: WitnessSpaces, which: str, seed: int) -> StateVector:
     (coefficients in [-9, 9], one draw per basis vector) of the requested
     basis.  Deterministic for a given seed, never zero.
 
-    Both sides are summed straight from the echelon rows over
-    den = lcm(a_i), a_i = row_i[pc_i], without building either basis.
-    The accepting combination sum_i c_i row_i / a_i is
-    sum_i c_i (den / a_i) row_i over den.  The rejecting combination
-    sum_fc c_fc v_fc of rref_kernel's vectors is c_fc den at each free
-    column fc and -(den / a_i) sum_fc c_fc row_i[fc] at pivot column pc_i."""
+    Both sides are summed from the echelon rows over den = lcm(a_i),
+    a_i = row_i[pc_i], without building either basis: the accepting
+    sum_i c_i row_i / a_i is sum_i c_i (den / a_i) row_i over den; the
+    rejecting sum_fc c_fc v_fc of rref_kernel's vectors is c_fc den at each
+    free column fc and -(den / a_i) sum_fc c_fc row_i[fc] at pivot pc_i."""
     if which == "accept":
         size = ws.dim_accept
     elif which == "reject":

@@ -219,50 +219,39 @@ class TestDiskCache:
         assert path.read_bytes() == good
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, refuse",
         [
-            lambda row: row.append(0),
-            lambda row: row.__setitem__(0, str(row[0])),
-            lambda row: row.__setitem__(0, float(row[0])),
-            lambda row: row.__setitem__(-1, True),
+            # the trivial row: all ones
+            pytest.param(lambda doc: doc["rows"][0]["values"].append(0), "load", id="surplus"),
+            pytest.param(lambda doc: doc["rows"][0]["values"].__setitem__(0, "1"), "load", id="string"),
+            pytest.param(lambda doc: doc["rows"][0]["values"].__setitem__(0, 1.0), "load", id="float"),
+            pytest.param(lambda doc: doc["rows"][0]["values"].__setitem__(-1, True), "load", id="true"),
+            pytest.param(lambda doc: doc["rows"].insert(2, doc["rows"][1]), "load", id="duplicated"),
+            pytest.param(
+                lambda doc: doc["rows"][2].__setitem__("partition", doc["rows"][1]["partition"]), "load", id="relabelled"
+            ),
+            pytest.param(lambda doc: doc["rows"].pop(1), "labels", id="dropped"),
+            pytest.param(
+                lambda doc: doc["rows"][0].__setitem__("partition", [doc["rows"][0]["partition"]]), "load", id="nested"
+            ),
         ],
-        ids=["surplus", "string", "float", "true"],
     )
-    def test_non_integer_or_surplus_value_recomputed(self, tmp_path, damage):
+    def test_non_integer_or_surplus_value_recomputed(self, tmp_path, damage, refuse):
         # int() accepts "1", 1.0 and True, and zip drops a surplus value,
-        # so each of these once validated and stayed on disk
+        # so each of these once validated and stayed on disk.  Rows are
+        # keyed by partition: from_json refuses a repeated label and a
+        # nested list (before it is used as a key), and check_labels a
+        # missing row
         good = json.dumps(computed_table(5).to_json()).encode()
         path = tmp_path / "chartable-n5.json"
         doc = json.loads(good)
-        damage(doc["rows"][0]["values"])  # the trivial row: all ones
+        damage(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ConsistencyError):
-            CharacterTable.from_json(doc)
+            table = CharacterTable.from_json(doc)
+            assert refuse == "labels"
+            table.check_labels()
         assert table_in(tmp_path, 5).rows == computed_table(5).rows
-        assert path.read_bytes() == good
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda rows: rows.insert(2, rows[1]),
-            lambda rows: rows[2].__setitem__("partition", rows[1]["partition"]),
-            lambda rows: rows.pop(1),
-            lambda rows: rows[0].__setitem__("partition", [rows[0]["partition"]]),
-        ],
-        ids=["duplicated", "relabelled", "dropped", "nested"],
-    )
-    def test_row_label_damage_recomputed(self, tmp_path, damage):
-        # rows are keyed by partition: from_json refuses a repeated label
-        # and a nested list (before it is used as a key), and check_labels
-        # a missing row
-        good = json.dumps(computed_table(5).to_json()).encode()
-        path = tmp_path / "chartable-n5.json"
-        doc = json.loads(good)
-        damage(doc["rows"])
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConsistencyError):
-            CharacterTable.from_json(doc).check_labels()
-        assert table_in(tmp_path, 5).to_json() == computed_table(5).to_json()
         assert path.read_bytes() == good
 
     def test_orthogonality_verdicts(self):

@@ -1280,3 +1280,6 @@ class TestStateVectorEngine:
         assert (state.nums, state.den) == ({0: 2, 2: 3}, 5)
         state = StateVector(3, 1, {0: 2, 2: -3}, -5)
         assert (state.nums, state.den) == ({0: -2, 2: 3}, 5)
+        # in lowest terms already: the dict is taken over, not copied
+        nums = {0: 2, 2: 3}
+        assert StateVector(3, 1, nums, 5).nums is nums
